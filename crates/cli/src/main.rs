@@ -702,7 +702,8 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         cfg.max_conns = max_conns as usize;
     }
     if let Some(threads) = flag_value(rest, "--event-threads")? {
-        // 0 explicitly selects the blocking thread-per-connection frontend.
+        // The epoll loops own every connection, so at least one must
+        // run: `serve` refuses 0 with a one-line diagnostic.
         cfg.event_threads = threads as usize;
     }
     if let Some(depth) = flag_value(rest, "--queue-depth")? {

@@ -56,6 +56,11 @@ fn bad_flag_values_are_refused() {
     let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--workers", "0"]);
     assert!(!out.status.success());
     assert!(diagnostic(&out).contains("workers"));
+
+    // So does a server with no event loop to own its connections.
+    let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--event-threads", "0"]);
+    assert!(!out.status.success());
+    assert!(diagnostic(&out).contains("event_threads"));
 }
 
 /// `ntp serve` on a port something else already owns: nonzero exit and a

@@ -76,11 +76,6 @@ pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_secs(1);
 /// client default long before the paper-point configs do.
 pub const DEFAULT_BACKEND_MAX_FRAME: u32 = 8 << 20;
 
-/// First-byte kind of an `Error` reply frame (`wire::K_ERROR`); the
-/// relay peeks at it to count backend errors without decoding frames it
-/// only forwards.
-const ERROR_KIND_BYTE: u8 = 0xFF;
-
 /// Rolling-window span for per-backend rates, in one-second epochs
 /// (matches the server's shard windows).
 const WINDOW_EPOCHS: u64 = 10;
@@ -798,26 +793,17 @@ fn forwarder_loop(core: &Arc<Core>, mut client: TcpStream) {
         let body = match wire::read_frame(&mut client, core.cfg.max_frame) {
             Ok(body) => body,
             Err(WireError::Io(_)) => break, // EOF, timeout, reset: done.
-            Err(e @ WireError::Oversized { recoverable, .. }) => {
-                let sent = tx
-                    .send(RelayItem::Direct(Response::Error {
-                        code: ErrorCode::Oversized,
-                        message: e.to_string(),
-                    }))
-                    .is_ok();
-                if !recoverable || !sent {
-                    break;
-                }
-                continue;
-            }
-            Err(e @ (WireError::BadChecksum | WireError::Empty)) => {
-                if tx
-                    .send(RelayItem::Direct(Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    }))
-                    .is_err()
-                {
+            Err(e) => {
+                let sent = tx.send(RelayItem::Direct(e.refusal())).is_ok();
+                // Cannot resync past a huge declared length.
+                let poisoned = matches!(
+                    e,
+                    WireError::Oversized {
+                        recoverable: false,
+                        ..
+                    }
+                );
+                if poisoned || !sent {
                     break;
                 }
                 continue;
@@ -1046,7 +1032,7 @@ fn relay_loop(core: &Arc<Core>, mut client: TcpStream, rx: Receiver<RelayItem>) 
                 };
                 match reply {
                     Ok(body) => {
-                        let is_error = body.first() == Some(&ERROR_KIND_BYTE);
+                        let is_error = body.first() == Some(&wire::K_ERROR);
                         core.record(backend, t0.elapsed(), is_error);
                         if client_ok {
                             client_ok = wire::write_frame(&mut client, &body).is_ok();

@@ -21,11 +21,8 @@ pub const WORKERS_ENV: &str = "NTP_SERVE_WORKERS";
 /// connections are refused with an `Error(refused)` reply.
 pub const MAX_CONNS_ENV: &str = "NTP_SERVE_MAX_CONNS";
 
-/// `NTP_SERVE_EVENT_THREADS`: event-loop thread count for the
-/// nonblocking (epoll) connection frontend. `0` disables the event
-/// frontend and serves every connection from a dedicated blocking
-/// thread — the only mode available off Linux, where this knob is
-/// ignored.
+/// `NTP_SERVE_EVENT_THREADS`: how many epoll event loops serve the
+/// accepted connections (>= 1).
 pub const EVENT_THREADS_ENV: &str = "NTP_SERVE_EVENT_THREADS";
 
 /// `NTP_SERVE_QUEUE_DEPTH`: bounded per-shard request-queue depth;
@@ -87,15 +84,12 @@ pub struct ServeConfig {
     pub max_frame: u32,
     /// Bounded per-shard queue depth; a full queue yields `Busy`.
     pub queue_depth: usize,
-    /// Event-loop threads for the nonblocking connection frontend
-    /// (Linux only). `0` falls back to one blocking thread per
-    /// connection; off Linux the blocking path is always used.
+    /// Epoll event loops that own the accepted connections (>= 1).
     pub event_threads: usize,
-    /// Per-connection socket read timeout (an idle connection past this
-    /// is dropped, which also bounds shutdown drain).
+    /// No-progress timeout: a connection with nothing in flight that has
+    /// neither read nor written a byte for this long is dropped (which
+    /// also bounds how long a drain can wait on an idle peer).
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
     /// Sidecar metrics listener address (`host:port`, `:0` for
     /// ephemeral); `None` disables the sidecar.
     pub metrics_addr: Option<String>,
@@ -125,7 +119,6 @@ impl Default for ServeConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             event_threads: default_event_threads(),
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
             metrics_addr: None,
             stats_interval: None,
             warm_path: None,
@@ -143,15 +136,10 @@ pub fn default_workers() -> usize {
 }
 
 /// Default event-loop thread count: a small slice of the
-/// `NTP_THREADS`-governed pool width on Linux (the loops only shuttle
-/// bytes — shard workers do the prediction work), `0` elsewhere (the
-/// epoll frontend is Linux-only).
+/// `NTP_THREADS`-governed pool width (the loops only shuttle bytes —
+/// shard workers do the prediction work).
 pub fn default_event_threads() -> usize {
-    if cfg!(target_os = "linux") {
-        ntp_runner::thread_count().clamp(1, 4)
-    } else {
-        0
-    }
+    ntp_runner::thread_count().clamp(1, 4)
 }
 
 impl ServeConfig {
@@ -175,7 +163,8 @@ impl ServeConfig {
             cfg.max_conns = max_conns;
         }
         if let Some(threads) = ntp_runner::parse_env::<usize>(EVENT_THREADS_ENV) {
-            cfg.event_threads = threads; // 0 = blocking frontend
+            assert!(threads >= 1, "{EVENT_THREADS_ENV} must be >= 1");
+            cfg.event_threads = threads;
         }
         if let Some(depth) = ntp_runner::parse_env::<usize>(QUEUE_DEPTH_ENV) {
             assert!(depth >= 1, "{QUEUE_DEPTH_ENV} must be >= 1");
@@ -223,9 +212,9 @@ impl ServeConfig {
         if self.queue_depth == 0 {
             return Err("serve: queue_depth must be >= 1".into());
         }
-        if self.event_threads > 256 {
+        if !(1..=256).contains(&self.event_threads) {
             return Err(format!(
-                "serve: event_threads {} above the 256 sanity cap",
+                "serve: event_threads {} outside 1..=256",
                 self.event_threads
             ));
         }
@@ -298,6 +287,13 @@ mod tests {
                     ..ServeConfig::default()
                 },
                 "queue_depth",
+            ),
+            (
+                ServeConfig {
+                    event_threads: 0,
+                    ..ServeConfig::default()
+                },
+                "event_threads",
             ),
             (
                 ServeConfig {
@@ -402,7 +398,7 @@ mod tests {
         std::env::set_var(ADDR_ENV, "127.0.0.1:0");
         std::env::set_var(WORKERS_ENV, "3");
         std::env::set_var(MAX_CONNS_ENV, "9");
-        std::env::set_var(EVENT_THREADS_ENV, "0");
+        std::env::set_var(EVENT_THREADS_ENV, "2");
         std::env::set_var(QUEUE_DEPTH_ENV, "17");
         std::env::set_var(METRICS_ADDR_ENV, "127.0.0.1:0");
         std::env::set_var(STATS_INTERVAL_ENV, "2.5");
@@ -413,7 +409,7 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.max_conns, 9);
-        assert_eq!(cfg.event_threads, 0, "0 explicitly selects blocking mode");
+        assert_eq!(cfg.event_threads, 2);
         assert_eq!(cfg.queue_depth, 17);
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.stats_interval, Some(Duration::from_secs_f64(2.5)));
@@ -440,6 +436,13 @@ mod tests {
             .expect_err("zero queue depth must abort");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains(QUEUE_DEPTH_ENV), "{msg}");
+        std::env::set_var(QUEUE_DEPTH_ENV, "17");
+
+        std::env::set_var(EVENT_THREADS_ENV, "0");
+        let err = std::panic::catch_unwind(ServeConfig::from_env)
+            .expect_err("zero event threads must abort");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains(EVENT_THREADS_ENV), "{msg}");
 
         for var in all {
             std::env::remove_var(var);

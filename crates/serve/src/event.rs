@@ -1,23 +1,21 @@
-//! The event-driven connection frontend: a fixed set of epoll readiness
+//! The serving frontend: a fixed set of `event_threads` epoll readiness
 //! loops multiplexing every accepted socket (Linux only).
 //!
-//! The blocking frontend spends one thread per connection, parked in
-//! `read_frame`. This module replaces that with `event_threads`
-//! nonblocking loops: the acceptor hands sockets to a [`ConnRouter`],
-//! each loop owns its connections outright (no locks on any per-
-//! connection state), and a [`crate::poll::WakeFd`] lets shard workers
-//! poke the loop when a reply is ready. The shard plane is untouched —
-//! decoded frames route into the same bounded queues, replies come back
-//! as [`Completion`]s tagged `(conn, seq)` so the loop can restore the
-//! strict request order on the wire no matter how shards interleave.
+//! The acceptor hands sockets to a [`ConnRouter`], each loop owns its
+//! connections outright (no locks on any per-connection state), and a
+//! [`crate::poll::WakeFd`] lets shard workers poke the loop when a reply
+//! is ready. Decoded frames route into the shards' bounded queues as
+//! [`Job::Run`]s; replies come back as [`Completion`]s tagged
+//! `(conn, seq)` so the loop can restore the strict request order on the
+//! wire no matter how shards interleave.
 //!
 //! Mechanics worth naming:
 //!
 //! * **Frame reassembly.** Reads land in a [`wire::FrameAssembler`]; a
 //!   frame split across any number of reads (or many frames packed into
-//!   one read) decodes identically to the blocking reader, including
-//!   its oversized-resync and poisoning semantics. Reads that end
-//!   mid-frame count `conn.partial_reads`.
+//!   one read) decodes identically to [`wire::read_frame`] on a blocking
+//!   stream, including its oversized-resync and poisoning semantics.
+//!   Reads that end mid-frame count `conn.partial_reads`.
 //! * **Pipelining + coalescing.** A client may write many frames
 //!   without waiting. Consecutive same-session frames decoded from one
 //!   read burst are coalesced into a single [`Job::Run`] — one queue
@@ -28,10 +26,13 @@
 //!   flushed opportunistically; a short write arms `EPOLLOUT` and the
 //!   loop finishes the flush when the socket drains, so one slow reader
 //!   never blocks the loop.
+//! * **Idle reaping.** Every [`SWEEP_EVERY`], busy or not, a loop drops
+//!   the connections that have nothing in flight and have made no I/O
+//!   progress for `read_timeout`, counting each in `conn.read_timeouts`.
 //! * **Shutdown.** The acceptor holds the only [`ConnRouter`]; when it
 //!   exits the injection channels disconnect, and each loop runs its
-//!   remaining connections dry before exiting — the same drain story as
-//!   the blocking frontend, without a shutdown race on late accepts.
+//!   remaining connections dry before exiting — no shutdown race on late
+//!   accepts.
 //!
 //! Shards never wait on a loop (completions ride an unbounded channel),
 //! so a loop calling into `Hub::collect` for an inline `Metrics` frame
@@ -39,7 +40,7 @@
 
 use crate::config::ServeConfig;
 use crate::poll::{Epoll, Event, WakeFd};
-use crate::server::{note_sockopt, Completion, Hub, Job, LoopShared, ReplySink};
+use crate::server::{note_sockopt, Completion, Hub, Job, LoopShared, Reply};
 use crate::wire::{self, ErrorCode, FrameAssembler, FrameEvent, Request, Response, WireError};
 use ntp_telemetry::ToJson;
 use std::collections::{HashMap, HashSet};
@@ -50,13 +51,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Token reserved for the loop's own wakeup eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Epoll wait timeout: the cadence of idle sweeps and drain checks.
+/// Epoll wait timeout: the longest a quiet loop goes without checking
+/// for drain or a due idle sweep.
 const LOOP_TICK_MS: i32 = 100;
+
+/// Cadence of the idle sweep, whether or not events arrived.
+const SWEEP_EVERY: Duration = Duration::from_millis(LOOP_TICK_MS as u64);
 
 /// Most same-session frames coalesced into one [`Job::Run`] — matches
 /// the shard's own per-sweep drain limit, so one run never exceeds what
@@ -72,16 +77,16 @@ const READ_CHUNK: usize = 64 << 10;
 /// which is each loop's signal that no new connection can ever arrive.
 pub(crate) struct ConnRouter {
     targets: Vec<(mpsc::Sender<TcpStream>, Arc<WakeFd>)>,
-    rr: AtomicUsize,
+    rr: usize,
 }
 
 impl ConnRouter {
     /// Hands a socket to the next loop and wakes it. False only when
     /// every loop is gone (teardown).
-    pub(crate) fn inject(&self, stream: TcpStream) -> bool {
+    pub(crate) fn inject(&mut self, mut stream: TcpStream) -> bool {
         let n = self.targets.len();
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut stream = stream;
+        let start = self.rr;
+        self.rr = (start + 1) % n;
         for k in 0..n {
             let (tx, wake) = &self.targets[(start + k) % n];
             match tx.send(stream) {
@@ -96,14 +101,15 @@ impl ConnRouter {
     }
 }
 
-/// Spawns `n` event-loop threads and the router that feeds them.
+/// Spawns `cfg.event_threads` event-loop threads and the router that
+/// feeds them.
 pub(crate) fn spawn(
-    n: usize,
     cfg: &ServeConfig,
     hub: &Arc<Hub>,
     active_conns: &Arc<AtomicUsize>,
     loops: &Arc<[LoopShared]>,
-) -> Result<(Arc<ConnRouter>, Vec<JoinHandle<()>>), String> {
+) -> Result<(ConnRouter, Vec<JoinHandle<()>>), String> {
+    let n = cfg.event_threads;
     let mut targets = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
@@ -123,13 +129,7 @@ pub(crate) fn spawn(
         );
         targets.push((inject_tx, wake));
     }
-    Ok((
-        Arc::new(ConnRouter {
-            targets,
-            rr: AtomicUsize::new(0),
-        }),
-        handles,
-    ))
+    Ok((ConnRouter { targets, rr: 0 }, handles))
 }
 
 /// One multiplexed connection: read side (assembler), write side
@@ -264,6 +264,8 @@ fn run_loop(
     let mut next_token: u64 = 0;
     let mut inject_open = true;
     let mut events: Vec<Event> = Vec::new();
+    let mut rbuf = vec![0u8; READ_CHUNK];
+    let mut next_sweep = Instant::now() + SWEEP_EVERY;
 
     loop {
         if hub.drain.is_set() && !inject_open && conns.is_empty() {
@@ -307,7 +309,7 @@ fn run_loop(
             let close = match conns.get_mut(&ev.token) {
                 Some(conn) => {
                     if ev.readable {
-                        read_socket(conn);
+                        read_socket(conn, &mut rbuf);
                         frames_this_wakeup += process_frames(&ctx, conn, ev.token);
                         if conn.asm.has_partial() && !conn.read_closed && !conn.dead {
                             ctx.hub
@@ -354,11 +356,13 @@ fn run_loop(
             }
         }
 
-        // Idle sweep on quiet ticks: a peer with nothing in flight that
-        // has been silent past the read timeout is dropped, exactly as
-        // the blocking frontend's socket read timeout would.
-        if events.is_empty() && !conns.is_empty() {
-            let now = Instant::now();
+        // Idle sweep on a fixed cadence, busy or not: a peer with nothing
+        // in flight and no I/O progress past the read timeout is dropped,
+        // so a silent or half-open peer cannot keep its `max_conns` slot
+        // while other connections keep this loop busy.
+        let now = Instant::now();
+        if now >= next_sweep && !conns.is_empty() {
+            next_sweep = now + SWEEP_EVERY;
             let expired: Vec<u64> = conns
                 .iter()
                 .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) > cfg.read_timeout)
@@ -412,13 +416,13 @@ fn register(
     conns.insert(token, Conn::new(stream));
 }
 
-/// Reads until the socket would block (or EOF/error), feeding the
-/// assembler. Level-triggered epoll re-reports anything left behind, so
-/// a short read may simply end the burst.
-fn read_socket(conn: &mut Conn) {
-    let mut buf = [0u8; READ_CHUNK];
+/// Reads until the socket would block (or EOF/error) through the
+/// loop's one read buffer, feeding the assembler. Level-triggered epoll
+/// re-reports anything left behind, so a short read may simply end the
+/// burst.
+fn read_socket(conn: &mut Conn, buf: &mut [u8]) {
     loop {
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => {
                 conn.read_closed = true;
                 break;
@@ -440,14 +444,14 @@ fn read_socket(conn: &mut Conn) {
     }
 }
 
-/// Decodes every complete frame buffered on `conn`, mirroring the
-/// blocking `connection_loop` exactly: same error codes, same counters,
-/// same inline handling of `Shutdown` and `Metrics`. Consecutive
-/// same-session routed requests coalesce into one [`Job::Run`]. Returns
-/// the number of frames decoded (for `loop.frames_per_wakeup`).
+/// Decodes every complete frame buffered on `conn`: refused frames and
+/// undecodable bodies get typed error replies, `Shutdown` and `Metrics`
+/// are answered inline, and consecutive same-session routed requests
+/// coalesce into one [`Job::Run`]. Returns the number of frames decoded
+/// (for `loop.frames_per_wakeup`).
 fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
     let mut frames = 0usize;
-    let mut run: Vec<(Request, ReplySink)> = Vec::new();
+    let mut run: Vec<(u64, Request)> = Vec::new();
     let mut run_session = 0u64;
     while let Some(event) = conn.asm.next(ctx.cfg.max_frame) {
         frames += 1;
@@ -458,31 +462,16 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                     .counters
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
-                match &e {
-                    WireError::Oversized { recoverable, .. } => {
-                        if *recoverable {
-                            ctx.hub.counters.resyncs.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            // The assembler is poisoned — no resync is
-                            // possible past a huge declared length.
-                            conn.close_after_flush = true;
-                        }
-                        conn.complete(
-                            seq,
-                            Response::Error {
-                                code: ErrorCode::Oversized,
-                                message: e.to_string(),
-                            },
-                        );
+                if let WireError::Oversized { recoverable, .. } = e {
+                    if recoverable {
+                        ctx.hub.counters.resyncs.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // The assembler is poisoned — no resync is
+                        // possible past a huge declared length.
+                        conn.close_after_flush = true;
                     }
-                    _ => conn.complete(
-                        seq,
-                        Response::Error {
-                            code: ErrorCode::BadFrame,
-                            message: e.to_string(),
-                        },
-                    ),
                 }
+                conn.complete(seq, e.refusal());
                 if conn.close_after_flush {
                     break;
                 }
@@ -507,14 +496,14 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                         // In-flight work first: requests decoded before
                         // the Shutdown still get served, and their
                         // replies precede the Bye on the wire.
-                        flush_run(ctx, conn, &mut run, run_session);
+                        flush_run(ctx, conn, token, &mut run, run_session);
                         ctx.hub.drain.trigger();
                         conn.complete(seq, Response::Bye);
                         conn.close_after_flush = true;
                         break; // Anything after a Shutdown is discarded.
                     }
                     Ok(Request::Metrics) => {
-                        flush_run(ctx, conn, &mut run, run_session);
+                        flush_run(ctx, conn, token, &mut run, run_session);
                         let json = ctx.hub.collect().to_json().render();
                         conn.complete(seq, Response::Metrics { json });
                     }
@@ -522,45 +511,38 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                         let session = req.session().expect("routed requests name a session");
                         if !run.is_empty() && (session != run_session || run.len() >= MAX_COALESCE)
                         {
-                            flush_run(ctx, conn, &mut run, run_session);
+                            flush_run(ctx, conn, token, &mut run, run_session);
                         }
                         run_session = session;
-                        run.push((
-                            req,
-                            ReplySink::Event {
-                                tx: ctx.done_tx.clone(),
-                                wake: Arc::clone(ctx.wake),
-                                conn: token,
-                                seq,
-                            },
-                        ));
+                        run.push((seq, req));
                     }
                 }
             }
         }
     }
-    flush_run(ctx, conn, &mut run, run_session);
+    flush_run(ctx, conn, token, &mut run, run_session);
     frames
 }
 
-/// Enqueues a pending run on its owning shard: one [`Job::Request`] for
-/// a single request, one [`Job::Run`] for a coalesced burst — either
-/// way one queue slot and one depth increment, matching the shard's one
-/// decrement per job. A full queue answers `Busy` per request (counted
-/// per request, exactly like the blocking frontend); a disconnected
-/// queue answers `Draining`.
-fn flush_run(ctx: &Ctx, conn: &mut Conn, run: &mut Vec<(Request, ReplySink)>, session: u64) {
+/// Enqueues a pending run on its owning shard as one [`Job::Run`] — one
+/// queue slot and one depth increment, matching the shard's one
+/// decrement per job. A full queue answers `Busy` per request (and
+/// counts each one); a disconnected queue answers `Draining`.
+fn flush_run(ctx: &Ctx, conn: &mut Conn, token: u64, run: &mut Vec<(u64, Request)>, session: u64) {
     if run.is_empty() {
         return;
     }
     let entries = std::mem::take(run);
     let n = entries.len() as u64;
     let shard = (session % ctx.hub.senders.len() as u64) as usize;
-    let job = if entries.len() == 1 {
-        let (req, reply) = entries.into_iter().next().expect("one entry");
-        Job::Request { req, reply }
-    } else {
-        Job::Run { session, entries }
+    let job = Job::Run {
+        session,
+        reply: Reply {
+            tx: ctx.done_tx.clone(),
+            wake: Arc::clone(ctx.wake),
+            conn: token,
+        },
+        entries,
     };
     match ctx.hub.senders[shard].try_send(job) {
         Ok(()) => {
@@ -588,13 +570,8 @@ fn flush_run(ctx: &Ctx, conn: &mut Conn, run: &mut Vec<(Request, ReplySink)>, se
 /// the replies are already in sequence order, so they land straight in
 /// the connection's write buffer.
 fn refuse_job(conn: &mut Conn, job: Job, resp: &Response) {
-    let entries = match job {
-        Job::Request { req, reply } => vec![(req, reply)],
-        Job::Run { entries, .. } => entries,
-        Job::Snapshot { .. } | Job::Persist { .. } => Vec::new(),
-    };
-    for (_, reply) in entries {
-        if let ReplySink::Event { seq, .. } = reply {
+    if let Job::Run { entries, .. } = job {
+        for (seq, _) in entries {
             conn.complete(seq, resp.clone());
         }
     }

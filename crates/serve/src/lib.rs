@@ -14,11 +14,13 @@
 //!   `Migrate`/`MigrateOk` pair — a checksummed single-session snapshot
 //!   in flight — which the `ntp-cluster` router uses to move live
 //!   sessions between backends;
-//! * [`server`] — the TCP listener and fixed shard-worker pool.
-//!   Sessions are owned by a single worker (`session % workers`), so
-//!   every predictor stays single-threaded and lock-free; bounded
-//!   per-shard queues reply `Busy` under load, connection/frame/timeout
-//!   limits bound resource use, and shutdown drains in-flight sessions.
+//! * [`server`] — the TCP listener, the epoll event loops that own
+//!   every accepted connection (Linux only: elsewhere [`serve`] refuses
+//!   to start), and the fixed shard-worker pool. Sessions are owned by a
+//!   single worker (`session % workers`), so every predictor stays
+//!   single-threaded and lock-free; bounded per-shard queues reply
+//!   `Busy` under load, connection/frame/idle-timeout limits bound
+//!   resource use, and shutdown drains in-flight sessions.
 //!   Each shard also owns a private metrics registry and rolling window
 //!   — the live observability plane behind the `Metrics` frame, the
 //!   optional `NTP_SERVE_METRICS_ADDR` scrape sidecar, the
@@ -73,27 +75,11 @@
 
 pub mod client;
 pub mod config;
-#[cfg(target_os = "linux")]
 mod event;
 pub mod loadgen;
-#[cfg(target_os = "linux")]
 mod poll;
 pub mod server;
 pub mod wire;
-
-/// The wakeup primitive shard workers use to poke an event loop when a
-/// completion is queued: the `eventfd` wrapper on Linux, an inert stub
-/// elsewhere (the blocking frontend never constructs an event sink).
-#[cfg(target_os = "linux")]
-pub(crate) use poll::WakeFd as EventWake;
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) struct EventWake;
-
-#[cfg(not(target_os = "linux"))]
-impl EventWake {
-    pub(crate) fn wake(&self) {}
-}
 
 pub use client::{Client, ClientError};
 pub use config::ServeConfig;

@@ -1,11 +1,11 @@
-//! Zero-dependency readiness polling for the event-driven frontend.
+//! Zero-dependency readiness polling for the event loops.
 //!
 //! This module wraps the three raw `epoll` syscalls plus `eventfd`
 //! behind a tiny safe surface, declaring the symbols directly against
-//! the C library that `std` already links — no `libc` crate. It only
-//! compiles on Linux; the server falls back to the blocking
-//! thread-per-connection path everywhere else (and whenever
-//! `event_threads == 0`).
+//! the C library that `std` already links — no `libc` crate. Those four
+//! declarations are the crate's only platform split besides the early
+//! return in `serve()`: off Linux they are stand-ins that fail, and
+//! `serve()` refuses to start before any of them could run.
 //!
 //! Design notes:
 //!
@@ -47,11 +47,42 @@ struct EpollEvent {
     data: u64,
 }
 
+#[cfg(target_os = "linux")]
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+}
+
+#[cfg(not(target_os = "linux"))]
+use no_epoll::*;
+
+/// Stand-ins off Linux: every call fails, as a missing syscall would.
+///
+/// # Safety
+///
+/// None of them touches memory; they are `unsafe` only so that the
+/// callers' `unsafe` blocks match the Linux declarations.
+#[cfg(not(target_os = "linux"))]
+mod no_epoll {
+    use super::{c_int, c_uint, EpollEvent};
+
+    pub unsafe fn epoll_create1(_: c_int) -> c_int {
+        -1
+    }
+    pub unsafe fn epoll_ctl(_: c_int, _: c_int, _: c_int, _: *mut EpollEvent) -> c_int {
+        -1
+    }
+    pub unsafe fn epoll_wait(_: c_int, _: *mut EpollEvent, _: c_int, _: c_int) -> c_int {
+        -1
+    }
+    pub unsafe fn eventfd(_: c_uint, _: c_int) -> c_int {
+        -1
+    }
+}
+
+extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;

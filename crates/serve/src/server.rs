@@ -1,13 +1,14 @@
-//! The TCP server: accept loop, per-connection reader threads, the
-//! sharded session workers, and the runtime observability plane.
+//! The TCP server: accept loop, the sharded session workers, and the
+//! runtime observability plane. The event loops that own the accepted
+//! connections live in `event.rs`.
 //!
 //! # Sharding model
 //!
 //! Sessions are owned by exactly one shard worker, `session % workers`.
 //! A shard is a plain thread holding a `HashMap<u64, Session>` of
 //! single-threaded [`NextTracePredictor`]s — no locks anywhere on the
-//! prediction path. Connection threads parse frames and forward requests
-//! to the owning shard over a **bounded** queue; a full queue yields an
+//! prediction path. Event loops parse frames and forward requests to the
+//! owning shard over a **bounded** queue; a full queue yields an
 //! immediate [`Response::Busy`] (explicit backpressure, the request is
 //! not applied) instead of unbounded buffering.
 //!
@@ -40,8 +41,9 @@
 //!   `Error(refused)` reply and are closed;
 //! * `max_frame` bytes per frame body; oversized frames are discarded
 //!   and refused with `Error(oversized)`, the connection survives;
-//! * read/write socket timeouts bound how long a dead peer can hold a
-//!   connection slot (and therefore how long a drain can take).
+//! * `read_timeout` bounds how long a connection with nothing in flight
+//!   and no I/O progress can hold its slot (and therefore how long a
+//!   drain can take).
 //!
 //! # Shutdown
 //!
@@ -54,7 +56,9 @@
 //! sessions are never cut off mid-request.
 
 use crate::config::ServeConfig;
-use crate::wire::{self, ErrorCode, Request, Response, WireError};
+use crate::event::ConnRouter;
+use crate::poll::WakeFd;
+use crate::wire::{self, ErrorCode, Request, Response};
 use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
 use ntp_telemetry::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, RollingWindow, Snapshot, ToJson,
@@ -67,7 +71,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,20 +79,19 @@ use std::time::{Duration, Instant};
 /// Rolling-window span: QPS and friends are "over the last 10 seconds".
 const WINDOW_EPOCHS: usize = 10;
 
-/// One unit of shard work: a routed request, or a metrics snapshot
+/// One unit of shard work: routed requests, or a metrics snapshot
 /// travelling the same queue (so reading metrics never locks the shard).
 pub(crate) enum Job {
-    /// A wire request with the sink its reply goes back through.
-    Request { req: Request, reply: ReplySink },
-    /// Consecutive same-session requests coalesced off one connection's
-    /// read burst: one queue slot, one wake-up, one prefetch — the
-    /// event-loop frontend's feeding pattern for the batched drain.
-    /// Each request is still applied (and its metrics recorded)
-    /// individually, in order, so replies are byte-identical to
-    /// uncoalesced processing.
+    /// One or more consecutive same-session requests off one
+    /// connection's read burst, each tagged with its sequence number on
+    /// that connection: one queue slot, one wake-up, one prefetch — the
+    /// event loop's feeding pattern for the batched drain. Each request
+    /// is still applied (and its metrics recorded) individually, in
+    /// order, so replies are byte-identical to uncoalesced processing.
     Run {
         session: u64,
-        entries: Vec<(Request, ReplySink)>,
+        reply: Reply,
+        entries: Vec<(u64, Request)>,
     },
     /// A snapshot of the shard's registry and rolling window.
     Snapshot { reply: mpsc::Sender<ShardSnapshot> },
@@ -108,50 +111,33 @@ impl Job {
     /// Routed requests this job carries (0 for snapshots).
     fn routed(&self) -> usize {
         match self {
-            Job::Request { .. } => 1,
             Job::Run { entries, .. } => entries.len(),
             Job::Snapshot { .. } | Job::Persist { .. } => 0,
         }
     }
 }
 
-/// Where a shard sends a reply: a blocking connection thread waiting on
-/// a channel, or an event loop that multiplexes many connections and is
-/// woken through an eventfd. The `(conn, seq)` pair lets the loop slot
-/// the response back into that connection's in-order reply stream no
+/// Where a shard sends a job's replies: the owning event loop's
+/// completion channel, the eventfd that wakes it, and the connection the
+/// job came from. Built once per job; each entry's sequence number slots
+/// its response back into that connection's in-order reply stream no
 /// matter how shard completions interleave.
-pub(crate) enum ReplySink {
-    /// Blocking frontend: the connection thread `recv()`s synchronously.
-    Sync(mpsc::Sender<Response>),
-    /// Event-loop frontend: queue a completion, then poke the loop.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    Event {
-        tx: mpsc::Sender<Completion>,
-        wake: Arc<crate::EventWake>,
-        conn: u64,
-        seq: u64,
-    },
+pub(crate) struct Reply {
+    pub tx: mpsc::Sender<Completion>,
+    pub wake: Arc<WakeFd>,
+    pub conn: u64,
 }
 
-impl ReplySink {
-    /// Delivers one response; delivery failures mean the frontend is
-    /// gone, which the shard safely ignores (exactly as the blocking
-    /// path ignores a dropped reply receiver).
-    pub(crate) fn send(self, resp: Response) {
-        match self {
-            ReplySink::Sync(tx) => {
-                let _ = tx.send(resp);
-            }
-            ReplySink::Event {
-                tx,
-                wake,
-                conn,
-                seq,
-            } => {
-                let _ = tx.send(Completion { conn, seq, resp });
-                wake.wake();
-            }
-        }
+impl Reply {
+    /// Delivers one response and pokes the loop. A failed send means the
+    /// loop is gone, which the shard safely ignores.
+    fn send(&self, seq: u64, resp: Response) {
+        let _ = self.tx.send(Completion {
+            conn: self.conn,
+            seq,
+            resp,
+        });
+        self.wake.wake();
     }
 }
 
@@ -214,16 +200,17 @@ pub struct ServerSummary {
     pub protocol_errors: u64,
     /// Oversized frames survived by resyncing the stream.
     pub resyncs: u64,
-    /// Connections dropped because the peer stayed idle past the socket
-    /// read timeout (`WouldBlock`/`TimedOut`), as opposed to a clean EOF
-    /// or a transport error.
+    /// Connections dropped because, with nothing in flight, they made no
+    /// I/O progress for `read_timeout` — as opposed to a clean EOF or a
+    /// transport error.
     pub read_timeouts: u64,
-    /// Socket-option calls (`set_read_timeout` / `set_write_timeout` /
-    /// `set_nodelay`) that failed while preparing a connection.
+    /// Socket-option calls that failed: `set_nodelay` at accept,
+    /// `set_nonblocking` when a loop adopts the socket, and the timeouts
+    /// set on refused and metrics-sidecar sockets.
     pub sockopt_errors: u64,
-    /// Socket reads (event-loop frontend) that ended on an incomplete
-    /// frame, i.e. the frame had to be reassembled across reads. Purely
-    /// informational: partial delivery is normal TCP behaviour.
+    /// Socket reads that ended on an incomplete frame, i.e. the frame
+    /// had to be reassembled across reads. Purely informational: partial
+    /// delivery is normal TCP behaviour.
     pub partial_reads: u64,
     /// Sessions created across all shards.
     pub sessions: u64,
@@ -375,7 +362,7 @@ impl Hub {
             server.set_counter(id, v);
         }
         // Per-loop frames-per-wakeup histograms fold into one server-wide
-        // distribution (zero on the blocking frontend).
+        // distribution.
         let fw = server.histogram("loop.frames_per_wakeup");
         for l in self.loops.iter() {
             let h = l.frames_per_wakeup.lock().expect("loop histogram lock");
@@ -443,7 +430,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     snapshot_dir: Option<PathBuf>,
-    active_conns: Arc<AtomicUsize>,
     counters: Arc<Counters>,
     drain: Arc<DrainSignal>,
     hub: Option<Arc<Hub>>,
@@ -504,26 +490,6 @@ impl ServerHandle {
         }
     }
 
-    /// Persists every shard's sessions to the configured snapshot
-    /// directory *now* (the snapshot-on-demand path; the periodic
-    /// `snapshot_interval` thread calls the same machinery). Returns the
-    /// sessions written, or `None` when no snapshot directory is
-    /// configured.
-    pub fn persist_snapshots(&self) -> Option<u64> {
-        let dir = self.snapshot_dir.as_ref()?;
-        Some(
-            self.hub
-                .as_ref()
-                .expect("hub lives until join()")
-                .persist_all(dir),
-        )
-    }
-
-    /// True once a shutdown/drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.drain.is_set()
-    }
-
     /// Waits for the drain to complete — acceptor exited, every
     /// connection closed, every shard queue empty — and returns the
     /// final accounting. Call after [`ServerHandle::request_shutdown`]
@@ -533,16 +499,10 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // The acceptor has exited; each connection thread holds its own
-        // hub clone. Wait for those connections to finish their
-        // in-flight sessions.
-        while self.active_conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
         // Event loops exit once the drain flag is set, their injection
         // channel is closed (the acceptor dropped it above) and their
-        // last connection is gone; joining them releases their hub
-        // clones.
+        // last connection is gone — every in-flight session answered.
+        // Joining them releases their hub clones.
         for h in self.event_loops.drain(..) {
             let _ = h.join();
         }
@@ -657,8 +617,12 @@ fn load_warm_sessions(path: &Path, workers: usize) -> Result<Vec<Vec<(u64, Sessi
 ///
 /// Fails (with a one-line diagnostic naming the address) when an
 /// address cannot be bound — e.g. the port is already in use — or when
-/// the configuration is invalid.
+/// the configuration is invalid. Off Linux it always fails: the event
+/// loops are built on epoll.
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
+    if !cfg!(target_os = "linux") {
+        return Err("serve: needs Linux (the event loops use epoll)".into());
+    }
     cfg.validate()?;
     // Warm-start before binding anything: no connection can ever observe
     // a partially restored session map. A refused snapshot is a logged
@@ -713,15 +677,14 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         .map(|_| ShardShared::default())
         .collect::<Vec<_>>()
         .into();
-    let event_threads = effective_event_threads(&cfg);
-    let loops: Arc<[LoopShared]> = (0..event_threads)
+    let loops: Arc<[LoopShared]> = (0..cfg.event_threads)
         .map(|_| LoopShared::default())
         .collect::<Vec<_>>()
         .into();
     let start = Instant::now();
 
     // One bounded queue per shard. Every sender clone lives inside a Hub
-    // (acceptor, connection threads, sidecar, stats thread, handle);
+    // (acceptor, event loops, sidecar, stats thread, handle);
     // when the last Hub drops, the shard receivers disconnect —
     // drain-then-exit for free.
     let mut senders = Vec::with_capacity(cfg.workers);
@@ -759,28 +722,18 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         start,
     });
 
-    // Event-driven frontend: a fixed set of readiness loops the acceptor
-    // hands sockets to. The acceptor holds the only router (and with it
-    // the injection senders), so when it exits the loops see a closed
-    // channel and can drain out — no shutdown race with late accepts.
-    #[cfg_attr(not(target_os = "linux"), allow(unused_mut))]
-    let mut router: Option<Arc<ConnRouter>> = None;
-    #[cfg_attr(not(target_os = "linux"), allow(unused_mut))]
-    let mut event_loops: Vec<JoinHandle<()>> = Vec::new();
-    #[cfg(target_os = "linux")]
-    if event_threads > 0 {
-        let (r, handles) = crate::event::spawn(event_threads, &cfg, &hub, &active_conns, &loops)?;
-        router = Some(r);
-        event_loops = handles;
-    }
+    // A fixed set of readiness loops the acceptor hands sockets to. The
+    // acceptor holds the only router (and with it the injection
+    // senders), so when it exits the loops see a closed channel and can
+    // drain out — no shutdown race with late accepts.
+    let (router, event_loops) = crate::event::spawn(&cfg, &hub, &active_conns, &loops)?;
 
     let accept = {
-        let active_conns = Arc::clone(&active_conns);
-        let cfg = cfg.clone();
+        let max_conns = cfg.max_conns;
         let hub = Arc::clone(&hub);
         std::thread::Builder::new()
             .name("ntp-serve-accept".into())
-            .spawn(move || accept_loop(listener, cfg, hub, active_conns, router))
+            .spawn(move || accept_loop(listener, max_conns, hub, active_conns, router))
             .map_err(|e| format!("serve: cannot spawn acceptor: {e}"))?
     };
 
@@ -831,7 +784,6 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         addr,
         metrics_addr,
         snapshot_dir: cfg.snapshot_dir.clone(),
-        active_conns,
         counters,
         drain,
         hub: Some(hub),
@@ -860,47 +812,12 @@ fn snapshot_loop(hub: Arc<Hub>, interval: Duration, dir: PathBuf) {
     }
 }
 
-/// How many event-loop threads this platform actually runs: the
-/// configured count on Linux, zero (with a one-line note) elsewhere —
-/// the blocking thread-per-connection path is the portable fallback.
-fn effective_event_threads(cfg: &ServeConfig) -> usize {
-    #[cfg(target_os = "linux")]
-    {
-        cfg.event_threads
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        if cfg.event_threads > 0 {
-            eprintln!(
-                "[serve] event-driven frontend is Linux-only; using blocking connection threads"
-            );
-        }
-        0
-    }
-}
-
-#[cfg(target_os = "linux")]
-pub(crate) use crate::event::ConnRouter;
-
-/// Stub router for platforms without the event frontend; never
-/// constructed (`effective_event_threads` forces the blocking path).
-#[cfg(not(target_os = "linux"))]
-pub(crate) struct ConnRouter;
-
-#[cfg(not(target_os = "linux"))]
-impl ConnRouter {
-    pub(crate) fn inject(&self, stream: TcpStream) -> bool {
-        drop(stream);
-        false
-    }
-}
-
 fn accept_loop(
     listener: TcpListener,
-    cfg: ServeConfig,
+    max_conns: usize,
     hub: Arc<Hub>,
     active_conns: Arc<AtomicUsize>,
-    router: Option<Arc<ConnRouter>>,
+    mut router: ConnRouter,
 ) {
     for stream in listener.incoming() {
         if hub.drain.is_set() {
@@ -908,7 +825,7 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { continue };
         let slot = active_conns.fetch_add(1, Ordering::SeqCst);
-        if slot >= cfg.max_conns {
+        if slot >= max_conns {
             hub.counters.refused.fetch_add(1, Ordering::Relaxed);
             refuse(
                 stream,
@@ -920,29 +837,14 @@ fn accept_loop(
             continue;
         }
         hub.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        // Disable Nagle right at accept — both frontends serve
-        // request/response traffic where a delayed ACK stall dwarfs any
-        // segment-coalescing win. Failures are counted (and logged once)
-        // through the sockopt path like every other socket option.
+        // Disable Nagle right at accept — the loops serve request/response
+        // traffic where a delayed ACK stall dwarfs any segment-coalescing
+        // win. Failures are counted (and logged once) through the sockopt
+        // path like every other socket option.
         note_sockopt(&hub.counters, "set_nodelay", stream.set_nodelay(true));
-        if let Some(router) = &router {
-            if !router.inject(stream) {
-                // Every event loop is gone — only possible when the
-                // process is tearing down; drop the connection.
-                active_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-            continue;
-        }
-        let cfg = cfg.clone();
-        let hub2 = Arc::clone(&hub);
-        let active_conns2 = Arc::clone(&active_conns);
-        let spawned = std::thread::Builder::new()
-            .name("ntp-serve-conn".into())
-            .spawn(move || {
-                connection_loop(stream, &cfg, &hub2);
-                active_conns2.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
+        if !router.inject(stream) {
+            // Every event loop is gone — only possible when the process
+            // is tearing down; drop the connection.
             active_conns.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -963,160 +865,6 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str, counters: &Coun
         message: message.to_string(),
     });
     let _ = wire::write_frame(&mut stream, &body);
-}
-
-/// True for the error kinds a socket read timeout surfaces as (platform
-/// dependent: Unix reports `WouldBlock`, Windows `TimedOut`).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Serves one connection until EOF, timeout, or an unrecoverable frame.
-fn connection_loop(mut stream: TcpStream, cfg: &ServeConfig, hub: &Hub) {
-    note_sockopt(
-        &hub.counters,
-        "set_read_timeout",
-        stream.set_read_timeout(Some(cfg.read_timeout)),
-    );
-    note_sockopt(
-        &hub.counters,
-        "set_write_timeout",
-        stream.set_write_timeout(Some(cfg.write_timeout)),
-    );
-    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
-    // One reusable frame buffer: every reply is encoded in place and
-    // written with a single syscall.
-    let mut scratch = Vec::with_capacity(256);
-
-    loop {
-        let body = match wire::read_frame(&mut stream, cfg.max_frame) {
-            Ok(body) => body,
-            Err(WireError::Io(e)) => {
-                // The connection is done either way, but an idle peer
-                // hitting the read timeout is an operational signal
-                // (tune `read_timeout`, look for stuck clients) — not
-                // the same thing as a clean EOF or a dead transport.
-                if is_timeout(&e) {
-                    hub.counters.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-            Err(e @ WireError::Oversized { recoverable, .. }) => {
-                hub.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                if recoverable {
-                    hub.counters.resyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                let sent = send(
-                    &mut stream,
-                    &Response::Error {
-                        code: ErrorCode::Oversized,
-                        message: e.to_string(),
-                    },
-                    &mut scratch,
-                );
-                if !recoverable || !sent {
-                    break; // Cannot resync past a huge declared length.
-                }
-                continue;
-            }
-            Err(e @ (WireError::BadChecksum | WireError::Empty)) => {
-                hub.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                if !send(
-                    &mut stream,
-                    &Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    },
-                    &mut scratch,
-                ) {
-                    break;
-                }
-                continue;
-            }
-        };
-        let req = match wire::decode_request(&body) {
-            Ok(req) => req,
-            Err(msg) => {
-                hub.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                if !send(
-                    &mut stream,
-                    &Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: msg,
-                    },
-                    &mut scratch,
-                ) {
-                    break;
-                }
-                continue;
-            }
-        };
-
-        // Connection-level requests first; everything else routes by
-        // session to its owning shard.
-        let session = match &req {
-            Request::Shutdown => {
-                // Flip the drain flag, acknowledge, and close this
-                // connection. Other connections keep draining.
-                hub.drain.trigger();
-                let _ = send(&mut stream, &Response::Bye, &mut scratch);
-                break;
-            }
-            Request::Metrics => {
-                let resp = Response::Metrics {
-                    json: hub.collect().to_json().render(),
-                };
-                if !send(&mut stream, &resp, &mut scratch) {
-                    break;
-                }
-                continue;
-            }
-            routed => routed.session().expect("routed requests name a session"),
-        };
-
-        let shard = (session % hub.senders.len() as u64) as usize;
-        let resp = match hub.senders[shard].try_send(Job::Request {
-            req,
-            reply: ReplySink::Sync(reply_tx.clone()),
-        }) {
-            Ok(()) => {
-                hub.shared[shard].depth.fetch_add(1, Ordering::Relaxed);
-                match reply_rx.recv() {
-                    Ok(resp) => resp,
-                    Err(_) => Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("shard {shard} is gone"),
-                    },
-                }
-            }
-            Err(TrySendError::Full(_)) => {
-                hub.counters.busy.fetch_add(1, Ordering::Relaxed);
-                hub.shared[shard].busy.fetch_add(1, Ordering::Relaxed);
-                Response::Busy
-            }
-            Err(TrySendError::Disconnected(_)) => Response::Error {
-                code: ErrorCode::Draining,
-                message: "server is draining".into(),
-            },
-        };
-        if !send(&mut stream, &resp, &mut scratch) {
-            break;
-        }
-    }
-}
-
-/// Writes one response frame through the reusable buffer (one encode,
-/// one syscall); false when the peer is gone.
-fn send(stream: &mut TcpStream, resp: &Response, scratch: &mut Vec<u8>) -> bool {
-    scratch.clear();
-    wire::append_response_frame(scratch, resp);
-    stream
-        .write_all(scratch)
-        .and_then(|()| stream.flush())
-        .is_ok()
 }
 
 /// Wire-request kinds a shard processes, in metric-name order.
@@ -1340,13 +1088,10 @@ fn shard_loop(
         let routed: usize = drained.iter().map(Job::routed).sum();
         if routed >= 2 {
             for job in &drained {
-                let session = match job {
-                    Job::Request { req, .. } => req.session(),
-                    Job::Run { session, .. } => Some(*session),
-                    Job::Snapshot { .. } | Job::Persist { .. } => None,
-                };
-                if let Some(s) = session.and_then(|id| sessions.get(&id)) {
-                    s.predictor.prefetch_tables();
+                if let Job::Run { session, .. } = job {
+                    if let Some(s) = sessions.get(session) {
+                        s.predictor.prefetch_tables();
+                    }
                 }
             }
             m.registry.add(m.c_batched, routed as u64);
@@ -1357,33 +1102,24 @@ fn shard_loop(
         // coalesced run is applied one request at a time so replies and
         // metrics are byte-identical to uncoalesced processing.
         for job in drained.drain(..) {
-            let begun = Instant::now();
-            let epoch = begun.duration_since(start).as_secs();
             match job {
-                Job::Request { req, reply } => {
-                    own.depth.fetch_sub(1, Ordering::Relaxed);
-                    requests += 1;
-                    let resp = apply(shard_id, &mut sessions, &req);
-                    m.record(&req, &resp, begun, epoch);
-                    m.registry.set(m.g_live, sessions.len() as f64);
-                    reply.send(resp);
-                }
-                Job::Run { entries, .. } => {
+                Job::Run { reply, entries, .. } => {
                     own.depth.fetch_sub(1, Ordering::Relaxed);
                     if entries.len() >= 2 {
                         m.registry.add(m.c_coalesced, entries.len() as u64);
                     }
-                    for (req, reply) in entries {
+                    for (seq, req) in entries {
                         let begun = Instant::now();
                         let epoch = begun.duration_since(start).as_secs();
                         requests += 1;
                         let resp = apply(shard_id, &mut sessions, &req);
                         m.record(&req, &resp, begun, epoch);
                         m.registry.set(m.g_live, sessions.len() as f64);
-                        reply.send(resp);
+                        reply.send(seq, resp);
                     }
                 }
                 Job::Snapshot { reply } => {
+                    let epoch = start.elapsed().as_secs();
                     let _ = reply.send(m.snapshot(shard_id, own, epoch));
                 }
                 Job::Persist { dir, reply } => {

@@ -295,6 +295,23 @@ impl std::fmt::Display for WireError {
     }
 }
 
+impl WireError {
+    /// The typed [`Response::Error`] that answers a refused frame:
+    /// `Oversized` stays `Oversized`, a bad checksum or an empty frame is
+    /// `BadFrame`. A [`WireError::Io`] ends the connection, so no caller
+    /// answers one.
+    pub fn refusal(&self) -> Response {
+        let code = match self {
+            WireError::Oversized { .. } => ErrorCode::Oversized,
+            WireError::Io(_) | WireError::BadChecksum | WireError::Empty => ErrorCode::BadFrame,
+        };
+        Response::Error {
+            code,
+            message: self.to_string(),
+        }
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> WireError {
         WireError::Io(e)
@@ -547,7 +564,9 @@ const K_BUSY: u8 = 0x86;
 const K_BYE: u8 = 0x87;
 const K_METRICS_OK: u8 = 0x88;
 const K_MIGRATE_OK: u8 = 0x89;
-const K_ERROR: u8 = 0xFF;
+/// Body kind byte of a [`Response::Error`] reply: a frame forwarder can
+/// peek at it to count errors without decoding what it only relays.
+pub const K_ERROR: u8 = 0xFF;
 
 /// A validating little-endian cursor over a frame body.
 struct Cursor<'a> {
@@ -641,7 +660,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Appends the encoded body of `req` to `out` (no clearing), for
 /// callers building frames in a reusable buffer.
-pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
+fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
     match req {
         Request::Hello {
             session,
@@ -790,7 +809,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Appends the encoded body of `resp` to `out` (no clearing), for
 /// callers building frames in a reusable buffer.
-pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
+fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::HelloOk { session, shard } => {
             out.push(K_HELLO_OK);

@@ -16,7 +16,9 @@ use ntp_serve::{
 use ntp_trace::{TraceId, TraceRecord};
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A deterministic synthetic trace stream: a xorshift walk over a small
 /// set of trace heads, so the predictor sees learnable structure.
@@ -910,44 +912,72 @@ fn pipelined_bursts_reply_in_order_and_coalesce() {
     assert!(summary.per_shard[0].coalesced > 0);
 }
 
-/// `event_threads: 0` forces the portable blocking frontend on any
-/// platform; the exact-oracle guarantee holds there unchanged.
+/// A silent connection is dropped once it has been idle past
+/// `read_timeout`, even while another connection on the same event loop
+/// stays busy: the idle sweep runs on a fixed cadence, not only on ticks
+/// that saw no events.
 #[test]
-fn blocking_fallback_matches_oracle() {
+fn idle_connection_is_reaped_while_another_stays_busy() {
+    use std::io::Read;
     let handle = serve(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
-        event_threads: 0,
+        workers: 1,
+        event_threads: 1,
+        read_timeout: Duration::from_millis(300),
         ..ServeConfig::default()
     })
     .expect("bind");
-    let addr = handle.local_addr().to_string();
+    let addr = handle.local_addr();
 
-    let specs: Vec<SessionSpec> = (0..3)
-        .map(|i| SessionSpec {
-            name: format!("synth{i}"),
-            records: synthetic_stream(0xB10C_0000 + i as u64, 2_000),
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set_read_timeout");
+    let t0 = Instant::now();
+
+    // The busy peer sends an Update every 20 ms for up to 2.5 s, and stops
+    // early once the silent connection has been dropped.
+    let reaped = Arc::new(AtomicBool::new(false));
+    let busy = {
+        let reaped = Arc::clone(&reaped);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.hello(1, 12, 3).expect("hello");
+            let rec = TraceRecord::new(TraceId::new(0x0040_0000, 0, 0), 8, 0, false, false);
+            let mut updates = 0u32;
+            while !reaped.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_millis(2_500) {
+                if client.update(1, &rec).is_err() {
+                    break; // Reaped itself after a long scheduling stall.
+                }
+                updates += 1;
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            updates
         })
-        .collect();
-    let report = loadgen::run(
-        &LoadgenConfig {
-            addr: addr.clone(),
-            clients: 3,
-            chunk: 128,
-            bits: 12,
-            depth: 5,
-        },
-        &specs,
-    )
-    .expect("loadgen runs");
-    assert!(report.all_match(), "blocking frontend diverged from oracle");
+    };
 
-    Client::connect(&addr)
-        .expect("connect")
-        .shutdown_server()
-        .expect("shutdown");
+    let mut byte = [0u8; 1];
+    let read = silent.read(&mut byte);
+    let waited = t0.elapsed();
+    reaped.store(true, Ordering::SeqCst);
+    let updates = busy.join().expect("busy client");
+    assert!(
+        matches!(read, Ok(0)),
+        "the server must close the idle connection, got {read:?}"
+    );
+    assert!(
+        waited < Duration::from_millis(1_500),
+        "idle connection held for {waited:?} while another stayed busy"
+    );
+    assert!(updates > 0, "the busy peer kept the loop busy");
+
+    let mut client = Client::connect(addr).expect("connect");
+    let snap =
+        ntp_telemetry::json::parse(&client.metrics_json().expect("metrics")).expect("parses");
+    assert!(counter(&snap, "server", "conn.read_timeouts") >= 1);
+    client.shutdown_server().expect("shutdown");
     let summary = handle.join();
-    assert_eq!(summary.sessions, 3);
+    assert!(summary.read_timeouts >= 1);
 }
 
 /// Open-loop determinism: two runs with the same seed, rate, zipf and

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build+test, a
-# tiny-scale experiments smoke that validates the emitted BENCH_*.json
+# Local CI gate: formatting, lints, the tier-1 build+test, the
+# benchmark's own build+test (perfbench/), a tiny-scale experiments smoke that validates the emitted BENCH_*.json
 # reports (parse + determinism), a loopback serving smoke that
 # diffs served statistics against the offline oracle (SERVING.md), and
 # a .nts snapshot gate (save/verify/warm-serve/drain round trip plus
@@ -21,6 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 say "tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
 cargo test -q --workspace
+
+say "benchmark: perfbench builds and passes its own tests"
+# perfbench is a workspace of its own that builds against crates/serve
+# and crates/cluster by path, so an API change there can break the
+# benchmark while every workspace gate still passes.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 say "differential-verification sweep (fixed seed, 64 points/oracle)"
 # VERIFICATION.md documents the oracles and the seed protocol. Nonzero
@@ -212,8 +218,8 @@ echo "4 sessions served; statistics identical to the offline oracle"
 
 # Serving perf gate: the fixed closed-loop smoke must stay at or above
 # the floor percentage of the checked-in baseline QPS — this is what
-# catches "the event-driven frontend got slower than thread-per-conn"
-# class regressions.
+# catches "the event loops got slower than the recorded baseline" class
+# regressions.
 qps_base=$(jq '.loadgen_req_per_sec' "$baseline")
 qps_got=$(jq '.qps' "$out_srv/loadgen1.json")
 if jq -ne --argjson got "$qps_got" --argjson base "$qps_base" --argjson pct "$floor_pct" \
