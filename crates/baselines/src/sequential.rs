@@ -186,13 +186,6 @@ impl SequentialTracePredictor {
             self.stats.trace_mispredicts += 1;
         }
     }
-
-    /// Forgets all predictor state (statistics are kept).
-    pub fn reset_predictors(&mut self) {
-        self.gshare.reset();
-        self.itb.reset();
-        self.ras.reset();
-    }
 }
 
 #[cfg(test)]

@@ -678,20 +678,18 @@ fn flag_seconds(rest: &[String], name: &str) -> Result<Option<std::time::Duratio
 }
 
 /// `ntp serve`: runs the sharded prediction service until a client sends
-/// a `Shutdown` frame (see SERVING.md). Defaults come from
-/// `NTP_SERVE_ADDR` / `NTP_SERVE_WORKERS` / `NTP_SERVE_MAX_CONNS` /
-/// `NTP_SERVE_METRICS_ADDR` / `NTP_SERVE_STATS_INTERVAL` /
-/// `NTP_SERVE_WARM` / `NTP_SERVE_SNAPSHOT_DIR`, and flags override the
-/// environment. The bound addresses are printed on stdout — with
-/// `--addr 127.0.0.1:0` the kernel picks the port, so scripts parse
-/// these lines to find it. `--warm` preloads sessions from a `.nts`
-/// snapshot (file or directory); `--snapshot-on-drain` writes one
-/// `shard<k>.nts` per shard at graceful shutdown, and
+/// a `Shutdown` frame (see SERVING.md). Each flag overrides one
+/// [`ntp_serve::ServeConfig`] default, and the server validates the
+/// result once before it binds. The bound addresses are printed on
+/// stdout — with `--addr 127.0.0.1:0` the kernel picks the port, so
+/// scripts parse these lines to find it. `--warm` preloads sessions from
+/// a `.nts` snapshot (file or directory); `--snapshot-on-drain` writes
+/// one `shard<k>.nts` per shard at graceful shutdown, and
 /// `--snapshot-interval` additionally rewrites them every S seconds
 /// while serving (bounding what a hard failure can lose). SIGTERM
 /// drains gracefully, same as a client `Shutdown` frame.
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
-    let mut cfg = ntp_serve::ServeConfig::from_env();
+    let mut cfg = ntp_serve::ServeConfig::default();
     if let Some(addr) = flag_str(rest, "--addr") {
         cfg.addr = addr.to_string();
     }
@@ -707,9 +705,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         cfg.event_threads = threads as usize;
     }
     if let Some(depth) = flag_value(rest, "--queue-depth")? {
-        if depth == 0 {
-            return Err("--queue-depth must be at least 1".to_string());
-        }
         cfg.queue_depth = depth as usize;
     }
     if let Some(maddr) = flag_str(rest, "--metrics-addr") {

@@ -61,6 +61,11 @@ fn bad_flag_values_are_refused() {
     let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--event-threads", "0"]);
     assert!(!out.status.success());
     assert!(diagnostic(&out).contains("event_threads"));
+
+    // And one whose shards could queue nothing.
+    let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--queue-depth", "0"]);
+    assert!(!out.status.success());
+    assert!(diagnostic(&out).contains("queue_depth"));
 }
 
 /// `ntp serve` on a port something else already owns: nonzero exit and a

@@ -147,11 +147,6 @@ impl UnboundedPredictor {
         self.corr.len()
     }
 
-    /// Distinct last-trace contexts in the secondary table.
-    pub fn sec_entries(&self) -> usize {
-        self.sec.len()
-    }
-
     fn key(&self) -> PathKey {
         let mut ids = [0u64; 8];
         let mut len = 0u8;
@@ -405,7 +400,6 @@ mod tests {
             p.update(&rec(0x0040_0000 + k * 0x40));
         }
         assert!(p.corr_entries() > 5);
-        assert!(p.sec_entries() > 5);
         p.reset();
         assert_eq!(p.corr_entries(), 0);
     }

@@ -4,7 +4,8 @@
 //! This is the consumer the predictor exists for: each cycle the predictor
 //! names the next trace, the trace cache supplies it in one access if
 //! present, and mispredictions/misses cost stall cycles. It backs the
-//! `fetch_engine` example and the engine Criterion bench.
+//! `fetch_engine` example and the fetch section of every `BENCH_*.json`
+//! report.
 
 use crate::{TraceCache, TraceCacheConfig};
 use ntp_core::{NextTracePredictor, TracePredictor};

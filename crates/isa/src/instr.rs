@@ -150,11 +150,6 @@ pub enum ControlKind {
 }
 
 impl ControlKind {
-    /// True for every kind except [`ControlKind::None`].
-    pub fn is_control(self) -> bool {
-        self != ControlKind::None
-    }
-
     /// True if the target cannot be derived from the instruction encoding
     /// (indirect jumps/calls and returns). Such instructions terminate a
     /// trace because trace IDs only encode conditional-branch outcomes.
@@ -163,11 +158,6 @@ impl ControlKind {
             self,
             ControlKind::IndirectJump | ControlKind::IndirectCall | ControlKind::Return
         )
-    }
-
-    /// True for `jal` and `jalr` — instructions that push a return address.
-    pub fn is_call(self) -> bool {
-        matches!(self, ControlKind::Call | ControlKind::IndirectCall)
     }
 }
 
@@ -200,11 +190,6 @@ impl Instr {
             Instr::Jalr(..) => ControlKind::IndirectCall,
             _ => ControlKind::None,
         }
-    }
-
-    /// True if this is a conditional branch.
-    pub fn is_cond_branch(&self) -> bool {
-        self.control_kind() == ControlKind::CondBranch
     }
 
     /// The statically-known target of a direct control transfer located at
@@ -366,10 +351,7 @@ mod tests {
     fn indirect_and_call_flags() {
         assert!(ControlKind::Return.is_indirect());
         assert!(ControlKind::IndirectCall.is_indirect());
-        assert!(ControlKind::IndirectCall.is_call());
-        assert!(ControlKind::Call.is_call());
         assert!(!ControlKind::CondBranch.is_indirect());
-        assert!(!ControlKind::None.is_control());
     }
 
     #[test]

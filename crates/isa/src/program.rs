@@ -60,11 +60,6 @@ impl Program {
         self.instrs.get(((pc - self.text_base) >> 2) as usize)
     }
 
-    /// One past the last text address.
-    pub fn end_of_text(&self) -> u32 {
-        self.text_base + (self.instrs.len() as u32) * 4
-    }
-
     /// Looks up a label's address.
     pub fn symbol(&self, name: &str) -> Option<u32> {
         self.symbols.get(name).copied()
@@ -105,7 +100,6 @@ mod tests {
         assert_eq!(p.instr_at(p.text_base + 4), None);
         assert_eq!(p.instr_at(p.text_base + 1), None);
         assert_eq!(p.instr_at(0), None);
-        assert_eq!(p.end_of_text(), p.text_base + 4);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use ntp_isa::asm::{assemble, assemble_with, AsmOptions};
 use ntp_isa::{decode, Instr, Reg};
+use ntp_verify::XorShift64;
 
 fn t(n: u8) -> Reg {
     Reg::new(n).unwrap()
@@ -199,28 +200,37 @@ fn data_alignment_behaviour() {
     assert_eq!(p.symbol("c").unwrap() % 8, 0);
 }
 
-/// Property-based coverage; compiled only with `--features proptest` (the
-/// dev-dependency is gated so the offline tier-1 build needs no registry).
-#[cfg(feature = "proptest")]
-mod props {
-    use super::decode;
-    use proptest::prelude::*;
+/// Seeded cases per property.
+const CASES: u64 = 256;
+/// Root seed every case stream forks from.
+const SEED: u64 = 0x0DEC_0DE5;
 
-    proptest! {
-        /// The decoder never panics, whatever the word.
-        #[test]
-        fn decode_total(word in any::<u32>()) {
-            let _ = decode(word);
-        }
+/// Case `k` draws its word from `XorShift64::new(SEED).fork(k)`.
+fn case_word(case: u64) -> u32 {
+    XorShift64::new(SEED).fork(case).next_u32()
+}
 
-        /// If a word decodes, re-encoding reproduces it or a canonical
-        /// equivalent that decodes to the same instruction.
-        #[test]
-        fn decode_encode_stable(word in any::<u32>()) {
-            if let Ok(i) = decode(word) {
-                let w2 = ntp_isa::encode(&i);
-                prop_assert_eq!(decode(w2), Ok(i));
-            }
+/// The decoder never panics, whatever the word.
+#[test]
+fn decode_total() {
+    for case in 0..CASES {
+        let word = case_word(case);
+        assert!(
+            std::panic::catch_unwind(|| decode(word)).is_ok(),
+            "case {case}: decode({word:#010x}) panicked"
+        );
+    }
+}
+
+/// If a word decodes, re-encoding reproduces it or a canonical
+/// equivalent that decodes to the same instruction.
+#[test]
+fn decode_encode_stable() {
+    for case in 0..CASES {
+        let word = case_word(case);
+        if let Ok(i) = decode(word) {
+            let w2 = ntp_isa::encode(&i);
+            assert_eq!(decode(w2), Ok(i), "case {case}: word {word:#010x}");
         }
     }
 }

@@ -48,16 +48,6 @@ impl RunStats {
             self.busy.as_secs_f64() / wall
         }
     }
-
-    /// Items per wall-clock second (0.0 for zero wall time).
-    pub fn per_sec(&self, count: u64) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall <= 0.0 {
-            0.0
-        } else {
-            count as f64 / wall
-        }
-    }
 }
 
 /// [`map_ordered_with`] at the [`crate::thread_count`] pool width.
@@ -242,7 +232,5 @@ mod tests {
         assert_eq!(stats.jobs, 8);
         assert!(stats.busy >= Duration::from_millis(8));
         assert!(stats.speedup() > 0.0);
-        assert!(stats.per_sec(8) > 0.0);
-        assert_eq!(stats.per_sec(0), 0.0);
     }
 }

@@ -1,63 +1,11 @@
-//! Server configuration and the `NTP_SERVE_*` environment knobs.
-//!
-//! All knobs go through [`ntp_runner::parse_env`], the workspace's
-//! validated environment parser: a typo'd value aborts with a message
-//! naming the variable, never silently falls back to the default. The
-//! full knob table lives in `SERVING.md`.
+//! Server configuration: [`ServeConfig`], its defaults, and the one
+//! validation pass every configuration goes through before a server
+//! starts. `ntp serve` sets the knobs from its flags; the full knob table
+//! lives in `SERVING.md`.
 
 use crate::wire::{HARD_FRAME_CAP, MIN_FRAME_CAP};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// `NTP_SERVE_ADDR`: the listen address (`host:port`; port `0` asks the
-/// OS for an ephemeral port, printed at startup).
-pub const ADDR_ENV: &str = "NTP_SERVE_ADDR";
-
-/// `NTP_SERVE_WORKERS`: shard worker count (each session is owned by
-/// exactly one worker, `session % workers`).
-pub const WORKERS_ENV: &str = "NTP_SERVE_WORKERS";
-
-/// `NTP_SERVE_MAX_CONNS`: concurrent connection limit; excess
-/// connections are refused with an `Error(refused)` reply.
-pub const MAX_CONNS_ENV: &str = "NTP_SERVE_MAX_CONNS";
-
-/// `NTP_SERVE_EVENT_THREADS`: how many epoll event loops serve the
-/// accepted connections (>= 1).
-pub const EVENT_THREADS_ENV: &str = "NTP_SERVE_EVENT_THREADS";
-
-/// `NTP_SERVE_QUEUE_DEPTH`: bounded per-shard request-queue depth;
-/// beyond it the server replies `Busy` instead of queueing.
-pub const QUEUE_DEPTH_ENV: &str = "NTP_SERVE_QUEUE_DEPTH";
-
-/// `NTP_SERVE_METRICS_ADDR`: when set, bind a sidecar TCP listener on
-/// this `host:port` serving the merged metrics snapshot over plain HTTP
-/// (`GET /metrics` text exposition, `GET /metrics.json`). Unset by
-/// default — the sidecar is opt-in.
-pub const METRICS_ADDR_ENV: &str = "NTP_SERVE_METRICS_ADDR";
-
-/// `NTP_SERVE_STATS_INTERVAL`: when set (seconds, fractional allowed,
-/// must be > 0), print a periodic `[serve] …` summary line to stderr.
-/// Unset by default — server stderr stays quiet and deterministic.
-pub const STATS_INTERVAL_ENV: &str = "NTP_SERVE_STATS_INTERVAL";
-
-/// `NTP_SERVE_WARM`: when set, a `.nts` predictor-state snapshot (or a
-/// directory of them) to warm-start from before accepting connections. A
-/// snapshot that fails validation is logged and ignored — the server
-/// starts cold, it never partially loads.
-pub const WARM_ENV: &str = "NTP_SERVE_WARM";
-
-/// `NTP_SERVE_SNAPSHOT_DIR`: when set, each shard writes its sessions to
-/// `<dir>/shard<k>.nts` during a graceful drain, so the next
-/// `--warm <dir>` start resumes where this one stopped.
-pub const SNAPSHOT_DIR_ENV: &str = "NTP_SERVE_SNAPSHOT_DIR";
-
-/// `NTP_SERVE_SNAPSHOT_INTERVAL`: when set (seconds, fractional allowed,
-/// must be > 0) alongside a snapshot directory, every shard also
-/// persists its sessions to `<dir>/shard<k>.nts` periodically while the
-/// server runs — the cluster router's hard-failover path restores from
-/// these when a backend dies without draining. Unset by default:
-/// snapshots are drain-time only.
-pub const SNAPSHOT_INTERVAL_ENV: &str = "NTP_SERVE_SNAPSHOT_INTERVAL";
 
 /// Default listen address (loopback; this service has no auth).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4117";
@@ -143,64 +91,6 @@ pub fn default_event_threads() -> usize {
 }
 
 impl ServeConfig {
-    /// Reads the `NTP_SERVE_*` knobs on top of the defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via [`ntp_runner::parse_env`]) when a knob is set but
-    /// malformed, or set to a zero where zero is meaningless.
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        if let Some(addr) = ntp_runner::parse_env::<String>(ADDR_ENV) {
-            cfg.addr = addr;
-        }
-        if let Some(workers) = ntp_runner::parse_env::<usize>(WORKERS_ENV) {
-            assert!(workers >= 1, "{WORKERS_ENV} must be >= 1");
-            cfg.workers = workers;
-        }
-        if let Some(max_conns) = ntp_runner::parse_env::<usize>(MAX_CONNS_ENV) {
-            assert!(max_conns >= 1, "{MAX_CONNS_ENV} must be >= 1");
-            cfg.max_conns = max_conns;
-        }
-        if let Some(threads) = ntp_runner::parse_env::<usize>(EVENT_THREADS_ENV) {
-            assert!(threads >= 1, "{EVENT_THREADS_ENV} must be >= 1");
-            cfg.event_threads = threads;
-        }
-        if let Some(depth) = ntp_runner::parse_env::<usize>(QUEUE_DEPTH_ENV) {
-            assert!(depth >= 1, "{QUEUE_DEPTH_ENV} must be >= 1");
-            cfg.queue_depth = depth;
-        }
-        if let Some(addr) = ntp_runner::parse_env::<String>(METRICS_ADDR_ENV) {
-            cfg.metrics_addr = Some(addr);
-        }
-        if let Some(secs) = ntp_runner::parse_env::<f64>(STATS_INTERVAL_ENV) {
-            assert!(
-                secs.is_finite() && secs > 0.0,
-                "{STATS_INTERVAL_ENV} must be a positive number of seconds"
-            );
-            cfg.stats_interval = Some(Duration::from_secs_f64(secs));
-        }
-        if let Some(path) = ntp_runner::parse_env::<String>(WARM_ENV) {
-            assert!(!path.is_empty(), "{WARM_ENV} must not be empty when set");
-            cfg.warm_path = Some(PathBuf::from(path));
-        }
-        if let Some(dir) = ntp_runner::parse_env::<String>(SNAPSHOT_DIR_ENV) {
-            assert!(
-                !dir.is_empty(),
-                "{SNAPSHOT_DIR_ENV} must not be empty when set"
-            );
-            cfg.snapshot_dir = Some(PathBuf::from(dir));
-        }
-        if let Some(secs) = ntp_runner::parse_env::<f64>(SNAPSHOT_INTERVAL_ENV) {
-            assert!(
-                secs.is_finite() && secs > 0.0,
-                "{SNAPSHOT_INTERVAL_ENV} must be a positive number of seconds"
-            );
-            cfg.snapshot_interval = Some(Duration::from_secs_f64(secs));
-        }
-        cfg
-    }
-
     /// Rejects nonsensical configurations with a one-line diagnostic.
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
@@ -255,7 +145,6 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     #[test]
     fn defaults_validate() {
@@ -363,89 +252,6 @@ mod tests {
             let err = cfg.validate().expect_err("must be rejected");
             assert!(err.contains(needle), "`{err}` should mention {needle}");
             assert!(!err.contains('\n'), "one-line diagnostic: {err}");
-        }
-    }
-
-    // Env-var reads mutate process state; a single test keeps them from
-    // racing under the parallel harness (the same discipline as
-    // ntp-runner's env tests).
-    #[test]
-    fn from_env_reads_every_knob() {
-        let all = [
-            ADDR_ENV,
-            WORKERS_ENV,
-            MAX_CONNS_ENV,
-            EVENT_THREADS_ENV,
-            QUEUE_DEPTH_ENV,
-            METRICS_ADDR_ENV,
-            STATS_INTERVAL_ENV,
-            WARM_ENV,
-            SNAPSHOT_DIR_ENV,
-            SNAPSHOT_INTERVAL_ENV,
-        ];
-        for var in all {
-            std::env::remove_var(var);
-        }
-        let base = ServeConfig::from_env();
-        assert_eq!(base.addr, DEFAULT_ADDR);
-        assert_eq!(base.max_conns, DEFAULT_MAX_CONNS);
-        assert_eq!(base.metrics_addr, None);
-        assert_eq!(base.stats_interval, None);
-        assert_eq!(base.warm_path, None);
-        assert_eq!(base.snapshot_dir, None);
-        assert_eq!(base.snapshot_interval, None);
-
-        std::env::set_var(ADDR_ENV, "127.0.0.1:0");
-        std::env::set_var(WORKERS_ENV, "3");
-        std::env::set_var(MAX_CONNS_ENV, "9");
-        std::env::set_var(EVENT_THREADS_ENV, "2");
-        std::env::set_var(QUEUE_DEPTH_ENV, "17");
-        std::env::set_var(METRICS_ADDR_ENV, "127.0.0.1:0");
-        std::env::set_var(STATS_INTERVAL_ENV, "2.5");
-        std::env::set_var(WARM_ENV, "warm.nts");
-        std::env::set_var(SNAPSHOT_DIR_ENV, "snaps");
-        std::env::set_var(SNAPSHOT_INTERVAL_ENV, "0.5");
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.max_conns, 9);
-        assert_eq!(cfg.event_threads, 2);
-        assert_eq!(cfg.queue_depth, 17);
-        assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cfg.stats_interval, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(cfg.warm_path.as_deref(), Some(Path::new("warm.nts")));
-        assert_eq!(cfg.snapshot_dir.as_deref(), Some(Path::new("snaps")));
-        assert_eq!(cfg.snapshot_interval, Some(Duration::from_secs_f64(0.5)));
-
-        std::env::set_var(WORKERS_ENV, "0");
-        let err =
-            std::panic::catch_unwind(ServeConfig::from_env).expect_err("zero workers must abort");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(WORKERS_ENV), "{msg}");
-        std::env::set_var(WORKERS_ENV, "3");
-
-        std::env::set_var(STATS_INTERVAL_ENV, "0");
-        let err = std::panic::catch_unwind(ServeConfig::from_env)
-            .expect_err("zero stats interval must abort");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(STATS_INTERVAL_ENV), "{msg}");
-        std::env::set_var(STATS_INTERVAL_ENV, "2.5");
-
-        std::env::set_var(QUEUE_DEPTH_ENV, "0");
-        let err = std::panic::catch_unwind(ServeConfig::from_env)
-            .expect_err("zero queue depth must abort");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(QUEUE_DEPTH_ENV), "{msg}");
-        std::env::set_var(QUEUE_DEPTH_ENV, "17");
-
-        std::env::set_var(EVENT_THREADS_ENV, "0");
-        let err = std::panic::catch_unwind(ServeConfig::from_env)
-            .expect_err("zero event threads must abort");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(EVENT_THREADS_ENV), "{msg}");
-
-        for var in all {
-            std::env::remove_var(var);
         }
     }
 }

@@ -23,7 +23,7 @@
 //!   resource use, and shutdown drains in-flight sessions.
 //!   Each shard also owns a private metrics registry and rolling window
 //!   — the live observability plane behind the `Metrics` frame, the
-//!   optional `NTP_SERVE_METRICS_ADDR` scrape sidecar, the
+//!   optional `--metrics-addr` scrape sidecar, the
 //!   `--stats-interval` stderr summaries and `ntp top`. Sessions can be
 //!   **warm-started** from a `.nts` predictor-state snapshot
 //!   ([`ServeConfig::warm_path`]; all-or-nothing, refusals log and fall
@@ -36,13 +36,9 @@
 //!   replays captured trace streams as concurrent sessions, measures
 //!   QPS and p50/p99/p99.9 request latency through [`ntp_telemetry`]
 //!   histograms, and asserts served == offline statistics exactly;
-//! * [`config`] — [`ServeConfig`] and the `NTP_SERVE_ADDR` /
-//!   `NTP_SERVE_WORKERS` / `NTP_SERVE_MAX_CONNS` /
-//!   `NTP_SERVE_EVENT_THREADS` / `NTP_SERVE_QUEUE_DEPTH` /
-//!   `NTP_SERVE_METRICS_ADDR` / `NTP_SERVE_STATS_INTERVAL` /
-//!   `NTP_SERVE_WARM` / `NTP_SERVE_SNAPSHOT_DIR` /
-//!   `NTP_SERVE_SNAPSHOT_INTERVAL` knobs (validated via
-//!   [`ntp_runner::parse_env`]).
+//! * [`config`] — [`ServeConfig`], its defaults, and
+//!   [`ServeConfig::validate`], the one check every configuration passes
+//!   before [`serve`] binds; `ntp serve` sets each knob from a flag.
 //!
 //! Protocol layout, sharding model, backpressure semantics and a
 //! loadgen recipe are documented in `SERVING.md` at the repo root.

@@ -26,7 +26,7 @@
 //! ([`ServerHandle::metrics_snapshot`]):
 //!
 //! * a `Metrics` wire frame, answered by the connection itself;
-//! * an optional sidecar TCP listener (`NTP_SERVE_METRICS_ADDR`)
+//! * an optional sidecar TCP listener (`--metrics-addr`)
 //!   answering plain HTTP `GET /metrics` (flat `name value` text) and
 //!   `GET /metrics.json` — scrapable with `curl`, no binary protocol;
 //! * optional periodic `[serve] …` stderr summary lines

@@ -189,48 +189,6 @@ impl Machine {
         &mut self.mem
     }
 
-    /// Writes consecutive words starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MemFault`] on unmapped or misaligned addresses.
-    pub fn write_words(&mut self, addr: u32, words: &[u32]) -> Result<(), SimError> {
-        for (k, &w) in words.iter().enumerate() {
-            self.mem.store32(addr + (k as u32) * 4, w)?;
-        }
-        Ok(())
-    }
-
-    /// Fills `buf` with consecutive words starting at `addr`.
-    ///
-    /// The caller provides the destination, so repeated reads (polling a
-    /// buffer every step, the bench capture loop) reuse one allocation
-    /// instead of collecting a fresh `Vec` per call. See
-    /// [`Machine::read_words_vec`] for the allocating convenience form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MemFault`] on unmapped or misaligned addresses;
-    /// `buf` contents are unspecified after an error.
-    pub fn read_words(&self, addr: u32, buf: &mut [u32]) -> Result<(), SimError> {
-        for (k, slot) in buf.iter_mut().enumerate() {
-            *slot = self.mem.load32(addr + (k as u32) * 4)?;
-        }
-        Ok(())
-    }
-
-    /// Reads `n` consecutive words starting at `addr` into a fresh `Vec`
-    /// (allocating convenience wrapper over [`Machine::read_words`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MemFault`] on unmapped or misaligned addresses.
-    pub fn read_words_vec(&self, addr: u32, n: usize) -> Result<Vec<u32>, SimError> {
-        let mut buf = vec![0u32; n];
-        self.read_words(addr, &mut buf)?;
-        Ok(buf)
-    }
-
     /// Executes one instruction and reports what retired.
     ///
     /// # Errors
@@ -689,19 +647,5 @@ f:      ret
     fn r0_is_immutable() {
         let m = run_src("main: li t0, 5\n add zero, t0, t0\n out zero\n halt\n");
         assert_eq!(m.output(), &[0]);
-    }
-
-    #[test]
-    fn poke_and_peek_words() {
-        let p = assemble("main: halt\n .data\nbuf: .space 16\n").unwrap();
-        let mut m = Machine::new(p);
-        let buf = m.program().symbol("buf").unwrap();
-        m.write_words(buf, &[1, 2, 3, 4]).unwrap();
-        let mut out = [0u32; 4];
-        m.read_words(buf, &mut out).unwrap();
-        assert_eq!(out, [1, 2, 3, 4]);
-        assert_eq!(m.read_words_vec(buf, 4).unwrap(), vec![1, 2, 3, 4]);
-        // The fill form reports faults without allocating.
-        assert!(m.read_words(0xFFFF_FFF0, &mut out).is_err());
     }
 }

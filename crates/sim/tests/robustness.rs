@@ -1,21 +1,34 @@
 //! Simulator robustness: no input program may panic the machine — faults
 //! must surface as `SimError` values.
-
-// Compiled only with `--features proptest`: the proptest dev-dependency
-// is gated so the offline tier-1 build resolves without a registry.
-#![cfg(feature = "proptest")]
+//!
+//! The randomized tests draw from the deterministic xorshift generator of
+//! the differential-verification harness: case `k` of a property uses
+//! `XorShift64::new(SEED).fork(k)`, and every failure message names `k`.
 
 use ntp_isa::{decode, Instr, Program};
 use ntp_sim::{Machine, MemoryConfig, SimError};
-use proptest::prelude::*;
+use ntp_verify::XorShift64;
 
-proptest! {
-    /// Random (decodable) instruction soup either runs, halts, or faults
-    /// cleanly — never panics, never violates the budget.
-    #[test]
-    fn random_programs_never_panic(words in prop::collection::vec(any::<u32>(), 1..200)) {
-        let instrs: Vec<Instr> = words.iter().filter_map(|&w| decode(w).ok()).collect();
-        prop_assume!(!instrs.is_empty());
+/// Seeded cases per property.
+const CASES: u64 = 256;
+/// Root seed every case stream forks from.
+const SEED: u64 = 0x0051_B0B5;
+
+/// Random (decodable) instruction soup either runs, halts, or faults
+/// cleanly — never panics, never violates the budget.
+#[test]
+fn random_programs_never_panic() {
+    for case in 0..CASES {
+        let rng = &mut XorShift64::new(SEED).fork(case);
+        // 1..200 arbitrary words; a draw where none decodes is redrawn.
+        let instrs = loop {
+            let instrs: Vec<Instr> = (0..rng.range(1, 199))
+                .filter_map(|_| decode(rng.next_u32()).ok())
+                .collect();
+            if !instrs.is_empty() {
+                break instrs;
+            }
+        };
         let mut p = Program::new();
         p.instrs = instrs;
         let mut m = Machine::with_config(
@@ -26,23 +39,34 @@ proptest! {
             },
         );
         let budget = 5_000u64;
-        match m.run(budget) {
-            Ok(_) => prop_assert!(m.icount() <= budget),
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(budget)))
+            .unwrap_or_else(|_| panic!("case {case}: run() panicked"));
+        match run {
+            Ok(_) => assert!(m.icount() <= budget, "case {case}"),
             Err(SimError::MemFault { .. } | SimError::PcOutOfRange { .. }) => {}
-            Err(SimError::Halted) => prop_assert!(false, "run() never reports Halted"),
+            Err(SimError::Halted) => panic!("case {case}: run() never reports Halted"),
         }
     }
+}
 
-    /// Loads reproduce stores at arbitrary aligned data addresses.
-    #[test]
-    fn store_load_roundtrip(off in (0u32..16000).prop_map(|v| v * 4), val in any::<u32>()) {
-        let p = ntp_isa::asm::assemble("main: halt\n.data\nbase: .space 64000\n").unwrap();
-        let base = p.symbol("base").unwrap();
-        let mut m = Machine::new(p);
+/// Loads reproduce stores at arbitrary aligned data addresses.
+#[test]
+fn store_load_roundtrip() {
+    let p = ntp_isa::asm::assemble("main: halt\n.data\nbase: .space 64000\n").unwrap();
+    let base = p.symbol("base").unwrap();
+    for case in 0..CASES {
+        let rng = &mut XorShift64::new(SEED).fork(case);
+        let off = rng.below(16000) as u32 * 4;
+        let val = rng.next_u32();
+        let mut m = Machine::new(p.clone());
         m.mem_mut().store32(base + off, val).unwrap();
-        prop_assert_eq!(m.mem().load32(base + off).unwrap(), val);
+        assert_eq!(m.mem().load32(base + off).unwrap(), val, "case {case}");
         // Byte views agree with little-endian layout.
-        prop_assert_eq!(m.mem().load8(base + off).unwrap(), (val & 0xFF) as u8);
+        assert_eq!(
+            m.mem().load8(base + off).unwrap(),
+            (val & 0xFF) as u8,
+            "case {case}"
+        );
     }
 }
 

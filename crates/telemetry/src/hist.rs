@@ -71,19 +71,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records a sample `n` times (merging pre-aggregated counts).
-    #[inline]
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_of(v)] += n;
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
     /// Adds another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -281,18 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(9, 4);
-        a.record_n(0, 0);
-        for _ in 0..4 {
-            b.record(9);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn quantile_accessors_on_empty_histogram() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
@@ -306,8 +281,12 @@ mod tests {
         let mut h = Histogram::new();
         // 9989 fast samples, 10 slow, 1 pathological: p99 stays in the fast
         // bucket, p99.9 lands in the slow bucket, max sees the outlier.
-        h.record_n(10, 9989);
-        h.record_n(5_000, 10);
+        for _ in 0..9989 {
+            h.record(10);
+        }
+        for _ in 0..10 {
+            h.record(5_000);
+        }
         h.record(1 << 30);
         assert_eq!(h.p99(), 15, "p99 bounded by the fast bucket [8,16)");
         assert_eq!(h.p999(), 8191, "p99.9 bounded by the slow bucket");
@@ -332,11 +311,15 @@ mod tests {
     #[test]
     fn quantile_accessors_on_saturated_samples() {
         let mut h = Histogram::new();
-        h.record_n(u64::MAX, 3);
+        for _ in 0..3 {
+            h.record(u64::MAX);
+        }
         assert_eq!(h.p50(), u64::MAX);
         assert_eq!(h.p99(), u64::MAX);
         // Mixing in small samples keeps p50 low and p99 saturated.
-        h.record_n(1, 97);
+        for _ in 0..97 {
+            h.record(1);
+        }
         assert_eq!(h.p50(), 1);
         assert_eq!(h.p99(), u64::MAX);
         assert_eq!(h.count(), 100);
@@ -348,8 +331,10 @@ mod tests {
         // rank ceil(0.5 * 100) = 50 is reached exactly at the end of the
         // first bucket, so p50 must NOT spill into the second.
         let mut h = Histogram::new();
-        h.record_n(1, 50);
-        h.record_n(100, 50);
+        for _ in 0..50 {
+            h.record(1);
+            h.record(100);
+        }
         assert_eq!(h.p50(), 1, "rank 50 satisfied by the first bucket");
         // One rank past the edge crosses into the top bucket, clamped to
         // the observed max (100), not the bucket top (127).
@@ -376,9 +361,16 @@ mod tests {
     fn quantile_rank_math_survives_huge_counts() {
         // Counts near u64::MAX exercise the f64 rank computation: the
         // product q * count and the cast back to u64 must not overflow,
-        // wrap, or land outside the populated buckets.
+        // wrap, or land outside the populated buckets. The u64::MAX - 1
+        // sevens are 2 + 4 + ... + 2^63: one sample doubled by self-merges,
+        // with every power folded in.
+        let mut pow = Histogram::new();
+        pow.record(7);
         let mut h = Histogram::new();
-        h.record_n(7, u64::MAX - 1);
+        for _ in 1..64 {
+            pow.merge(&pow.clone());
+            h.merge(&pow);
+        }
         h.record(1 << 40);
         assert_eq!(h.count(), u64::MAX);
         assert_eq!(h.p50(), 7);

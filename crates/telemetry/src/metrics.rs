@@ -122,11 +122,6 @@ impl MetricsRegistry {
         self.counters[id.0]
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0]
-    }
-
     /// Read access to a histogram.
     pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
         &self.hists[id.0]
@@ -272,8 +267,7 @@ mod tests {
         assert_eq!(a.counter_by_name("only_b"), Some(1));
         let h = a.histogram("h");
         assert_eq!(a.histogram_ref(h).count(), 1);
-        let g = a.gauge("g");
-        assert_eq!(a.gauge_value(g), 1.5);
+        assert_eq!(a.gauge_by_name("g"), Some(1.5));
     }
 
     #[test]

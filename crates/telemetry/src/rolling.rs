@@ -29,7 +29,6 @@ use crate::MetricsRegistry;
 /// }
 /// // Only epochs 2, 3, 4 are still inside the 3-epoch window.
 /// assert_eq!(w.merged().counter_by_name("frames"), Some(30));
-/// assert_eq!(w.live_epochs(), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RollingWindow {
@@ -60,11 +59,6 @@ impl RollingWindow {
         self.buckets.len()
     }
 
-    /// The highest epoch observed so far (`None` before any write).
-    pub fn newest_epoch(&self) -> Option<u64> {
-        self.newest
-    }
-
     /// Advances the window to `epoch` without recording anything: buckets
     /// that fall out of `[epoch - span + 1, epoch]` decay out of
     /// [`RollingWindow::merged`]. Epochs older than the current newest are
@@ -90,16 +84,6 @@ impl RollingWindow {
             self.epochs[idx] = Some(e);
         }
         &mut self.buckets[idx]
-    }
-
-    /// Buckets currently inside the window that have been written.
-    pub fn live_epochs(&self) -> usize {
-        self.in_window().count()
-    }
-
-    /// True when nothing inside the window has been written.
-    pub fn is_empty(&self) -> bool {
-        self.live_epochs() == 0
     }
 
     /// Folds every live in-window bucket into one registry, in ascending
@@ -146,9 +130,6 @@ mod tests {
     #[test]
     fn empty_window_merges_to_nothing() {
         let w = RollingWindow::new(4);
-        assert!(w.is_empty());
-        assert_eq!(w.live_epochs(), 0);
-        assert_eq!(w.newest_epoch(), None);
         assert_eq!(w.merged().counter_by_name("anything"), None);
     }
 
@@ -162,12 +143,9 @@ mod tests {
         // Epoch 3 pushes epoch 0 out of the window.
         add(&mut w, 3, "x", 8);
         assert_eq!(w.merged().counter_by_name("x"), Some(14));
-        assert_eq!(w.live_epochs(), 3);
         // A far jump leaves only the newest bucket.
         add(&mut w, 100, "x", 16);
         assert_eq!(w.merged().counter_by_name("x"), Some(16));
-        assert_eq!(w.live_epochs(), 1);
-        assert_eq!(w.newest_epoch(), Some(100));
     }
 
     #[test]
@@ -194,7 +172,6 @@ mod tests {
         for epoch in 0..100u64 {
             add(&mut w, epoch, "hits", 1);
         }
-        assert_eq!(w.live_epochs(), 4);
         assert_eq!(w.merged().counter_by_name("hits"), Some(4));
     }
 
@@ -206,9 +183,7 @@ mod tests {
         w.advance_to(1); // no-op: not newer
         assert_eq!(w.merged().counter_by_name("x"), Some(2));
         w.advance_to(50); // everything decays out
-        assert!(w.is_empty());
         assert_eq!(w.merged().counter_by_name("x"), None);
-        assert_eq!(w.newest_epoch(), Some(50));
     }
 
     #[test]
@@ -219,7 +194,6 @@ mod tests {
         // in-window bucket (epoch 8) instead of vanishing.
         add(&mut w, 0, "x", 5);
         assert_eq!(w.merged().counter_by_name("x"), Some(6));
-        assert_eq!(w.newest_epoch(), Some(10));
     }
 
     #[test]

@@ -68,19 +68,6 @@ impl Snapshot {
         self.sections.is_empty()
     }
 
-    /// Merges every section whose name satisfies `pred` into one registry
-    /// (counters/histograms add, gauges last-writer-wins), in insertion
-    /// order.
-    pub fn merged_where(&self, pred: impl Fn(&str) -> bool) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new();
-        for (name, m) in self.sections() {
-            if pred(name) {
-                out.merge(m);
-            }
-        }
-        out
-    }
-
     /// Flat `name value` text exposition: one line per metric, names
     /// qualified as `<section>.<metric>`. Histograms expand into
     /// `.count/.sum/.min/.max/.mean/.p50/.p99/.p999` lines. Floats render
@@ -183,19 +170,6 @@ mod tests {
         for l in text.lines() {
             assert_eq!(l.split(' ').count(), 2, "malformed line: {l}");
         }
-    }
-
-    #[test]
-    fn merged_where_folds_matching_sections() {
-        let mut snap = Snapshot::new();
-        snap.push("server", shard(1000, 0.0, &[]));
-        snap.push("shard0", shard(3, 1.0, &[5]));
-        snap.push("shard1", shard(4, 2.0, &[9]));
-        let total = snap.merged_where(|n| n.starts_with("shard"));
-        assert_eq!(total.counter_by_name("frames.predict"), Some(7));
-        assert_eq!(total.histogram_by_name("latency_us").unwrap().count(), 2);
-        let empty = snap.merged_where(|_| false);
-        assert!(empty.counter_by_name("frames.predict").is_none());
     }
 
     #[test]

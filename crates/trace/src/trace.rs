@@ -119,12 +119,6 @@ impl Trace {
             .iter()
             .filter(|c| c.kind == ControlKind::CondBranch)
     }
-
-    /// The address of the instruction that follows the trace when the trace
-    /// does not end in a control transfer (the fall-through successor).
-    pub fn fallthrough(&self) -> u32 {
-        self.last_pc.wrapping_add(4)
-    }
 }
 
 impl fmt::Display for Trace {

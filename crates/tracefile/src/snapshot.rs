@@ -818,6 +818,23 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(bytes, encode_session_wire(&snap), "deterministic");
 
+        // The exhaustive sweeps run over a 64-entry session: each flip
+        // re-checksums the whole image, so a paper-sized one makes the
+        // sweep quadratic, and the codec paths are the same.
+        let tiny = PredictorConfig {
+            index_bits: 6,
+            dolc: ntp_core::Dolc {
+                depth: 2,
+                older: 3,
+                last: 4,
+                current: 5,
+            },
+            secondary_index_bits: 6,
+            ..PredictorConfig::paper(12, 2)
+        };
+        let (p, stats) = trained(tiny, 0xF2);
+        let bytes = encode_session_wire(&SessionSnapshot::capture(9, &p, &stats));
+
         // Every single-bit flip anywhere in the image is refused: magic,
         // version and length flips fail their own checks, payload flips
         // fail the checksum (or a downstream validation), checksum flips

@@ -16,7 +16,7 @@ say "cargo fmt --check"
 cargo fmt --all -- --check
 
 say "cargo clippy -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 say "tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace

@@ -1,86 +1,122 @@
-//! Property-based tests (proptest) over the core data structures and
-//! invariants of the stack.
-
-// Compiled only with `--features proptest`: the proptest dev-dependency
-// is gated so the offline tier-1 build resolves without a registry.
-#![cfg(feature = "proptest")]
+//! Property tests over the core data structures and invariants of the
+//! stack, driven by the deterministic xorshift generator of the
+//! differential-verification harness (`ntp::verify::XorShift64`).
+//!
+//! Each property runs [`CASES`] cases; case `k` draws its input from
+//! `XorShift64::new(SEED).fork(k)`, and every failure message names `k`,
+//! so a failure reproduces from the message alone.
 
 use ntp::core::{Counter, CounterSpec, Dolc, PathHistory, ReturnHistoryStack, RhsConfig};
 use ntp::isa::{decode, encode, ControlKind, Instr, Reg};
 use ntp::sim::{ControlEvent, Step};
 use ntp::trace::{HashedId, TraceBuilder, TraceConfig, TraceId};
-use proptest::prelude::*;
+use ntp::verify::XorShift64;
 
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u8..32).prop_map(|n| Reg::new(n).unwrap())
+/// Seeded cases per property.
+const CASES: u64 = 256;
+/// Root seed every case stream forks from.
+const SEED: u64 = 0x9E0B_5EED;
+
+/// The input stream of case `case`.
+fn case_rng(case: u64) -> XorShift64 {
+    XorShift64::new(SEED).fork(case)
 }
 
-fn arb_instr() -> impl Strategy<Value = Instr> {
+fn arb_reg(rng: &mut XorShift64) -> Reg {
+    Reg::new(rng.below(32) as u8).unwrap()
+}
+
+fn arb_i16(rng: &mut XorShift64) -> i16 {
+    rng.next_u32() as i16
+}
+
+fn arb_u16(rng: &mut XorShift64) -> u16 {
+    rng.next_u32() as u16
+}
+
+/// One of 18 instruction shapes, uniformly, with arbitrary operands.
+fn arb_instr(rng: &mut XorShift64) -> Instr {
     let r = arb_reg;
-    prop_oneof![
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Add(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Sub(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Sltu(a, b, c)),
-        (r(), r(), r()).prop_map(|(a, b, c)| Instr::Mul(a, b, c)),
-        (r(), r(), 0u8..32).prop_map(|(a, b, s)| Instr::Sll(a, b, s)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Addi(a, b, i)),
-        (r(), r(), any::<u16>()).prop_map(|(a, b, i)| Instr::Ori(a, b, i)),
-        (r(), any::<u16>()).prop_map(|(a, i)| Instr::Lui(a, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Lw(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Sb(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Beq(a, b, i)),
-        (r(), r(), any::<i16>()).prop_map(|(a, b, i)| Instr::Bgeu(a, b, i)),
-        (0u32..(1 << 26)).prop_map(Instr::J),
-        (0u32..(1 << 26)).prop_map(Instr::Jal),
-        r().prop_map(Instr::Jr),
-        (r(), r()).prop_map(|(a, b)| Instr::Jalr(a, b)),
-        Just(Instr::Halt),
-        r().prop_map(Instr::Out),
-    ]
+    match rng.below(18) {
+        0 => Instr::Add(r(rng), r(rng), r(rng)),
+        1 => Instr::Sub(r(rng), r(rng), r(rng)),
+        2 => Instr::Sltu(r(rng), r(rng), r(rng)),
+        3 => Instr::Mul(r(rng), r(rng), r(rng)),
+        4 => Instr::Sll(r(rng), r(rng), rng.below(32) as u8),
+        5 => Instr::Addi(r(rng), r(rng), arb_i16(rng)),
+        6 => Instr::Ori(r(rng), r(rng), arb_u16(rng)),
+        7 => Instr::Lui(r(rng), arb_u16(rng)),
+        8 => Instr::Lw(r(rng), r(rng), arb_i16(rng)),
+        9 => Instr::Sb(r(rng), r(rng), arb_i16(rng)),
+        10 => Instr::Beq(r(rng), r(rng), arb_i16(rng)),
+        11 => Instr::Bgeu(r(rng), r(rng), arb_i16(rng)),
+        12 => Instr::J(rng.below(1 << 26) as u32),
+        13 => Instr::Jal(rng.below(1 << 26) as u32),
+        14 => Instr::Jr(r(rng)),
+        15 => Instr::Jalr(r(rng), r(rng)),
+        16 => Instr::Halt,
+        _ => Instr::Out(r(rng)),
+    }
 }
 
-proptest! {
-    #[test]
-    fn encode_decode_roundtrip(instr in arb_instr()) {
-        let word = encode(&instr);
-        prop_assert_eq!(decode(word), Ok(instr));
-    }
+/// `lo..hi` instructions.
+fn arb_instrs(rng: &mut XorShift64, lo: u64, hi: u64) -> Vec<Instr> {
+    let n = rng.range(lo, hi - 1);
+    (0..n).map(|_| arb_instr(rng)).collect()
+}
 
-    #[test]
-    fn trace_id_packing_roundtrip(
-        pc in (0x0040_0000u32..0x0080_0000).prop_map(|p| p & !3),
-        bits in 0u8..64,
-        count in 0u8..=6,
-    ) {
+#[test]
+fn encode_decode_roundtrip() {
+    for case in 0..CASES {
+        let instr = arb_instr(&mut case_rng(case));
+        let word = encode(&instr);
+        assert_eq!(decode(word), Ok(instr), "case {case}");
+    }
+}
+
+#[test]
+fn trace_id_packing_roundtrip() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let pc = (0x0040_0000 + rng.below(0x0040_0000) as u32) & !3;
+        let bits = rng.below(64) as u8;
+        let count = rng.range(0, 6) as u8;
         let id = TraceId::new(pc, bits, count);
         let back = TraceId::from_packed(id.packed());
-        prop_assert_eq!(back.start_pc, id.start_pc);
-        prop_assert_eq!(back.branch_bits, id.branch_bits);
+        assert_eq!(back.start_pc, id.start_pc, "case {case}");
+        assert_eq!(back.branch_bits, id.branch_bits, "case {case}");
         // Hash low two bits are the first two outcomes.
-        prop_assert_eq!(id.hashed().0 & 0b11, (id.branch_bits & 0b11) as u16);
+        assert_eq!(
+            id.hashed().0 & 0b11,
+            (id.branch_bits & 0b11) as u16,
+            "case {case}"
+        );
     }
+}
 
-    #[test]
-    fn dolc_index_always_fits(
-        ids in prop::collection::vec(any::<u16>(), 0..8),
-        depth in 0usize..=7,
-        bits_sel in 0usize..3,
-    ) {
-        let bits = [12u32, 15, 18][bits_sel];
+#[test]
+fn dolc_index_always_fits() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let ids: Vec<u16> = (0..rng.below(8)).map(|_| arb_u16(rng)).collect();
+        let depth = rng.range(0, 7) as usize;
+        let bits = [12u32, 15, 18][rng.below(3) as usize];
         let dolc = Dolc::standard(depth, bits);
         let mut h: PathHistory<HashedId> = PathHistory::new(8);
         for v in ids {
             h.push(HashedId(v));
         }
-        prop_assert!(dolc.index(&h, bits) < (1u32 << bits));
+        assert!(dolc.index(&h, bits) < (1u32 << bits), "case {case}");
     }
+}
 
-    #[test]
-    fn dolc_ignores_history_beyond_depth(
-        ids in prop::collection::vec(any::<u16>(), 8),
-        depth in 0usize..=6,
-        tweak in any::<u16>(),
-    ) {
+#[test]
+fn dolc_ignores_history_beyond_depth() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let ids: Vec<u16> = (0..8).map(|_| arb_u16(rng)).collect();
+        let depth = rng.range(0, 6) as usize;
+        let tweak = arb_u16(rng);
         let dolc = Dolc::standard(depth, 15);
         let mut a: PathHistory<HashedId> = PathHistory::new(8);
         let mut b: PathHistory<HashedId> = PathHistory::new(8);
@@ -90,17 +126,20 @@ proptest! {
             let altered = if k < 8 - (depth + 1) { v ^ tweak } else { *v };
             b.push(HashedId(altered));
         }
-        prop_assert_eq!(dolc.index(&a, 15), dolc.index(&b, 15));
+        assert_eq!(dolc.index(&a, 15), dolc.index(&b, 15), "case {case}");
     }
+}
 
-    #[test]
-    fn counter_never_leaves_range(
-        events in prop::collection::vec(any::<bool>(), 0..200),
-        bits in 1u8..=4,
-        inc in 1u8..=3,
-        dec in 1u8..=15,
-    ) {
-        let spec = CounterSpec { bits, inc, dec };
+#[test]
+fn counter_never_leaves_range() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let events: Vec<bool> = (0..rng.below(200)).map(|_| rng.chance(1, 2)).collect();
+        let spec = CounterSpec {
+            bits: rng.range(1, 4) as u8,
+            inc: rng.range(1, 3) as u8,
+            dec: rng.range(1, 15) as u8,
+        };
         let mut c = Counter::new();
         for correct in events {
             if correct {
@@ -108,39 +147,44 @@ proptest! {
             } else {
                 let _ = c.on_incorrect(spec);
             }
-            prop_assert!(c.value() <= spec.max());
+            assert!(c.value() <= spec.max(), "case {case}");
         }
     }
+}
 
-    #[test]
-    fn path_history_matches_model(
-        ops in prop::collection::vec(any::<u16>(), 0..64),
-        cap in 1usize..=8,
-    ) {
+#[test]
+fn path_history_matches_model() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let ops: Vec<u16> = (0..rng.below(64)).map(|_| arb_u16(rng)).collect();
+        let cap = rng.range(1, 8) as usize;
         let mut h: PathHistory<u16> = PathHistory::new(cap);
         let mut model: Vec<u16> = Vec::new();
         for v in ops {
             h.push(v);
             model.insert(0, v);
             model.truncate(cap);
-            prop_assert_eq!(h.snapshot(), model.clone());
-            prop_assert_eq!(h.newest().unwrap(), model[0]);
+            assert_eq!(h.snapshot(), model, "case {case}");
+            assert_eq!(h.newest().unwrap(), model[0], "case {case}");
         }
     }
+}
 
-    #[test]
-    fn rhs_depth_bounded(
-        events in prop::collection::vec((0u8..3, any::<bool>()), 0..100),
-        max_depth in 1usize..=8,
-    ) {
+#[test]
+fn rhs_depth_bounded() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let events: Vec<(u8, bool)> = (0..rng.below(100))
+            .map(|_| (rng.below(3) as u8, rng.chance(1, 2)))
+            .collect();
+        let max_depth = rng.range(1, 8) as usize;
         let mut h: PathHistory<u16> = PathHistory::new(4);
         h.push(1);
-        let mut rhs: ReturnHistoryStack<u16> =
-            ReturnHistoryStack::new(RhsConfig { max_depth });
+        let mut rhs: ReturnHistoryStack<u16> = ReturnHistoryStack::new(RhsConfig { max_depth });
         for (calls, ret) in events {
             rhs.on_trace(&mut h, calls, ret);
-            prop_assert!(rhs.depth() <= max_depth);
-            prop_assert!(h.len() <= h.capacity());
+            assert!(rhs.depth() <= max_depth, "case {case}");
+            assert!(h.len() <= h.capacity(), "case {case}");
         }
     }
 }
@@ -164,22 +208,26 @@ fn step(pc: u32, kind: ControlKind, taken: bool) -> Step {
     Step { pc, instr, control }
 }
 
-fn arb_kind() -> impl Strategy<Value = ControlKind> {
-    prop_oneof![
-        5 => Just(ControlKind::None),
-        2 => Just(ControlKind::CondBranch),
-        1 => Just(ControlKind::Jump),
-        1 => Just(ControlKind::Call),
-        1 => Just(ControlKind::Return),
-        1 => Just(ControlKind::IndirectJump),
-    ]
+/// A control kind weighted 5:2:1:1:1:1 over none, conditional branch,
+/// jump, call, return and indirect jump.
+fn arb_kind(rng: &mut XorShift64) -> ControlKind {
+    match rng.below(11) {
+        0..=4 => ControlKind::None,
+        5 | 6 => ControlKind::CondBranch,
+        7 => ControlKind::Jump,
+        8 => ControlKind::Call,
+        9 => ControlKind::Return,
+        _ => ControlKind::IndirectJump,
+    }
 }
 
-proptest! {
-    #[test]
-    fn trace_builder_invariants_on_arbitrary_streams(
-        kinds in prop::collection::vec((arb_kind(), any::<bool>()), 1..400),
-    ) {
+#[test]
+fn trace_builder_invariants_on_arbitrary_streams() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let kinds: Vec<(ControlKind, bool)> = (0..rng.range(1, 399))
+            .map(|_| (arb_kind(rng), rng.chance(1, 2)))
+            .collect();
         let mut builder = TraceBuilder::new(TraceConfig::default());
         let mut total_in = 0usize;
         let mut total_out = 0usize;
@@ -197,26 +245,28 @@ proptest! {
         }
         for t in &traces {
             total_out += t.len();
-            prop_assert!(t.len() <= 16);
-            prop_assert!(t.branch_count() <= 6);
+            assert!(t.len() <= 16, "case {case}");
+            assert!(t.branch_count() <= 6, "case {case}");
             let controls = t.controls();
             for c in &controls[..controls.len().saturating_sub(1)] {
-                prop_assert!(!c.kind.is_indirect());
+                assert!(!c.kind.is_indirect(), "case {case}");
             }
         }
-        prop_assert_eq!(total_in, total_out, "every instruction lands in exactly one trace");
+        assert_eq!(
+            total_in, total_out,
+            "case {case}: every instruction lands in exactly one trace"
+        );
     }
 }
 
-proptest! {
-    /// Full tooling roundtrip: instruction list → disassembly text →
-    /// assembler → identical instruction list. Exercises the assembler's
-    /// numeric-target paths and the disassembler together.
-    #[test]
-    fn disassemble_reassemble_roundtrip(
-        instrs in prop::collection::vec(arb_instr(), 1..40),
-    ) {
-        use ntp::isa::{asm::assemble, disasm, TEXT_BASE};
+/// Full tooling roundtrip: instruction list → disassembly text →
+/// assembler → identical instruction list. Exercises the assembler's
+/// numeric-target paths and the disassembler together.
+#[test]
+fn disassemble_reassemble_roundtrip() {
+    use ntp::isa::{asm::assemble, disasm, TEXT_BASE};
+    for case in 0..CASES {
+        let instrs = arb_instrs(&mut case_rng(case), 1, 40);
         // Rewrite control-flow targets so they land inside this block
         // (the assembler validates branch range and jump region).
         let n = instrs.len() as u32;
@@ -238,21 +288,24 @@ proptest! {
             text.push_str(&disasm::render(i, pc));
             text.push('\n');
         }
-        let program = assemble(&text).expect("disassembly is valid assembly");
-        prop_assert_eq!(program.instrs, fixed);
+        let program = assemble(&text)
+            .unwrap_or_else(|e| panic!("case {case}: disassembly is valid assembly: {e}"));
+        assert_eq!(program.instrs, fixed, "case {case}");
     }
+}
 
-    /// Encoded programs decode back through `Program::encode_text`.
-    #[test]
-    fn program_binary_roundtrip(instrs in prop::collection::vec(arb_instr(), 1..64)) {
-        use ntp::isa::decode;
+/// Encoded programs decode back through `Program::encode_text`.
+#[test]
+fn program_binary_roundtrip() {
+    for case in 0..CASES {
+        let instrs = arb_instrs(&mut case_rng(case), 1, 64);
         let mut p = ntp::isa::Program::new();
         p.instrs = instrs.clone();
         let words = p.encode_text();
         let back: Vec<Instr> = words
             .iter()
-            .map(|&w| decode(w).expect("encoded instructions decode"))
+            .map(|&w| decode(w).unwrap_or_else(|e| panic!("case {case}: {w:#010x}: {e:?}")))
             .collect();
-        prop_assert_eq!(back, instrs);
+        assert_eq!(back, instrs, "case {case}");
     }
 }
