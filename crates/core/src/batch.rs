@@ -1,11 +1,15 @@
 //! Batched sweeps over many independent predictor sessions.
 //!
-//! The predict/update loop is table-lookup dominated: each probe gathers a
-//! tag, a counter and a target from tables far larger than L1/L2, so a
-//! scalar loop serializes on one cache miss per step. When many
-//! *independent* sessions are in flight — replay lanes in the benchmark
-//! suite, or distinct sessions queued on an `ntp-serve` shard — their
-//! probes don't depend on each other, and a sweep can overlap the misses.
+//! The predict/update loop is table-lookup dominated: each probe reads one
+//! entry word from each of two tables, and the correlating table can be
+//! far larger than L1/L2, so a scalar loop can stall on a cache miss per
+//! step. When many *independent* sessions are in flight — replay lanes in
+//! the benchmark suite, or distinct sessions queued on an `ntp-serve`
+//! shard — their probes don't depend on each other, and a sweep can
+//! overlap the misses. Whether that pays is measured, not assumed:
+//! perfbench's traced `offline-sweep` reports `core.batch_speedup`
+//! (scalar ÷ batched time per record), and on a 2-core x86_64 host it
+//! reads below 1.
 //!
 //! Every sweep here runs the same three phases per round:
 //!
@@ -13,8 +17,8 @@
 //!    [`IndexSnapshot`](crate::IndexSnapshot) (maintained incrementally at
 //!    history pushes, so this phase is a register read per lane);
 //! 2. **gathered probe** — [`NextTracePredictor::prefetch_tables`] issues
-//!    software prefetch hints for every lane's table lines before any lane
-//!    resolves, so the gathers are in flight concurrently;
+//!    two software prefetch hints per lane, one per table entry, before
+//!    any lane resolves, so the gathers are in flight concurrently;
 //! 3. **resolve** — each lane predicts/trains exactly as the scalar path
 //!    would.
 //!
@@ -73,8 +77,8 @@ pub fn update_batch(lanes: &mut [(&mut NextTracePredictor, &TraceRecord)]) {
 /// Per lane this is exactly [`evaluate`]: the same predict → score → update
 /// sequence over the same records in the same order, so the returned stats
 /// (and the predictors' final table state, aliasing counters and histories)
-/// are bit-identical to running the lanes one after another. The sweep buys
-/// throughput purely by prefetching all lanes' next table lines before
+/// are bit-identical to running the lanes one after another. The sweep
+/// differs only in prefetching all lanes' next table entries before
 /// resolving any of them. Lanes shorter than the longest simply drop out of
 /// later rounds.
 pub fn evaluate_batch(lanes: &mut [BatchLane<'_>]) -> Vec<PredictorStats> {

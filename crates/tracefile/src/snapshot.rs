@@ -700,6 +700,32 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_pinned() {
+        // The `.nts` image of fixed training runs must not drift: snapshots
+        // written by earlier builds, and warm starts from them, depend on
+        // it, whatever the predictor's in-memory table layout.
+        let configs = [
+            PredictorConfig::paper(12, 3),
+            PredictorConfig::paper_with_alternate(12, 3),
+            PredictorConfig {
+                stored_target: StoredTarget::Hashed,
+                ..PredictorConfig::paper(12, 3)
+            },
+        ];
+        let sessions = configs
+            .into_iter()
+            .zip(0u64..)
+            .map(|(cfg, id)| {
+                let (p, stats) = trained(cfg, 0x51 + id);
+                SessionSnapshot::capture(id, &p, &stats)
+            })
+            .collect();
+        let bytes = encode_snapshot(&SnapshotArtifact { sessions });
+        assert_eq!(bytes.len(), 686_282);
+        assert_eq!(fnv64(&bytes), 0x5367_12da_3059_d2a2);
+    }
+
+    #[test]
     fn instantiated_session_continues_identically() {
         let cfg = PredictorConfig::paper(12, 3);
         let (mut p, stats) = trained(cfg, 0xC3);
