@@ -212,9 +212,7 @@ pub fn fig7(data: &[BenchData]) -> String {
     let per_bench = TABLE_BITS.len() as u64 * DEPTHS.count() as u64;
     let results = fan_out("fig7", replayed(data, per_bench), &jobs, |&(b, depth)| {
         // The three table sizes are independent sessions over the same
-        // stream: one gathered sweep overlaps their table misses and is
-        // bit-identical to three scalar replays (the batch-vs-scalar
-        // oracle in ntp-verify holds the equivalence).
+        // stream, replayed back to back through fresh predictors.
         let d = &data[b];
         let stats = evaluate_batch_fresh(&[&d.records[..]; TABLE_BITS.len()], |k| {
             NextTracePredictor::new(PredictorConfig::paper(TABLE_BITS[k], depth))
@@ -346,7 +344,7 @@ pub fn cost_reduced(data: &[BenchData]) -> String {
     s += &row(&["bench".into(), "full%".into(), "hashed%".into()]);
     s.push('\n');
     // One job per benchmark: the full-target and hashed-target sessions
-    // replay the same stream, so they share one gathered sweep.
+    // replay the same stream, back to back.
     let results = fan_out("cost_reduced", replayed(data, 2), data, |d| {
         let cfgs = [full_cfg, hashed_cfg];
         let stats =

@@ -1,31 +1,26 @@
-//! Batched sweeps over many independent predictor sessions.
+//! Sweeps over many independent predictor sessions.
 //!
-//! The predict/update loop is table-lookup dominated: each probe reads one
+//! The predict/update step is table-lookup dominated: each probe reads one
 //! entry word from each of two tables, and the correlating table can be
-//! far larger than L1/L2, so a scalar loop can stall on a cache miss per
-//! step. When many *independent* sessions are in flight — replay lanes in
-//! the benchmark suite, or distinct sessions queued on an `ntp-serve`
-//! shard — their probes don't depend on each other, and a sweep can
-//! overlap the misses. Whether that pays is measured, not assumed:
-//! perfbench's traced `offline-sweep` reports `core.batch_speedup`
-//! (scalar ÷ batched time per record), and on a 2-core x86_64 host it
-//! reads below 1.
+//! far larger than L1/L2, so a step can stall on a cache miss. When many
+//! *independent* sessions each take one step, their probes don't depend on
+//! each other, and [`predict_batch`]/[`update_batch`] overlap the misses: a
+//! gathered probe pass ([`NextTracePredictor::prefetch_tables`], two
+//! prefetch hints per lane) runs before any lane resolves, then each lane
+//! predicts or trains exactly as the scalar path would. `ntp-serve`'s shard
+//! drain runs the same gathered pass over the sessions it has queued.
 //!
-//! Every sweep here runs the same three phases per round:
+//! The offline replay has no gathered probe. [`evaluate_batch`] replays its
+//! lanes back to back, each through [`evaluate`]. Interleaving them one
+//! record per round kept every lane's tables live at once (three 2 MiB
+//! tables at 2^18 entries in perfbench's `offline-sweep`), and on a 2-core
+//! x86_64 host that ran slower than the scalar loop: `core.batch_speedup`
+//! read 0.85–0.89, against 0.99–1.00 back to back.
 //!
-//! 1. **index compute** — each lane's table indexes come from its cached
-//!    [`IndexSnapshot`](crate::IndexSnapshot) (maintained incrementally at
-//!    history pushes, so this phase is a register read per lane);
-//! 2. **gathered probe** — [`NextTracePredictor::prefetch_tables`] issues
-//!    two software prefetch hints per lane, one per table entry, before
-//!    any lane resolves, so the gathers are in flight concurrently;
-//! 3. **resolve** — each lane predicts/trains exactly as the scalar path
-//!    would.
-//!
-//! Phase 3 calls the same `predict_at`/`train_at` the scalar API uses, and
+//! Every sweep calls the same `predict`/`update` the scalar API uses, and
 //! each lane's own records are processed strictly in order, so results are
 //! bit-identical to the scalar loop — enforced field-for-field by
-//! `ntp-verify`'s batch-equivalence oracle and by the property tests below.
+//! `ntp-verify`'s batch-equivalence oracle and by the tests below.
 
 use crate::{evaluate, NextTracePredictor, Prediction, PredictorStats, TracePredictor};
 use ntp_trace::TraceRecord;
@@ -71,40 +66,22 @@ pub fn update_batch(lanes: &mut [(&mut NextTracePredictor, &TraceRecord)]) {
     }
 }
 
-/// Replays every lane to completion, interleaved one record per lane per
-/// round, returning each lane's [`PredictorStats`].
+/// Replays every lane to completion, back to back, returning each lane's
+/// [`PredictorStats`].
 ///
-/// Per lane this is exactly [`evaluate`]: the same predict → score → update
-/// sequence over the same records in the same order, so the returned stats
-/// (and the predictors' final table state, aliasing counters and histories)
-/// are bit-identical to running the lanes one after another. The sweep
-/// differs only in prefetching all lanes' next table entries before
-/// resolving any of them. Lanes shorter than the longest simply drop out of
-/// later rounds.
+/// Each lane runs [`evaluate`] over its own records, so the returned stats
+/// (and the predictors' final table state, aliasing counters and
+/// histories) are those of calling it once per lane.
 pub fn evaluate_batch(lanes: &mut [BatchLane<'_>]) -> Vec<PredictorStats> {
-    let mut stats = vec![PredictorStats::new(); lanes.len()];
-    let rounds = lanes.iter().map(|l| l.records.len()).max().unwrap_or(0);
-    for round in 0..rounds {
-        // Gathered probe pass: every active lane's table lines first…
-        for lane in lanes.iter() {
-            if round < lane.records.len() {
-                lane.predictor.prefetch_tables();
-            }
-        }
-        // …then the resolve pass, identical to the scalar loop per lane.
-        for (lane, st) in lanes.iter_mut().zip(stats.iter_mut()) {
-            if let Some(rec) = lane.records.get(round) {
-                let pred = lane.predictor.predict();
-                st.score(&pred, rec);
-                lane.predictor.update(rec);
-            }
-        }
-    }
-    stats
+    lanes
+        .iter_mut()
+        .map(|l| evaluate(l.predictor, l.records))
+        .collect()
 }
 
-/// Convenience for benchmark passes: replays `streams.len()` fresh lanes
-/// built by `make_predictor` (one per stream) through [`evaluate_batch`].
+/// Convenience for benchmark passes: replays each of `streams` through a
+/// fresh predictor that `make_predictor` builds (given the lane's index)
+/// when that lane starts, so one lane's tables are live at a time.
 pub fn evaluate_batch_fresh<F>(
     streams: &[&[TraceRecord]],
     mut make_predictor: F,
@@ -112,22 +89,10 @@ pub fn evaluate_batch_fresh<F>(
 where
     F: FnMut(usize) -> NextTracePredictor,
 {
-    let mut predictors: Vec<NextTracePredictor> =
-        (0..streams.len()).map(&mut make_predictor).collect();
-    let mut lanes: Vec<BatchLane<'_>> = predictors
-        .iter_mut()
-        .zip(streams.iter())
-        .map(|(p, s)| BatchLane::new(p, s))
-        .collect();
-    evaluate_batch(&mut lanes)
-}
-
-/// Scalar reference for the batch sweeps, used by tests and the verify
-/// oracle: replays the same lanes one after another through [`evaluate`].
-pub fn evaluate_serial(lanes: &mut [BatchLane<'_>]) -> Vec<PredictorStats> {
-    lanes
-        .iter_mut()
-        .map(|l| evaluate(l.predictor, l.records))
+    streams
+        .iter()
+        .enumerate()
+        .map(|(k, s)| evaluate(&mut make_predictor(k), s))
         .collect()
 }
 
@@ -185,12 +150,11 @@ mod tests {
         let batch_stats = evaluate_batch(&mut lanes);
 
         let mut serial_preds: Vec<_> = (0..5).map(|k| NextTracePredictor::new(cfg(k))).collect();
-        let mut lanes: Vec<BatchLane<'_>> = serial_preds
+        let serial_stats: Vec<_> = serial_preds
             .iter_mut()
             .zip(streams.iter())
-            .map(|(p, s)| BatchLane::new(p, s))
+            .map(|(p, s)| evaluate(p, s))
             .collect();
-        let serial_stats = evaluate_serial(&mut lanes);
 
         assert_eq!(batch_stats, serial_stats);
         for (b, s) in batch_preds.iter().zip(serial_preds.iter()) {

@@ -1,7 +1,7 @@
 //! Configuration of the bounded path-based next trace predictor.
 
 use crate::error::in_range;
-use crate::{ConfigError, CounterSpec, Dolc, RhsConfig};
+use crate::{ConfigError, CounterSpec, Dolc, RhsConfig, RHS_SNAPSHOT_CAP};
 
 /// Widest tag [`PredictorConfig::try_validate`] admits.
 pub(crate) const MAX_TAG_BITS: u32 = 16;
@@ -120,7 +120,9 @@ impl PredictorConfig {
 
     /// Validates the configuration without panicking: table sizes, tag
     /// width, counter policies and DOLC consistency (see
-    /// [`Dolc::try_validate`]).
+    /// [`Dolc::try_validate`]). With the RHS on, the history register must
+    /// also fit an RHS snapshot ([`RHS_SNAPSHOT_CAP`] identifiers), so the
+    /// DOLC depth is at most 15.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         in_range("predictor.index_bits", self.index_bits as u64, 1, 30)?;
         in_range(
@@ -140,6 +142,12 @@ impl PredictorConfig {
         self.dolc.try_validate()?;
         if let Some(rhs) = &self.rhs {
             in_range("predictor.rhs.max_depth", rhs.max_depth as u64, 1, 1 << 20)?;
+            in_range(
+                "dolc.depth",
+                self.dolc.depth as u64,
+                0,
+                RHS_SNAPSHOT_CAP as u64 - 1,
+            )?;
         }
         Ok(())
     }
@@ -149,8 +157,8 @@ impl PredictorConfig {
     /// # Panics
     ///
     /// Panics on zero-sized tables, tags wider than 16 bits, invalid
-    /// counters, or an inconsistent DOLC — see
-    /// [`PredictorConfig::try_validate`].
+    /// counters, an inconsistent DOLC, or a history too deep for the RHS —
+    /// see [`PredictorConfig::try_validate`].
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("invalid predictor config: {e}");
@@ -238,5 +246,53 @@ mod tests {
             c.try_validate(),
             Err(ConfigError::UnusedHistoryBits { .. })
         ));
+    }
+
+    #[test]
+    fn deep_history_with_rhs_is_refused_and_the_limits_replay() {
+        use crate::{evaluate, ConfigError, NextTracePredictor, TracePredictor};
+        use ntp_trace::{TraceId, TraceRecord};
+        let deep = |depth| PredictorConfig {
+            dolc: Dolc {
+                depth,
+                older: 1,
+                last: 1,
+                current: 1,
+            },
+            ..PredictorConfig::paper(12, 3)
+        };
+        // An RHS snapshot holds 16 identifiers: a depth-20 register (21
+        // identifiers) cannot be saved at a call.
+        assert!(deep(20).dolc.try_validate().is_ok());
+        let refused = Err(ConfigError::OutOfRange {
+            field: "dolc.depth",
+            value: 20,
+            min: 0,
+            max: 15,
+        });
+        assert_eq!(deep(20).try_validate(), refused);
+        assert_eq!(NextTracePredictor::try_new(deep(20)).err(), refused.err());
+
+        // The deepest register the RHS can save, and a deeper one with the
+        // RHS off, both run a stream of nested calls and returns.
+        let records: Vec<TraceRecord> = (0..600u32)
+            .map(|k| {
+                let calls = (k % 7 == 0) as u8 + (k % 11 == 0) as u8;
+                let ret = k % 5 == 0;
+                let id = TraceId::new(0x0040_0000 + (k % 37) * 0x40, 0, 0);
+                TraceRecord::new(id, 8, calls, ret, ret)
+            })
+            .collect();
+        let no_rhs = PredictorConfig {
+            rhs: None,
+            ..deep(20)
+        };
+        for cfg in [deep(15), no_rhs] {
+            let mut p = NextTracePredictor::try_new(cfg).expect("valid");
+            let stats = evaluate(&mut p, &records);
+            assert_eq!(stats.predictions, 600, "{cfg:?}");
+            assert!(stats.correct > 0, "{cfg:?}");
+            assert_eq!(p.history_len(), cfg.history_capacity(), "{cfg:?}");
+        }
     }
 }

@@ -104,6 +104,7 @@ impl Dolc {
     /// gathered total fits in 64 bits — every standard Table 3 tuple — take
     /// a `u64` accumulator path instead of the general `u128` one. Both
     /// paths produce identical indexes.
+    #[inline]
     pub fn index(&self, history: &PathHistory<HashedId>, index_bits: u32) -> u32 {
         debug_assert!((1..=30).contains(&index_bits));
         if self.total_bits() <= 64 {

@@ -18,9 +18,10 @@
 //! * [`UnboundedPredictor`] — the no-aliasing model of §5.2 (Figure 6);
 //! * [`evaluate`]/[`PredictorStats`] — the immediate-update replay
 //!   methodology of §4.1;
-//! * [`evaluate_batch`]/[`predict_batch`]/[`update_batch`] — gathered
-//!   sweeps over many independent sessions (bit-identical to the scalar
-//!   loop, overlapping the table gathers).
+//! * [`evaluate_batch`] — many independent replay lanes, back to back;
+//!   [`predict_batch`]/[`update_batch`] — one lockstep step over many
+//!   sessions, overlapping their table gathers (both bit-identical to the
+//!   scalar loop).
 //!
 //! # Example
 //!
@@ -56,9 +57,7 @@ mod stats;
 mod telemetry;
 mod unbounded;
 
-pub use batch::{
-    evaluate_batch, evaluate_batch_fresh, evaluate_serial, predict_batch, update_batch, BatchLane,
-};
+pub use batch::{evaluate_batch, evaluate_batch_fresh, predict_batch, update_batch, BatchLane};
 pub use confidence::{
     evaluate_with_confidence, ConfidenceConfig, ConfidenceEstimator, ConfidenceStats,
 };

@@ -31,6 +31,7 @@ impl Target {
     ///
     /// A hashed target matches when the hashes agree — the cost-reduced
     /// predictor's intrinsic (and, per the paper, insignificant) ambiguity.
+    #[inline]
     pub fn matches(&self, actual: TraceId) -> bool {
         match self {
             Target::Full(id) => id.packed() == actual.packed(),
@@ -63,11 +64,13 @@ impl Prediction {
     }
 
     /// True if the primary prediction names `actual`.
+    #[inline]
     pub fn is_correct(&self, actual: TraceId) -> bool {
         self.target.map(|t| t.matches(actual)).unwrap_or(false)
     }
 
     /// True if the alternate names `actual`.
+    #[inline]
     pub fn alternate_correct(&self, actual: TraceId) -> bool {
         self.alternate.map(|t| t.matches(actual)).unwrap_or(false)
     }

@@ -26,12 +26,15 @@
 //! has-alt fields zero. The fields are as wide as the widest tag and
 //! counter [`PredictorConfig::try_validate`] admits, and a `const`
 //! assertion below keeps them inside the word. A probe or an update
-//! therefore touches one cache line per table, and the gathered probe of
-//! the batch sweeps ([`crate::evaluate_batch`], [`crate::predict_batch`])
-//! prefetches exactly those two lines. An all-zero word is an invalid
-//! entry, so a table starts as a zeroed allocation whose pages are mapped
-//! only as entries fill. The §6 alternate targets live in a separate
-//! array that is allocated only when alternate prediction is on.
+//! therefore touches one cache line per table, and
+//! [`NextTracePredictor::prefetch_tables`] prefetches exactly those two
+//! lines for the lockstep sweeps ([`crate::predict_batch`],
+//! [`crate::update_batch`]) and `ntp-serve`'s shard drain; the offline
+//! replay ([`crate::evaluate`], [`crate::evaluate_batch`]) issues no
+//! prefetch. An all-zero word is an invalid entry, so a table starts as a
+//! zeroed allocation whose pages are mapped only as entries fill. The §6
+//! alternate targets live in a separate array that is allocated only when
+//! alternate prediction is on.
 
 use crate::config::MAX_TAG_BITS;
 use crate::counter::MAX_COUNTER_BITS;
@@ -503,6 +506,7 @@ impl NextTracePredictor {
 
     /// The key under which `id` would be stored (full packed identifier or
     /// its hash, per [`StoredTarget`]).
+    #[inline]
     fn key_of(&self, id: TraceId) -> u64 {
         match self.cfg.stored_target {
             StoredTarget::Full => id.packed(),
@@ -510,6 +514,7 @@ impl NextTracePredictor {
         }
     }
 
+    #[inline]
     fn target_of(&self, key: u64) -> Target {
         match self.cfg.stored_target {
             StoredTarget::Full => Target::Full(TraceId::from_packed(key)),
@@ -529,6 +534,7 @@ impl NextTracePredictor {
 
     /// Recomputes [`NextTracePredictor::indices`] from the history
     /// register; called after every history mutation.
+    #[inline]
     fn refresh_indices(&mut self) {
         let corr_index = self.cfg.dolc.index(&self.history, self.cfg.index_bits);
         let newest = self.history.newest().unwrap_or_default();
@@ -540,11 +546,11 @@ impl NextTracePredictor {
     }
 
     /// Hints the cache that the two table entries named by the current
-    /// index snapshot are about to be probed. The gathered-probe pass of the
-    /// batch sweeps ([`crate::evaluate_batch`], [`crate::predict_batch`])
-    /// issues this across many sessions before resolving any of them, so
-    /// the gathers overlap instead of serializing on each miss. A pure
-    /// hint: no-op off x86_64, never changes behaviour.
+    /// index snapshot are about to be probed. The lockstep sweeps
+    /// ([`crate::predict_batch`], [`crate::update_batch`]) and `ntp-serve`'s
+    /// shard drain issue this across many sessions before resolving any of
+    /// them, so the gathers overlap instead of serializing on each miss. A
+    /// pure hint: no-op off x86_64, never changes behaviour.
     #[inline]
     pub fn prefetch_tables(&self) {
         prefetch_read(&self.corr.words[self.cached_idx.corr_index as usize]);
@@ -552,6 +558,7 @@ impl NextTracePredictor {
     }
 
     /// Predicts using previously captured indexes (the engine's read port).
+    #[inline]
     pub fn predict_at(&self, idx: IndexSnapshot) -> Prediction {
         let c = idx.corr_index as usize;
         let ce = self.corr.get(c);
@@ -596,6 +603,7 @@ impl NextTracePredictor {
 
     /// Trains the tables for the prediction made at `idx`, given the trace
     /// that actually executed. Does not touch the history register.
+    #[inline]
     pub fn train_at(&mut self, idx: IndexSnapshot, actual: &TraceRecord) {
         let key = self.key_of(actual.id());
         let sec_spec = self.cfg.secondary_counter;
@@ -666,6 +674,7 @@ impl NextTracePredictor {
     /// Shifts `trace` into the path history and performs return-history-
     /// stack pushes/pops. In immediate-update mode this runs at update; the
     /// engine runs it speculatively at fetch with the *predicted* trace.
+    #[inline]
     pub fn advance_history(&mut self, id: TraceId, calls: u8, ends_in_return: bool) {
         self.history.push(id.hashed());
         if let Some(rhs) = &mut self.rhs {
@@ -757,10 +766,10 @@ impl NextTracePredictor {
     /// table sizes, counter values past saturation, tags wider than
     /// `tag_bits`, targets wider than the stored identifier, alternates
     /// with alternate prediction off, bitmap tail bits beyond the table, an
-    /// RHS deeper than configured) leaves the predictor untouched. Config
-    /// mismatches between a snapshot file and the serving predictor are
-    /// meant to be caught earlier by the codec's fingerprint; this layer is
-    /// the final defence.
+    /// RHS deeper than configured or an RHS entry longer than the history
+    /// register) leaves the predictor untouched. Config mismatches between
+    /// a snapshot file and the serving predictor are meant to be caught
+    /// earlier by the codec's fingerprint; this layer is the final defence.
     pub fn restore_state(&mut self, state: &PredictorState) -> Result<(), StateError> {
         let corr_n = self.corr.len();
         let sec_n = self.sec.len();
@@ -832,11 +841,14 @@ impl NextTracePredictor {
                         found: state.rhs.len(),
                     });
                 }
+                // Each entry is a saved history register, so it is no
+                // longer than the register (and `try_validate` keeps the
+                // register within an RHS snapshot).
                 for saved in &state.rhs {
-                    if saved.len() > crate::RHS_SNAPSHOT_CAP {
+                    if saved.len() > self.history.capacity() {
                         return Err(StateError::Geometry {
                             field: "rhs entry",
-                            expected: crate::RHS_SNAPSHOT_CAP,
+                            expected: self.history.capacity(),
                             found: saved.len(),
                         });
                     }
@@ -896,11 +908,17 @@ impl NextTracePredictor {
     }
 }
 
+// `evaluate` is generic, so it is compiled in its caller's crate; without
+// `#[inline]` on this chain (predict/update, the `*_at` ports, the history
+// advance, `Dolc::index`, the RHS, `PredictorStats::score`) every replayed
+// record would make eight out-of-line calls back into this crate.
 impl TracePredictor for NextTracePredictor {
+    #[inline]
     fn predict(&self) -> Prediction {
         self.predict_at(self.indices())
     }
 
+    #[inline]
     fn update(&mut self, actual: &TraceRecord) {
         let idx = self.indices();
         self.train_at(idx, actual);
@@ -1416,6 +1434,8 @@ mod tests {
             deep_rhs.rhs = vec![vec![1; 2]; 64];
             let mut fat_rhs = good.clone();
             fat_rhs.rhs = vec![vec![1; crate::RHS_SNAPSHOT_CAP + 1]];
+            let mut long_rhs = good.clone();
+            long_rhs.rhs = vec![vec![1; 2], vec![1; 12]]; // the register holds 4
             let mut wide_target = good.clone();
             wide_target.corr_targets[5] |= wide_id;
             let mut wide_sec_target = good.clone();
@@ -1434,6 +1454,10 @@ mod tests {
                 ("history deeper than capacity", deep_history),
                 ("rhs deeper than max_depth", deep_rhs),
                 ("rhs entry wider than inline cap", fat_rhs),
+                (
+                    "rhs entry longer than the history register",
+                    long_rhs.clone(),
+                ),
                 ("target wider than the packed id", wide_target),
                 ("secondary target wider than the packed id", wide_sec_target),
                 ("alternate wider than the packed id", wide_alt),
@@ -1456,6 +1480,14 @@ mod tests {
                     "{name}: refused restore must not mutate the predictor"
                 );
             }
+            assert_eq!(
+                p.restore_state(&long_rhs),
+                Err(StateError::Geometry {
+                    field: "rhs entry",
+                    expected: 4,
+                    found: 12
+                })
+            );
             assert!(p.restore_state(&good).is_ok());
         }
     }

@@ -106,6 +106,7 @@ impl<T: Copy + Default> ReturnHistoryStack<T> {
     ///
     /// A trace that both calls and returns (`calls >= 1 && ends_in_return`)
     /// nets out: `calls - 1` pushes and no pop.
+    #[inline]
     pub fn on_trace(&mut self, history: &mut PathHistory<T>, calls: u8, ends_in_return: bool) {
         let mut net_calls = calls as i32;
         if ends_in_return {

@@ -36,6 +36,7 @@ impl PredictorStats {
     }
 
     /// Scores one prediction against the actual trace.
+    #[inline]
     pub fn score(&mut self, pred: &Prediction, actual: &TraceRecord) {
         self.predictions += 1;
         let id = actual.id();

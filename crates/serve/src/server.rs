@@ -172,7 +172,7 @@ pub struct ShardSummary {
     /// Requests that drained through a batched sweep: the shard found two
     /// or more routed requests queued and prefetched every target
     /// session's table lines before resolving any of them (see
-    /// `ntp_core::evaluate_batch`). Load-dependent — only a busy queue
+    /// `ntp_core::predict_batch`). Load-dependent — only a busy queue
     /// batches — so this is a volatile counter, not a determinism gate.
     pub batched: u64,
     /// Requests that arrived pre-coalesced: an event loop decoded two or
@@ -1047,9 +1047,9 @@ const MAX_DRAIN: usize = 64;
 /// Each wake-up drains the queue opportunistically (up to [`MAX_DRAIN`]
 /// jobs). When the drain picks up two or more routed requests — distinct
 /// sessions queued by concurrent connections — the shard runs the same
-/// gathered sweep as `ntp_core::evaluate_batch`: one prefetch pass over
-/// every target session's table lines, then the resolve pass in strict
-/// arrival order. Replies, session state and metrics are identical to
+/// gathered sweep as `ntp_core::predict_batch`/`update_batch`: one
+/// prefetch pass over every target session's table lines, then the
+/// resolve pass in strict arrival order. Replies, session state and metrics are identical to
 /// one-at-a-time processing; only the cache misses overlap.
 fn shard_loop(
     shard_id: u32,

@@ -12,9 +12,10 @@
 //!   operating point) must report identical statistics;
 //! * [`runner_determinism`] — the worker pool's ordered merge must equal
 //!   the serial result vector at any thread count;
-//! * [`batch_vs_scalar`] — the gathered batch sweeps (`evaluate_batch`,
-//!   `predict_batch`/`update_batch`) must be bit-identical to the scalar
-//!   replay on every prediction, statistic and final table state;
+//! * [`batch_vs_scalar`] — `evaluate_batch` must equal per-lane
+//!   `evaluate`, and the gathered `predict_batch`/`update_batch` pair
+//!   scalar predict/update, on every prediction, statistic and final
+//!   table state;
 //! * [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!   through `save_state`/`restore_state` at random cut points must stay
 //!   in prediction-by-prediction lockstep with one never snapshotted, and

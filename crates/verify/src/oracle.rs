@@ -11,8 +11,9 @@
 //!    identical [`PredictorStats`];
 //! 3. [`runner_determinism`] — the worker pool's ordered merge must be
 //!    byte-identical to the serial path at any thread count;
-//! 4. [`batch_vs_scalar`] — the gathered batch sweeps must be bit-identical
-//!    to the scalar replay, per prediction and per final table state;
+//! 4. [`batch_vs_scalar`] — `evaluate_batch` against per-lane `evaluate`,
+//!    and the gathered `predict_batch`/`update_batch` pair against scalar
+//!    predict/update, per prediction and per final table state;
 //! 5. [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!    through `save_state`/`restore_state` at random cut points must stay
 //!    in lockstep with one that was never snapshotted.
@@ -25,9 +26,8 @@
 use crate::gen::{alias_free_point, paper_point, random_stream};
 use crate::rng::XorShift64;
 use ntp_core::{
-    evaluate, evaluate_batch, evaluate_serial, evaluate_with_sink, predict_batch, update_batch,
-    BatchLane, NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor,
-    UnboundedPredictor,
+    evaluate, evaluate_batch, evaluate_with_sink, predict_batch, update_batch, BatchLane,
+    NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor, UnboundedPredictor,
 };
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_runner::map_ordered_with;
@@ -310,12 +310,14 @@ pub fn runner_determinism(seed: u64, cases: usize) -> OracleOutcome {
     }
 }
 
-/// Oracle 4: the batched sweeps (`evaluate_batch`, and the lockstep
-/// `predict_batch`/`update_batch` pair) must be bit-identical to the
-/// scalar replay — every [`PredictorStats`] field, every per-step
-/// [`ntp_core::Prediction`], and the predictors' final aliasing counters,
-/// occupancy and cached table indexes. The sweep only overlaps table
-/// gathers via prefetch hints; any observable difference is a bug.
+/// Oracle 4: the batched sweeps must be bit-identical to the scalar
+/// replay. `evaluate_batch` over ragged lanes is compared with per-lane
+/// `evaluate` (every [`PredictorStats`] field, and the predictors' final
+/// aliasing counters, occupancy and cached table indexes); the lockstep
+/// `predict_batch`/`update_batch` pair is compared with scalar
+/// predict/update, every per-step [`ntp_core::Prediction`]. The lockstep
+/// sweep only overlaps table gathers via prefetch hints; any observable
+/// difference is a bug.
 pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
     const NAME: &str = "batch-vs-scalar";
     let master = XorShift64::new(seed ^ 0xBA7C_4ED0);
@@ -359,12 +361,11 @@ pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
             .collect();
         let batch_stats = evaluate_batch(&mut lanes);
         let mut serial_preds = fresh(&cfgs);
-        let mut lanes: Vec<BatchLane<'_>> = serial_preds
+        let serial_stats: Vec<PredictorStats> = serial_preds
             .iter_mut()
             .zip(streams.iter())
-            .map(|(p, s)| BatchLane::new(p, s))
+            .map(|(p, s)| evaluate(p, s))
             .collect();
-        let serial_stats = evaluate_serial(&mut lanes);
         comparisons += lanes_n as u64;
         for (k, (b, s)) in batch_stats.iter().zip(serial_stats.iter()).enumerate() {
             if b != s {

@@ -20,9 +20,20 @@
 # JSON object in target/bench-ab/<workload>-<time>.jsonl, with its pair,
 # seed, side, order and the 16-hex-digit digests it printed before the
 # result line; its whole stdout is kept beside it. The summary prints,
-# for each end-to-end metric, each side's median and quartiles and the
-# number of pairs the change won, then every pair's failed counts and
-# whether the two sides printed the same digests.
+# for each end-to-end metric, each side's median and quartiles, the
+# number of pairs the change won, and the verdicts of two rules:
+#
+#   claim:         the change won at least 9/10 of the pairs, and its
+#                  median beats the base's by more than the base's Q3 - Q1;
+#   no regression: the change's median is no worse than the base's by
+#                  more than the metric's BENCHMARK.json bound (a fraction
+#                  of the base median),
+#
+# plus each side's spread, (Q3 - Q1) / median, marked UNRESOLVED when
+# either exceeds the bound, unless every change run reads better than
+# every base run. Then it prints every pair's failed counts,
+# whether the two sides printed the same digests, and a flag on every
+# pair in which the change failed more operations than the base.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -100,6 +111,9 @@ jq -rs --slurpfile bench BENCHMARK.json '
         | .[$l] + ($h - $l) * (.[[$l + 1, length - 1] | min] - .[$l]) end;
     def r: if . == null then "-" else (. * 100 | round / 100 | tostring) end;
     def side($s): map(select(.side == $s)) | sort_by(.pair);
+    def iqr: if length == 0 then null else q(0.75) - q(0.25) end;
+    def spread: if length == 0 or q(0.5) == 0 then null else iqr / q(0.5) end;
+    def failed: .result.failed // infinite;
     side("base") as $b | side("change") as $c
     | ([$b[].pair] - ([$b[].pair] - [$c[].pair])) as $both
     | ($bench[0].end_to_end[] as $m
@@ -110,9 +124,24 @@ jq -rs --slurpfile bench BENCHMARK.json '
           | ($c[] | select(.pair == $k) | .result.metrics[$m.name].value) as $y
           | select($x != null and $y != null)
           | if $m.better == "lower" then $y < $x else $y > $x end] as $wins
-       | "\($m.name) (\($m.unit), \($m.better) is better): base \($bv | q(0.5) | r) [\($bv | q(0.25) | r), \($bv | q(0.75) | r)]  change \($cv | q(0.5) | r) [\($cv | q(0.25) | r), \($cv | q(0.75) | r)]  change won \($wins | map(select(.)) | length)/\($wins | length)"),
+       | ($wins | map(select(.)) | length) as $won
+       | ($wins | length) as $n
+       | "\($m.name) (\($m.unit), \($m.better) is better): base \($bv | q(0.5) | r) [\($bv | q(0.25) | r), \($bv | q(0.75) | r)]  change \($cv | q(0.5) | r) [\($cv | q(0.25) | r), \($cv | q(0.75) | r)]  change won \($won)/\($n)",
+         if ($bv | length) == 0 or ($cv | length) == 0 then "  no verdict: a side has no values"
+         else
+           ($bv | q(0.5)) as $bm | ($cv | q(0.5)) as $cm
+           # The gain is positive when the change is better.
+           | (if $m.better == "lower" then $bm - $cm else $cm - $bm end) as $gain
+           | ($bv | iqr) as $biqr
+           # Every change run better than every base run resolves any spread.
+           | (if $m.better == "lower" then ($cv | max) < ($bv | min) else ($cv | min) > ($bv | max) end) as $sep
+           | "  claim (won >= 9/10 of pairs, median gain > base Q3 - Q1): \(if $won * 10 >= 9 * $n and $gain > $biqr then "HOLDS" else "fails" end) (gain \($gain | r) vs base IQR \($biqr | r))",
+             "  no regression (median no worse than the base by more than \($m.bound * 100 | r)%): \(if $gain >= -$m.bound * $bm then "holds" else "FAILS" end) (change \(if $bm == 0 then null else ($cm / $bm - 1) * 100 end | r)% vs base)",
+             "  spread (Q3 - Q1) / median: base \($bv | spread | r), change \($cv | spread | r), bound \($m.bound | r)\(if any([$bv, $cv][]; (spread // infinite) > $m.bound) and ($sep | not) then ": UNRESOLVED" else "" end)"
+         end),
       "pair seed first   failed base/change   attempted base/change   same digests",
       ($both[] as $k
        | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y
-       | "\($k) \($x.seed) \(if $x.order == 1 then "base" else "change" end)   \($x.result.failed // "crash")/\($y.result.failed // "crash")   \($x.result.attempted // "-")/\($y.result.attempted // "-")   \($x.digests == $y.digests)")
+       | "\($k) \($x.seed) \(if $x.order == 1 then "base" else "change" end)   \($x.result.failed // "crash")/\($y.result.failed // "crash")   \($x.result.attempted // "-")/\($y.result.attempted // "-")   \($x.digests == $y.digests)\(if ($y | failed) > ($x | failed) then "   CHANGE FAILED MORE" else "" end)"),
+      "pairs in which the change failed more operations than the base: \([$both[] as $k | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y | select(($y | failed) > ($x | failed)) | $k] | if length == 0 then "none" else map(tostring) | join(", ") end)"
 ' "$raw"

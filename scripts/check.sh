@@ -12,6 +12,30 @@ cd "$(dirname "$0")/.."
 
 say() { printf '\n== %s ==\n' "$*"; }
 
+# Every temp dir and background process the gates start is recorded here.
+# On any exit, pass or fail, `cleanup` kills the recorded processes, reaps
+# them, then removes the dirs, so a failing gate leaves no server running.
+tmp_dirs=()
+bg_pids=()
+cleanup() {
+    local pid
+    for pid in ${bg_pids[@]+"${bg_pids[@]}"}; do
+        kill -KILL "$pid" 2>/dev/null || true
+    done
+    for pid in ${bg_pids[@]+"${bg_pids[@]}"}; do
+        wait "$pid" 2>/dev/null || true
+    done
+    rm -rf ${tmp_dirs[@]+"${tmp_dirs[@]}"}
+}
+trap cleanup EXIT
+# mktmp <var>: a fresh temp dir, recorded for cleanup, stored in <var>.
+mktmp() {
+    local dir
+    dir="$(mktemp -d)"
+    tmp_dirs+=("$dir")
+    printf -v "$1" '%s' "$dir"
+}
+
 say "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,9 +58,8 @@ say "differential-verification sweep (fixed seed, 64 points/oracle)"
 cargo run --release -q -p ntp-cli -- verify --seed 0xC0FFEE --points 64
 
 say "tiny-scale experiments smoke (--json), serial vs 4 threads"
-out_a="$(mktemp -d)"
-out_b="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b"' EXIT
+mktmp out_a
+mktmp out_b
 # Run A serial, run B on a 4-wide worker pool: stdout and the stripped
 # JSON must be byte-identical regardless of thread count.
 NTP_SCALE=tiny NTP_DETERMINISTIC=1 NTP_THREADS=1 \
@@ -80,10 +103,9 @@ cargo run --release -q -p ntp-cli -- report @compress --budget 300000 --json - \
 echo "ok"
 
 say "trace cache: cold vs warm runs are byte-identical"
-cache_dir="$(mktemp -d)"
-out_cold="$(mktemp -d)"
-out_warm="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm"' EXIT
+mktmp cache_dir
+mktmp out_cold
+mktmp out_warm
 # Cold run populates the cache; warm run must load every artifact from it,
 # skip the simulate phase, and emit byte-identical stdout and stripped JSON.
 NTP_SCALE=tiny NTP_DETERMINISTIC=1 NTP_THREADS=1 NTP_TRACE_CACHE="$cache_dir" \
@@ -158,8 +180,7 @@ if NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     exit 1
 fi
 echo "audit flags corruption"
-out_fb="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm" "$out_fb"' EXIT
+mktmp out_fb
 NTP_SCALE=tiny NTP_DETERMINISTIC=1 NTP_THREADS=1 NTP_TRACE_CACHE="$cache_dir" \
     cargo run --release -q -p ntp-bench --bin experiments -- --json "$out_fb" \
     >"$out_fb/stdout.txt" 2>"$out_fb/stderr.txt"
@@ -181,8 +202,7 @@ say "serving smoke: loopback serve + loadgen + live metrics plane"
 # whose counters must equal the loadgen oracle totals, then a graceful
 # drain via `ntp top --shutdown`.
 ntp_bin=target/release/ntp
-out_srv="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm" "$out_fb" "$out_srv"' EXIT
+mktmp out_srv
 
 # Runs one serve+loadgen replay; leaves the server running, with its
 # main address in $addr, metrics address in $maddr and pid in $serve_pid.
@@ -192,6 +212,7 @@ serve_replay() {
         --metrics-addr 127.0.0.1:0 --stats-interval 0.2 \
         >"$out_srv/serve$tag.txt" 2>"$out_srv/serve$tag.err" &
     serve_pid=$!
+    bg_pids+=("$serve_pid")
     addr=""
     for _ in $(seq 1 100); do
         addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_srv/serve$tag.txt" 2>/dev/null | head -1 || true)"
@@ -298,6 +319,7 @@ say "open-loop overload smoke: shed load, exact oracle, clean drain"
 "$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --queue-depth 1 \
     >"$out_srv/serve_ol.txt" 2>"$out_srv/serve_ol.err" &
 serve_pid=$!
+bg_pids+=("$serve_pid")
 addr=""
 for _ in $(seq 1 100); do
     addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_srv/serve_ol.txt" 2>/dev/null | head -1 || true)"
@@ -334,8 +356,7 @@ say "snapshot gate: save -> verify -> warm-serve -> drain round trip"
 # come back byte-identical from an untouched drain (the codec encodes
 # deterministically, so cmp(1) is the whole comparison). A corrupted
 # copy must be refused by verify *and* fall back to a cold start.
-out_snap="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm" "$out_fb" "$out_srv" "$out_snap"' EXIT
+mktmp out_snap
 "$ntp_bin" snapshot save @compress -o "$out_snap/seed.nts" --budget 300000 \
     --json "$out_snap/save.json" 2>/dev/null
 "$ntp_bin" snapshot verify "$out_snap/seed.nts" \
@@ -354,6 +375,7 @@ mkdir "$out_snap/drain"
     --warm "$out_snap/seed.nts" --snapshot-on-drain "$out_snap/drain" \
     >"$out_snap/serve.txt" 2>"$out_snap/serve.err" &
 serve_pid=$!
+bg_pids+=("$serve_pid")
 addr=""
 for _ in $(seq 1 100); do
     addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_snap/serve.txt" 2>/dev/null | head -1 || true)"
@@ -381,6 +403,7 @@ fi
 "$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --warm "$out_snap/bad.nts" \
     >"$out_snap/serve_bad.txt" 2>"$out_snap/serve_bad.err" &
 serve_pid=$!
+bg_pids+=("$serve_pid")
 addr=""
 for _ in $(seq 1 100); do
     addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_snap/serve_bad.txt" 2>/dev/null | head -1 || true)"
@@ -404,8 +427,7 @@ say "cluster gate: router + 2 backends, live migration + SIGTERM failover"
 # graceful backend failover mid-run — and the loadgen oracle must still
 # match field for field, because graceful failover restores every
 # session from the backend's drain snapshots.
-out_cl="$(mktemp -d)"
-trap 'rm -rf "$out_a" "$out_b" "$cache_dir" "$out_cold" "$out_warm" "$out_fb" "$out_srv" "$out_snap" "$out_cl"' EXIT
+mktmp out_cl
 mkdir "$out_cl/b0" "$out_cl/b1"
 
 cluster_backend() {
@@ -414,6 +436,7 @@ cluster_backend() {
         --snapshot-on-drain "$out_cl/$tag" \
         >"$out_cl/$tag.txt" 2>"$out_cl/$tag.err" &
     backend_pid=$!
+    bg_pids+=("$backend_pid")
     backend_addr=""
     for _ in $(seq 1 100); do
         backend_addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_cl/$tag.txt" 2>/dev/null | head -1 || true)"
@@ -432,6 +455,7 @@ cluster_backend b1; b1_pid=$backend_pid; b1_addr=$backend_addr
     --probe-interval 0.2 --migrate 0:next:40 \
     >"$out_cl/route.txt" 2>"$out_cl/route.err" &
 route_pid=$!
+bg_pids+=("$route_pid")
 raddr=""
 for _ in $(seq 1 100); do
     raddr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_cl/route.txt" 2>/dev/null | head -1 || true)"
@@ -448,6 +472,7 @@ NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     --open-loop --rate 2000 --duration 2 --zipf 1.0 --seed 0x5EED \
     --json "$out_cl/loadgen.json" >"$out_cl/loadgen.txt" 2>&1 &
 loadgen_pid=$!
+bg_pids+=("$loadgen_pid")
 # Let the scripted migration fire, then SIGTERM backend 1: its drain
 # writes shard snapshots + the marker, and the router must fail it over
 # gracefully while the load keeps running.
