@@ -3,11 +3,12 @@
 //!
 //! The acceptor hands sockets to a [`ConnRouter`], each loop owns its
 //! connections outright (no locks on any per-connection state), and a
-//! [`crate::poll::WakeFd`] lets shard workers poke the loop when a reply
-//! is ready. Decoded frames route into the shards' bounded queues as
-//! [`Job::Run`]s; replies come back as [`Completion`]s tagged
-//! `(conn, seq)` so the loop can restore the strict request order on the
-//! wire no matter how shards interleave.
+//! [`crate::poll::WakeFd`] lets shard workers poke the loop when replies
+//! are ready. Decoded frames route into the shards' bounded queues as
+//! [`Job::Run`]s, one per shard per read burst; each job's replies come
+//! back as one [`Completion`] tagged with the connection, each reply with
+//! its sequence number, so the loop can restore the strict request order
+//! on the wire no matter how shards interleave.
 //!
 //! Mechanics worth naming:
 //!
@@ -17,11 +18,13 @@
 //!   stream, including its oversized-resync and poisoning semantics.
 //!   Reads that end mid-frame count `conn.partial_reads`.
 //! * **Pipelining + coalescing.** A client may write many frames
-//!   without waiting. Consecutive same-session frames decoded from one
-//!   read burst are coalesced into a single [`Job::Run`] — one queue
-//!   slot, one shard wakeup — which is exactly the feeding pattern the
-//!   shard's batched drain wants. Replies still come back one frame per
-//!   request, in request order (`next_write`/`pending` reordering).
+//!   without waiting. Every routed frame decoded from one read burst
+//!   joins its shard's pending list, whatever its session, and each
+//!   list is enqueued as a single [`Job::Run`] — one queue slot, one
+//!   shard wakeup, one [`Completion`] and one loop wake back — which is
+//!   exactly the feeding pattern the shard's batched drain wants.
+//!   Replies still go on the wire one frame per request, in request
+//!   order (`next_write`/`pending` reordering).
 //! * **Write backpressure.** Replies append to a per-connection buffer
 //!   flushed opportunistically; a short write arms `EPOLLOUT` and the
 //!   loop finishes the flush when the socket drains, so one slow reader
@@ -63,9 +66,9 @@ const LOOP_TICK_MS: i32 = 100;
 /// Cadence of the idle sweep, whether or not events arrived.
 const SWEEP_EVERY: Duration = Duration::from_millis(LOOP_TICK_MS as u64);
 
-/// Most same-session frames coalesced into one [`Job::Run`] — matches
-/// the shard's own per-sweep drain limit, so one run never exceeds what
-/// a shard would batch anyway.
+/// Most frames coalesced into one [`Job::Run`] — matches the shard's
+/// own per-sweep drain limit, so one job never exceeds what a shard
+/// would batch anyway.
 const MAX_COALESCE: usize = 64;
 
 /// Read-buffer size per `read(2)`: large enough that a burst of small
@@ -341,7 +344,9 @@ fn run_loop(
             let mut touched: HashSet<u64> = HashSet::new();
             while let Ok(c) = done_rx.try_recv() {
                 if let Some(conn) = conns.get_mut(&c.conn) {
-                    conn.complete(c.seq, c.resp);
+                    for (seq, resp) in c.replies {
+                        conn.complete(seq, resp);
+                    }
                     touched.insert(c.conn);
                 }
             }
@@ -446,13 +451,16 @@ fn read_socket(conn: &mut Conn, buf: &mut [u8]) {
 
 /// Decodes every complete frame buffered on `conn`: refused frames and
 /// undecodable bodies get typed error replies, `Shutdown` and `Metrics`
-/// are answered inline, and consecutive same-session routed requests
-/// coalesce into one [`Job::Run`]. Returns the number of frames decoded
-/// (for `loop.frames_per_wakeup`).
+/// are answered inline, and every routed request joins its shard's
+/// pending list in decode order. Each list goes to its shard as one
+/// [`Job::Run`] at the end of the burst, before an inline `Shutdown` or
+/// `Metrics` (so the reply sees the work decoded ahead of it), or as
+/// soon as it reaches [`MAX_COALESCE`]. Returns the number of frames
+/// decoded (for `loop.frames_per_wakeup`).
 fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
     let mut frames = 0usize;
-    let mut run: Vec<(u64, Request)> = Vec::new();
-    let mut run_session = 0u64;
+    let mut per_shard: Vec<Vec<(u64, Request)>> = Vec::new();
+    per_shard.resize_with(ctx.hub.senders.len(), Vec::new);
     while let Some(event) = conn.asm.next(ctx.cfg.max_frame) {
         frames += 1;
         match event {
@@ -496,47 +504,57 @@ fn process_frames(ctx: &Ctx, conn: &mut Conn, token: u64) -> usize {
                         // In-flight work first: requests decoded before
                         // the Shutdown still get served, and their
                         // replies precede the Bye on the wire.
-                        flush_run(ctx, conn, token, &mut run, run_session);
+                        flush_all(ctx, conn, token, &mut per_shard);
                         ctx.hub.drain.trigger();
                         conn.complete(seq, Response::Bye);
                         conn.close_after_flush = true;
                         break; // Anything after a Shutdown is discarded.
                     }
                     Ok(Request::Metrics) => {
-                        flush_run(ctx, conn, token, &mut run, run_session);
+                        flush_all(ctx, conn, token, &mut per_shard);
                         let json = ctx.hub.collect().to_json().render();
                         conn.complete(seq, Response::Metrics { json });
                     }
                     Ok(req) => {
                         let session = req.session().expect("routed requests name a session");
-                        if !run.is_empty() && (session != run_session || run.len() >= MAX_COALESCE)
-                        {
-                            flush_run(ctx, conn, token, &mut run, run_session);
+                        let shard = (session % per_shard.len() as u64) as usize;
+                        per_shard[shard].push((seq, req));
+                        if per_shard[shard].len() >= MAX_COALESCE {
+                            flush_job(ctx, conn, token, &mut per_shard[shard], shard);
                         }
-                        run_session = session;
-                        run.push((seq, req));
                     }
                 }
             }
         }
     }
-    flush_run(ctx, conn, token, &mut run, run_session);
+    flush_all(ctx, conn, token, &mut per_shard);
     frames
 }
 
-/// Enqueues a pending run on its owning shard as one [`Job::Run`] — one
-/// queue slot and one depth increment, matching the shard's one
-/// decrement per job. A full queue answers `Busy` per request (and
-/// counts each one); a disconnected queue answers `Draining`.
-fn flush_run(ctx: &Ctx, conn: &mut Conn, token: u64, run: &mut Vec<(u64, Request)>, session: u64) {
-    if run.is_empty() {
+/// Enqueues every shard's pending list, shard 0 first.
+fn flush_all(ctx: &Ctx, conn: &mut Conn, token: u64, per_shard: &mut [Vec<(u64, Request)>]) {
+    for (shard, entries) in per_shard.iter_mut().enumerate() {
+        flush_job(ctx, conn, token, entries, shard);
+    }
+}
+
+/// Enqueues one shard's pending list as one [`Job::Run`] — one queue
+/// slot and one depth increment, matching the shard's one decrement per
+/// job. A full queue answers `Busy` per request (and counts each one); a
+/// disconnected queue answers `Draining`.
+fn flush_job(
+    ctx: &Ctx,
+    conn: &mut Conn,
+    token: u64,
+    entries: &mut Vec<(u64, Request)>,
+    shard: usize,
+) {
+    if entries.is_empty() {
         return;
     }
-    let entries = std::mem::take(run);
+    let entries = std::mem::take(entries);
     let n = entries.len() as u64;
-    let shard = (session % ctx.hub.senders.len() as u64) as usize;
     let job = Job::Run {
-        session,
         reply: Reply {
             tx: ctx.done_tx.clone(),
             wake: Arc::clone(ctx.wake),
@@ -566,9 +584,8 @@ fn flush_run(ctx: &Ctx, conn: &mut Conn, token: u64, run: &mut Vec<(u64, Request
     }
 }
 
-/// Completes every request in a rejected job with `resp`, in place —
-/// the replies are already in sequence order, so they land straight in
-/// the connection's write buffer.
+/// Completes every request in a rejected job with `resp`, in place,
+/// through the same in-order slotting as shard replies.
 fn refuse_job(conn: &mut Conn, job: Job, resp: &Response) {
     if let Job::Run { entries, .. } = job {
         for (seq, _) in entries {

@@ -82,14 +82,14 @@ const WINDOW_EPOCHS: usize = 10;
 /// One unit of shard work: routed requests, or a metrics snapshot
 /// travelling the same queue (so reading metrics never locks the shard).
 pub(crate) enum Job {
-    /// One or more consecutive same-session requests off one
-    /// connection's read burst, each tagged with its sequence number on
-    /// that connection: one queue slot, one wake-up, one prefetch — the
-    /// event loop's feeding pattern for the batched drain. Each request
-    /// is still applied (and its metrics recorded) individually, in
-    /// order, so replies are byte-identical to uncoalesced processing.
+    /// Every routed request one read burst on one connection decoded for
+    /// this shard (up to 64), in decode order, each tagged with its
+    /// sequence number on that connection and naming its own session:
+    /// one queue slot and one completion per burst, whatever the session
+    /// mix. Each request is still applied (and its metrics recorded)
+    /// individually, in order, so replies are byte-identical to
+    /// processing the requests one job each.
     Run {
-        session: u64,
         reply: Reply,
         entries: Vec<(u64, Request)>,
     },
@@ -119,9 +119,8 @@ impl Job {
 
 /// Where a shard sends a job's replies: the owning event loop's
 /// completion channel, the eventfd that wakes it, and the connection the
-/// job came from. Built once per job; each entry's sequence number slots
-/// its response back into that connection's in-order reply stream no
-/// matter how shard completions interleave.
+/// job came from. Built once per job and used once, when the whole job
+/// has been applied.
 pub(crate) struct Reply {
     pub tx: mpsc::Sender<Completion>,
     pub wake: Arc<WakeFd>,
@@ -129,23 +128,26 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    /// Delivers one response and pokes the loop. A failed send means the
-    /// loop is gone, which the shard safely ignores.
-    fn send(&self, seq: u64, resp: Response) {
+    /// Delivers a job's responses as one completion and pokes the loop
+    /// once. A failed send means the loop is gone, which the shard
+    /// safely ignores.
+    fn send(self, replies: Vec<(u64, Response)>) {
         let _ = self.tx.send(Completion {
             conn: self.conn,
-            seq,
-            resp,
+            replies,
         });
         self.wake.wake();
     }
 }
 
-/// A shard's answer travelling back to an event loop.
+/// A shard's answer to one [`Job::Run`], travelling back to an event
+/// loop: every `(seq, response)` of the job, in the job's order. Each
+/// sequence number slots its response into the connection's in-order
+/// reply stream no matter how completions from several shards
+/// interleave.
 pub(crate) struct Completion {
     pub conn: u64,
-    pub seq: u64,
-    pub resp: Response,
+    pub replies: Vec<(u64, Response)>,
 }
 
 /// One live session: a predictor plus its replay statistics.
@@ -176,7 +178,7 @@ pub struct ShardSummary {
     /// batches — so this is a volatile counter, not a determinism gate.
     pub batched: u64,
     /// Requests that arrived pre-coalesced: an event loop decoded two or
-    /// more consecutive frames for the same session in one read burst
+    /// more frames for this shard, of any sessions, in one read burst
     /// and enqueued them as a single [`Job::Run`]. Load- and
     /// timing-dependent, volatile like `batched`.
     pub coalesced: u64,
@@ -889,6 +891,11 @@ fn frame_kind(req: &Request) -> usize {
 struct ShardMetrics {
     registry: MetricsRegistry,
     window: RollingWindow,
+    /// Exact busy and idle totals behind `time.busy_us`/`time.idle_us`,
+    /// which are these divided down, so no interval loses its
+    /// sub-microsecond part.
+    busy_ns: u64,
+    idle_ns: u64,
     c_sessions: CounterId,
     c_warmed: CounterId,
     c_frames: [CounterId; FRAME_KINDS.len()],
@@ -938,6 +945,8 @@ impl ShardMetrics {
         ShardMetrics {
             registry: r,
             window: RollingWindow::new(WINDOW_EPOCHS),
+            busy_ns: 0,
+            idle_ns: 0,
             c_sessions,
             c_warmed,
             c_frames,
@@ -1009,6 +1018,20 @@ impl ShardMetrics {
         }
     }
 
+    /// Adds one busy interval (a drain, from wake-up to queue empty).
+    fn add_busy(&mut self, d: Duration) {
+        self.busy_ns += d.as_nanos() as u64;
+        self.registry
+            .set_counter(self.c_busy_us, self.busy_ns / 1000);
+    }
+
+    /// Adds one idle interval (blocked on an empty queue).
+    fn add_idle(&mut self, d: Duration) {
+        self.idle_ns += d.as_nanos() as u64;
+        self.registry
+            .set_counter(self.c_idle_us, self.idle_ns / 1000);
+    }
+
     /// Builds this shard's snapshot: the cumulative registry with the
     /// connection-side depth/busy folded in, plus the merged rolling
     /// window annotated with how many epochs it covers (for rate math).
@@ -1045,12 +1068,15 @@ const MAX_DRAIN: usize = 64;
 /// empty, exits when every sender is gone.
 ///
 /// Each wake-up drains the queue opportunistically (up to [`MAX_DRAIN`]
-/// jobs). When the drain picks up two or more routed requests — distinct
-/// sessions queued by concurrent connections — the shard runs the same
-/// gathered sweep as `ntp_core::predict_batch`/`update_batch`: one
-/// prefetch pass over every target session's table lines, then the
-/// resolve pass in strict arrival order. Replies, session state and metrics are identical to
-/// one-at-a-time processing; only the cache misses overlap.
+/// jobs). When the drain picks up two or more routed requests — inside
+/// one read burst's [`Job::Run`] or across jobs from several
+/// connections — the shard runs the same gathered sweep as
+/// `ntp_core::predict_batch`/`update_batch`: one prefetch pass over the
+/// table lines of every request's session, then the resolve pass in
+/// strict arrival order. Each job's replies go back as one
+/// [`Completion`] with one wake of its event loop. Replies, session
+/// state and metrics are identical to one-at-a-time processing; only
+/// the cache misses overlap.
 fn shard_loop(
     shard_id: u32,
     rx: Receiver<Job>,
@@ -1070,10 +1096,7 @@ fn shard_loop(
     let mut drained: Vec<Job> = Vec::with_capacity(MAX_DRAIN);
     while let Ok(first) = rx.recv() {
         let woke = Instant::now();
-        m.registry.add(
-            m.c_idle_us,
-            woke.duration_since(idle_from).as_micros() as u64,
-        );
+        m.add_idle(woke.duration_since(idle_from));
         drained.push(first);
         while drained.len() < MAX_DRAIN {
             match rx.try_recv() {
@@ -1083,14 +1106,16 @@ fn shard_loop(
         }
 
         // Gathered probe pass: with several routed requests in hand
-        // (across jobs, or pre-coalesced inside one `Job::Run`), hint
-        // every target session's table lines before resolving any.
+        // (across jobs, or inside one `Job::Run`), hint the table lines
+        // of every request's session before resolving any.
         let routed: usize = drained.iter().map(Job::routed).sum();
         if routed >= 2 {
             for job in &drained {
-                if let Job::Run { session, .. } = job {
-                    if let Some(s) = sessions.get(session) {
-                        s.predictor.prefetch_tables();
+                if let Job::Run { entries, .. } = job {
+                    for (_, req) in entries {
+                        if let Some(s) = req.session().and_then(|id| sessions.get(&id)) {
+                            s.predictor.prefetch_tables();
+                        }
                     }
                 }
             }
@@ -1099,15 +1124,16 @@ fn shard_loop(
 
         // Resolve pass: strict arrival order, same per-request handling
         // (and per-request latency accounting) as the scalar loop — a
-        // coalesced run is applied one request at a time so replies and
-        // metrics are byte-identical to uncoalesced processing.
+        // multi-entry job is applied one request at a time so replies
+        // and metrics are byte-identical to one job per request.
         for job in drained.drain(..) {
             match job {
-                Job::Run { reply, entries, .. } => {
+                Job::Run { reply, entries } => {
                     own.depth.fetch_sub(1, Ordering::Relaxed);
                     if entries.len() >= 2 {
                         m.registry.add(m.c_coalesced, entries.len() as u64);
                     }
+                    let mut replies = Vec::with_capacity(entries.len());
                     for (seq, req) in entries {
                         let begun = Instant::now();
                         let epoch = begun.duration_since(start).as_secs();
@@ -1115,8 +1141,9 @@ fn shard_loop(
                         let resp = apply(shard_id, &mut sessions, &req);
                         m.record(&req, &resp, begun, epoch);
                         m.registry.set(m.g_live, sessions.len() as f64);
-                        reply.send(seq, resp);
+                        replies.push((seq, resp));
                     }
+                    reply.send(replies);
                 }
                 Job::Snapshot { reply } => {
                     let epoch = start.elapsed().as_secs();
@@ -1128,10 +1155,7 @@ fn shard_loop(
             }
         }
         idle_from = Instant::now();
-        m.registry.add(
-            m.c_busy_us,
-            idle_from.duration_since(woke).as_micros() as u64,
-        );
+        m.add_busy(idle_from.duration_since(woke));
     }
     // Graceful drain: persist this shard's learned state so the next
     // start can `--warm` from it. Written even when empty — a stale
@@ -1839,6 +1863,20 @@ mod tests {
         assert_eq!(snap.metrics.counter_by_name("busy.rejections"), Some(7));
         assert_eq!(snap.metrics.gauge_by_name("queue.depth"), Some(3.0));
         assert_eq!(snap.window.counter_by_name("epochs"), Some(5));
+    }
+
+    /// Busy and idle time accumulate in nanoseconds: a thousand
+    /// sub-microsecond drains still add up to their exact total, where
+    /// truncating each interval to whole microseconds would report 0.
+    #[test]
+    fn shard_time_counters_keep_sub_microsecond_intervals() {
+        let mut m = ShardMetrics::new();
+        for _ in 0..1_000 {
+            m.add_busy(Duration::from_nanos(999));
+            m.add_idle(Duration::from_nanos(1_500));
+        }
+        assert_eq!(m.registry.counter_by_name("time.busy_us"), Some(999));
+        assert_eq!(m.registry.counter_by_name("time.idle_us"), Some(1_500));
     }
 
     #[test]

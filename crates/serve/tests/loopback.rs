@@ -115,13 +115,18 @@ fn write_raw(stream: &mut TcpStream, body: &[u8]) {
     stream.flush().expect("flush");
 }
 
-/// Writes a frame whose checksum is deliberately wrong.
-fn write_corrupt(stream: &mut TcpStream, body: &[u8]) {
+/// Encodes a frame whose checksum is deliberately wrong.
+fn corrupt_frame(body: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + body.len() + 8);
     buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
     buf.extend_from_slice(body);
     buf.extend_from_slice(&(ntp_hash::fnv64(body) ^ 1).to_le_bytes());
-    stream.write_all(&buf).expect("write");
+    buf
+}
+
+/// Writes a frame whose checksum is deliberately wrong.
+fn write_corrupt(stream: &mut TcpStream, body: &[u8]) {
+    stream.write_all(&corrupt_frame(body)).expect("write");
     stream.flush().expect("flush");
 }
 
@@ -910,6 +915,158 @@ fn pipelined_bursts_reply_in_order_and_coalesce() {
     let summary = handle.join();
     assert_eq!(summary.protocol_errors, 0);
     assert!(summary.per_shard[0].coalesced > 0);
+}
+
+/// Interleaved sessions in one burst, with 1 server worker.
+#[cfg(target_os = "linux")]
+#[test]
+fn interleaved_burst_replies_in_order_one_worker() {
+    interleaved_burst_replies_in_order(1);
+}
+
+/// Interleaved sessions in one burst, with 4 server workers (the five
+/// sessions spread over every shard).
+#[cfg(target_os = "linux")]
+#[test]
+fn interleaved_burst_replies_in_order_four_workers() {
+    interleaved_burst_replies_in_order(4);
+}
+
+/// One reply the interleaved-burst test expects, in wire order.
+#[cfg(target_os = "linux")]
+enum Expect {
+    Updated {
+        session: usize,
+        correct: bool,
+    },
+    BadFrame,
+    /// A metrics snapshot counting exactly this many applied updates.
+    Metrics {
+        updates: u64,
+    },
+}
+
+/// Bursts whose sessions cycle 0–4, so no two consecutive frames share a
+/// session, each carrying a checksum-flipped frame and a `Metrics` frame
+/// mid-burst, all in one write: every reply comes back in request order
+/// and matches its session's lockstep oracle, the corrupt frame gets its
+/// typed error in its own slot without costing the connection, and the
+/// `Metrics` reply counts exactly the updates sent ahead of it. On one
+/// worker the frames of a burst reach the shard as multi-entry jobs.
+#[cfg(target_os = "linux")]
+fn interleaved_burst_replies_in_order(workers: usize) {
+    use ntp_core::{NextTracePredictor, PredictorConfig, TracePredictor};
+    const SESSIONS: usize = 5;
+    const BURST: usize = 40;
+    const CORRUPT_AT: usize = 13;
+    const METRICS_AT: usize = 27;
+
+    let handle = serve(cfg_on("127.0.0.1:0", workers)).expect("bind");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    let mut oracles = Vec::new();
+    let mut records = Vec::new();
+    for s in 0..SESSIONS {
+        write_raw(
+            &mut stream,
+            &wire::encode_request(&Request::Hello {
+                session: s as u64,
+                bits: 12,
+                depth: 5,
+            }),
+        );
+        assert!(matches!(read_reply(&mut stream), Response::HelloOk { .. }));
+        oracles.push(NextTracePredictor::new(PredictorConfig::paper(12, 5)));
+        records.push(synthetic_stream(0x1EAF_0001 * (s as u64 + 1), 100).into_iter());
+    }
+
+    let mut updates = 0u64;
+    let mut frame = Vec::new();
+    for burst in 0..6 {
+        let mut buf = Vec::new();
+        let mut expect = Vec::with_capacity(BURST);
+        for k in 0..BURST {
+            let session = k % SESSIONS;
+            if k == CORRUPT_AT {
+                buf.extend_from_slice(&corrupt_frame(&wire::encode_request(&Request::Stats {
+                    session: session as u64,
+                })));
+                expect.push(Expect::BadFrame);
+            } else if k == METRICS_AT {
+                wire::frame_request(&mut frame, &Request::Metrics);
+                buf.extend_from_slice(&frame);
+                expect.push(Expect::Metrics { updates });
+            } else {
+                let rec = records[session].next().expect("stream long enough");
+                let correct = oracles[session].predict().is_correct(rec.id());
+                oracles[session].update(&rec);
+                wire::frame_request(
+                    &mut frame,
+                    &Request::Update {
+                        session: session as u64,
+                        record: rec,
+                    },
+                );
+                buf.extend_from_slice(&frame);
+                updates += 1;
+                expect.push(Expect::Updated { session, correct });
+            }
+        }
+        stream.write_all(&buf).expect("burst write");
+        stream.flush().expect("flush");
+        for (k, want) in expect.iter().enumerate() {
+            match (want, read_reply(&mut stream)) {
+                (Expect::Updated { session, correct }, Response::Updated { correct: got }) => {
+                    assert_eq!(
+                        got, *correct,
+                        "burst {burst} reply {k} (session {session}) out of order or wrong"
+                    )
+                }
+                (
+                    Expect::BadFrame,
+                    Response::Error {
+                        code: ErrorCode::BadFrame,
+                        ..
+                    },
+                ) => {}
+                (Expect::Metrics { updates }, Response::Metrics { json }) => {
+                    let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
+                    assert_eq!(
+                        counter(&snap, "total", "frames.update"),
+                        *updates,
+                        "burst {burst}: Metrics must count every Update decoded ahead of it"
+                    );
+                }
+                (_, other) => panic!("burst {burst} reply {k}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    // The same connection is still healthy after six corrupt frames.
+    write_raw(&mut stream, &wire::encode_request(&Request::Metrics));
+    let Response::Metrics { json } = read_reply(&mut stream) else {
+        panic!("expected Metrics");
+    };
+    let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
+    assert_eq!(counter(&snap, "total", "frames.update"), updates);
+    if workers == 1 {
+        assert!(
+            counter(&snap, "shard0", "drain.coalesced") > 0,
+            "a burst's interleaved sessions must reach the shard as multi-entry jobs"
+        );
+    }
+    drop(stream);
+
+    Client::connect(handle.local_addr())
+        .expect("connect")
+        .shutdown_server()
+        .expect("shutdown");
+    let summary = handle.join();
+    assert_eq!(summary.protocol_errors, 6);
 }
 
 /// A silent connection is dropped once it has been idle past

@@ -2,7 +2,7 @@
 # Paired A/B runs of the repository benchmark (BENCHMARK.json): the
 # committed tree of <base-rev> against the working tree, on one workload.
 #
-#   scripts/bench_ab.sh <base-rev> <workload> <pairs> [first-seed] [seconds]
+#   scripts/bench_ab.sh <base-rev> <workload> <pairs> [first-seed] [seconds] [trace]
 #
 # The base side is <base-rev>'s committed files, extracted with
 # `git archive` into target/bench-ab/<sha>/ (kept for later calls), so it
@@ -12,7 +12,8 @@
 #
 #   --workload <workload> --seed <s> --seconds <seconds> --trace 0
 #
-# Pair k (k = 0..pairs-1) uses seed first-seed+k on both sides (default
+# or with --trace 1 when the sixth argument is `trace`. Pair k
+# (k = 0..pairs-1) uses seed first-seed+k on both sides (default
 # first-seed 1; default seconds: BENCHMARK.json's run_seconds). The base
 # side runs first in even pairs and second in odd ones.
 #
@@ -34,20 +35,32 @@
 # every base run. Then it prints every pair's failed counts,
 # whether the two sides printed the same digests, and a flag on every
 # pair in which the change failed more operations than the base.
+#
+# A traced run reports BENCHMARK.json's per-layer metrics in place of the
+# end-to-end ones, so with `trace` the summary prints, for every
+# per-layer metric the workload reports (nonzero on some run), each
+# side's median and quartiles, and names the metrics that read 0 on every
+# run. It prints no claim or no-regression verdict: a traced run never
+# feeds one. The failed counts and digests follow as above.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <base-rev> <workload> <pairs> [first-seed] [seconds]" >&2
+    echo "usage: $0 <base-rev> <workload> <pairs> [first-seed] [seconds] [trace]" >&2
     exit 2
 }
-[ $# -ge 3 ] && [ $# -le 5 ] || usage
+[ $# -ge 3 ] && [ $# -le 6 ] || usage
 base_rev=$1
 workload=$2
 pairs=$3
 first_seed=${4:-1}
 seconds=${5:-$(jq '.run_seconds' BENCHMARK.json)}
+case ${6:-} in
+    "") trace=0 ;;
+    trace) trace=1 ;;
+    *) usage ;;
+esac
 [[ $pairs =~ ^[1-9][0-9]*$ && $first_seed =~ ^[0-9]+$ ]] || usage
 jq -e --arg w "$workload" 'any(.workloads[]; .name == $w)' BENCHMARK.json >/dev/null \
     || { echo "unknown workload $workload" >&2; exit 2; }
@@ -69,6 +82,7 @@ for dir in "$base_dir" "$root"; do
 done
 
 stamp=$(date -u +%Y%m%dT%H%M%S)
+if ((trace)); then stamp=traced-$stamp; fi
 raw=$out_dir/$workload-$stamp.jsonl
 logs=$out_dir/$workload-$stamp.logs
 mkdir -p "$logs"
@@ -79,7 +93,7 @@ run() {
     local side=$1 dir=$2 pair=$3 seed=$4 order=$5 log status=0 result digests
     log=$logs/$pair-$side.out
     (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0) >"$log" 2>"$log.err" || status=$?
+        --seconds "$seconds" --trace "$trace") >"$log" 2>"$log.err" || status=$?
     result=$(tail -n 1 "$log" | jq -ce 'select(type == "object" and has("metrics"))' \
         2>/dev/null || echo null)
     digests=$(head -n -1 "$log" | { grep -oE '\b[0-9a-f]{16}\b' || true; } \
@@ -103,20 +117,31 @@ for ((k = 0; k < pairs; k++)); do
     fi
 done
 
-echo "$workload: base $sha vs working tree, $pairs pairs of ${seconds} s, seeds $first_seed..$((first_seed + pairs - 1))"
+echo "$workload: base $sha vs working tree, $pairs pairs of ${seconds} s, seeds $first_seed..$((first_seed + pairs - 1))$(if ((trace)); then echo ", traced: per-layer metrics, no verdicts"; fi)"
 echo "raw result lines: ${raw#"$root"/}"
-jq -rs --slurpfile bench BENCHMARK.json '
+jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
     def q($p): sort | if length == 0 then null else
         ((length - 1) * $p) as $h | ($h | floor) as $l
         | .[$l] + ($h - $l) * (.[[$l + 1, length - 1] | min] - .[$l]) end;
     def r: if . == null then "-" else (. * 100 | round / 100 | tostring) end;
+    def r4: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
     def side($s): map(select(.side == $s)) | sort_by(.pair);
     def iqr: if length == 0 then null else q(0.75) - q(0.25) end;
     def spread: if length == 0 or q(0.5) == 0 then null else iqr / q(0.5) end;
     def failed: .result.failed // infinite;
     side("base") as $b | side("change") as $c
     | ([$b[].pair] - ([$b[].pair] - [$c[].pair])) as $both
-    | ($bench[0].end_to_end[] as $m
+    | (if $trace == 1 then
+       ([$bench[0].per_layer[]
+         | . as $m
+         | {m: $m,
+            bv: [$b[].result.metrics[$m.name].value // empty],
+            cv: [$c[].result.metrics[$m.name].value // empty]}] as $rows
+        | ($rows[] | select(any((.bv + .cv)[]; . != 0))
+           | "\(.m.name) (\(.m.unit), \(.m.better) is better): base \(.bv | q(0.5) | r4) [\(.bv | q(0.25) | r4), \(.bv | q(0.75) | r4)]  change \(.cv | q(0.5) | r4) [\(.cv | q(0.25) | r4), \(.cv | q(0.75) | r4)]"),
+          "zero on every run: \([$rows[] | select(all((.bv + .cv)[]; . == 0)) | .m.name] | if length == 0 then "none" else join(", ") end)")
+       else
+       ($bench[0].end_to_end[] as $m
        | [$b[].result.metrics[$m.name].value // empty] as $bv
        | [$c[].result.metrics[$m.name].value // empty] as $cv
        | [$both[] as $k
@@ -138,7 +163,8 @@ jq -rs --slurpfile bench BENCHMARK.json '
            | "  claim (won >= 9/10 of pairs, median gain > base Q3 - Q1): \(if $won * 10 >= 9 * $n and $gain > $biqr then "HOLDS" else "fails" end) (gain \($gain | r) vs base IQR \($biqr | r))",
              "  no regression (median no worse than the base by more than \($m.bound * 100 | r)%): \(if $gain >= -$m.bound * $bm then "holds" else "FAILS" end) (change \(if $bm == 0 then null else ($cm / $bm - 1) * 100 end | r)% vs base)",
              "  spread (Q3 - Q1) / median: base \($bv | spread | r), change \($cv | spread | r), bound \($m.bound | r)\(if any([$bv, $cv][]; (spread // infinite) > $m.bound) and ($sep | not) then ": UNRESOLVED" else "" end)"
-         end),
+         end)
+       end),
       "pair seed first   failed base/change   attempted base/change   same digests",
       ($both[] as $k
        | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y
