@@ -1,4 +1,4 @@
-//! Single-branch direction predictors: bimodal, GAg and gshare.
+//! Single-branch direction prediction: the paper's 16-bit gshare.
 
 use crate::PatternHistoryTable;
 
@@ -13,86 +13,6 @@ pub trait DirectionPredictor {
 
     /// Forgets all state.
     fn reset(&mut self);
-}
-
-/// The classic PC-indexed two-bit predictor (Smith, ISCA 1981).
-#[derive(Clone, Debug)]
-pub struct Bimodal {
-    pht: PatternHistoryTable,
-}
-
-impl Bimodal {
-    /// Creates a bimodal predictor with `2^index_bits` counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index_bits` is out of range (see
-    /// [`PatternHistoryTable::new`]).
-    pub fn new(index_bits: u32) -> Bimodal {
-        Bimodal {
-            pht: PatternHistoryTable::new(index_bits),
-        }
-    }
-}
-
-impl DirectionPredictor for Bimodal {
-    fn predict(&self, pc: u32) -> bool {
-        self.pht.predict(pc >> 2)
-    }
-
-    fn update(&mut self, pc: u32, taken: bool) {
-        self.pht.update(pc >> 2, taken);
-    }
-
-    fn reset(&mut self) {
-        self.pht.reset();
-    }
-}
-
-/// GAg (Yeh & Patt): a single global branch history register indexes the
-/// PHT directly; the branch PC is ignored.
-#[derive(Clone, Debug)]
-pub struct GAg {
-    pht: PatternHistoryTable,
-    bhr: u32,
-    hist_bits: u32,
-}
-
-impl GAg {
-    /// Creates a GAg predictor with a `hist_bits`-deep history and a PHT of
-    /// `2^hist_bits` counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hist_bits` is out of range.
-    pub fn new(hist_bits: u32) -> GAg {
-        GAg {
-            pht: PatternHistoryTable::new(hist_bits),
-            bhr: 0,
-            hist_bits,
-        }
-    }
-
-    /// The current global history register value.
-    pub fn history(&self) -> u32 {
-        self.bhr
-    }
-}
-
-impl DirectionPredictor for GAg {
-    fn predict(&self, _pc: u32) -> bool {
-        self.pht.predict(self.bhr)
-    }
-
-    fn update(&mut self, _pc: u32, taken: bool) {
-        self.pht.update(self.bhr, taken);
-        self.bhr = ((self.bhr << 1) | taken as u32) & ((1 << self.hist_bits) - 1);
-    }
-
-    fn reset(&mut self) {
-        self.pht.reset();
-        self.bhr = 0;
-    }
 }
 
 /// GSHARE (McFarling): global history XORed with the branch PC indexes the
@@ -168,21 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_learns_biased_branches() {
-        let mut p = Bimodal::new(10);
-        let wrong = train(&mut p, &[(0x100, true), (0x200, false)], 50);
-        assert!(wrong <= 3, "only warm-up misses: {wrong}");
-    }
-
-    #[test]
-    fn bimodal_cannot_learn_alternation() {
-        let mut p = Bimodal::new(10);
-        let seq: Vec<(u32, bool)> = (0..100).map(|k| (0x100, k % 2 == 0)).collect();
-        let wrong = train(&mut p, &seq, 1);
-        assert!(wrong >= 40, "alternation defeats bimodal: {wrong}");
-    }
-
-    #[test]
     fn gshare_learns_alternation() {
         let mut p = Gshare::new(10);
         let seq: Vec<(u32, bool)> = (0..40).map(|k| (0x100, k % 2 == 0)).collect();
@@ -190,16 +95,6 @@ mod tests {
         train(&mut p, &seq, 1);
         let wrong = train(&mut p, &seq, 1);
         assert!(wrong <= 2, "gshare should track alternation: {wrong}");
-    }
-
-    #[test]
-    fn gag_learns_global_patterns() {
-        let mut p = GAg::new(8);
-        // Branch B's outcome equals branch A's previous outcome.
-        let seq = [(0x100, true), (0x200, true), (0x100, false), (0x200, false)];
-        train(&mut p, &seq, 30);
-        let wrong = train(&mut p, &seq, 5);
-        assert!(wrong <= 2, "correlation captured: {wrong}");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! # ntp-baselines — the predictors the paper compares against
 //!
-//! * Single-branch direction predictors: [`Bimodal`], [`GAg`], [`Gshare`]
-//!   (the paper's reference is a 16-bit gshare);
+//! * the single-branch direction predictor [`Gshare`] (the paper's
+//!   reference is a 16-bit gshare) over a [`PatternHistoryTable`];
 //! * target predictors: [`ReturnAddressStack`] and the correlated
 //!   [`IndirectTargetBuffer`] of Chang, Hao & Patt;
 //! * [`SequentialTracePredictor`] — the idealized sequential baseline of
 //!   §5.1 that the paper's headline "~26% lower misprediction" is measured
 //!   against;
 //! * [`TraceGshare`] — a realizable single-access multiple-branch predictor
-//!   (after Patel et al.), for context below the idealized baseline.
+//!   (after Patel et al.), and [`MultiGAg`], its history-only multiported
+//!   GAg form (after Yeh et al.), for context below the idealized
+//!   baseline.
 //!
 //! # Example
 //!
@@ -21,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-mod combining;
 mod direction;
 mod multibranch;
 mod pht;
@@ -29,8 +30,7 @@ mod sequential;
 mod targets;
 mod telemetry;
 
-pub use combining::Combining;
-pub use direction::{Bimodal, DirectionPredictor, GAg, Gshare};
+pub use direction::{DirectionPredictor, Gshare};
 pub use multibranch::{MultiBranchStats, MultiGAg, TraceGshare};
 pub use pht::PatternHistoryTable;
 pub use sequential::{SequentialConfig, SequentialStats, SequentialTracePredictor};

@@ -7,7 +7,7 @@
 //! later branches cannot see the outcomes of earlier ones — the accuracy
 //! cost that motivates explicit next-trace prediction.
 
-use crate::{IndirectTargetBuffer, ReturnAddressStack};
+use crate::IndirectTargetBuffer;
 use ntp_isa::ControlKind;
 use ntp_trace::{Trace, MAX_TRACE_BRANCHES};
 
@@ -50,13 +50,13 @@ pub struct TraceGshare {
     bhr: u32,
     index_bits: u32,
     itb: IndirectTargetBuffer,
-    ras: ReturnAddressStack,
     stats: MultiBranchStats,
 }
 
 impl TraceGshare {
     /// Creates a predictor with `2^index_bits` PHT entries (each holding six
-    /// counters), a 4K-entry indirect-target buffer and a perfect RAS.
+    /// counters) and a 4K-entry indirect-target buffer; returns are
+    /// predicted perfectly.
     ///
     /// # Panics
     ///
@@ -68,7 +68,6 @@ impl TraceGshare {
             bhr: 0,
             index_bits,
             itb: IndirectTargetBuffer::paper(),
-            ras: ReturnAddressStack::perfect(),
             stats: MultiBranchStats::default(),
         }
     }
@@ -100,21 +99,15 @@ impl TraceGshare {
                     }
                     branch_i += 1;
                 }
-                ControlKind::Call => self.ras.push(c.pc.wrapping_add(4)),
                 ControlKind::IndirectJump | ControlKind::IndirectCall => {
                     if self.itb.predict(c.pc) != c.target {
                         wrong = true;
                     }
                     self.itb.update(c.pc, c.target);
-                    if c.kind == ControlKind::IndirectCall {
-                        self.ras.push(c.pc.wrapping_add(4));
-                    }
                 }
-                ControlKind::Return => {
-                    // Perfect return prediction, as in the paper's baseline.
-                    let _ = self.ras.pop();
-                }
-                ControlKind::Jump | ControlKind::None => {}
+                // Returns are predicted perfectly, as in the paper's
+                // baseline, and direct targets are known.
+                _ => {}
             }
         }
 
@@ -208,7 +201,6 @@ pub struct MultiGAg {
     bhr: u32,
     hist_bits: u32,
     itb: IndirectTargetBuffer,
-    ras: ReturnAddressStack,
     stats: MultiBranchStats,
 }
 
@@ -226,7 +218,6 @@ impl MultiGAg {
             bhr: 0,
             hist_bits,
             itb: IndirectTargetBuffer::paper(),
-            ras: ReturnAddressStack::perfect(),
             stats: MultiBranchStats::default(),
         }
     }
@@ -251,20 +242,15 @@ impl MultiGAg {
                     }
                     branch_i += 1;
                 }
-                ControlKind::Call => self.ras.push(c.pc.wrapping_add(4)),
                 ControlKind::IndirectJump | ControlKind::IndirectCall => {
                     if self.itb.predict(c.pc) != c.target {
                         wrong = true;
                     }
                     self.itb.update(c.pc, c.target);
-                    if c.kind == ControlKind::IndirectCall {
-                        self.ras.push(c.pc.wrapping_add(4));
-                    }
                 }
-                ControlKind::Return => {
-                    let _ = self.ras.pop();
-                }
-                ControlKind::Jump | ControlKind::None => {}
+                // Returns are predicted perfectly, as in the paper's
+                // baseline, and direct targets are known.
+                _ => {}
             }
         }
         for (branch_i, c) in trace.cond_branches().enumerate() {

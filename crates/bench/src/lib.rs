@@ -6,6 +6,12 @@
 //! that dozens of predictor configurations can replay the same stream
 //! without re-simulating.
 //!
+//! The pass is one [`ntp_trace::run_traces`] call with one visitor: the
+//! record stream, the trace and redundancy statistics, the control mix
+//! and the three baselines each fold a whole trace at a time, and the
+//! simulator's step compiles into the same loop. A capture checks that
+//! its traces cover every retired instruction and panics if they do not.
+//!
 //! Environment knobs honoured by all binaries:
 //!
 //! * `NTP_SCALE` — `tiny` / `default` / `full` workload scale;
@@ -27,7 +33,7 @@ use ntp_baselines::{
     MultiBranchStats, MultiGAg, SequentialStats, SequentialTracePredictor, TraceGshare,
 };
 use ntp_telemetry::{PhaseTimes, ReplayThroughput, ScopeTimer};
-use ntp_trace::{ControlMix, RedundancyStats, TraceBuilder, TraceConfig, TraceRecord, TraceStats};
+use ntp_trace::{run_traces, ControlMix, RedundancyStats, TraceConfig, TraceRecord, TraceStats};
 use ntp_tracefile::{format as ntc, CaptureArtifact, Fingerprint, TraceFileError};
 use ntp_workloads::{suite, ScalePreset, Workload};
 use std::path::Path;
@@ -206,10 +212,15 @@ fn estimated_record_capacity(budget: u64) -> usize {
         .clamp(64, 1 << 20)
 }
 
-/// The uncached capture pass: one full functional simulation.
+/// The uncached capture pass: one full functional simulation, with every
+/// per-trace consumer folded in one visitor.
+///
+/// # Panics
+///
+/// Panics on a simulation fault, or if the traces do not cover every
+/// retired instruction exactly once.
 fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData {
     let mut machine = workload.machine();
-    let mut builder = TraceBuilder::new(cfg);
     let mut records = Vec::with_capacity(estimated_record_capacity(budget));
     let mut trace_stats = TraceStats::new();
     let mut redundancy = RedundancyStats::new();
@@ -221,28 +232,25 @@ fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData
 
     {
         let _t = ScopeTimer::new(&mut phases, "simulate");
-        machine
-            .run_with(budget, |step| {
-                mix.record(step);
-                if let Some(trace) = builder.push(step) {
-                    records.push(TraceRecord::from(&trace));
-                    trace_stats.record(&trace);
-                    redundancy.record(&trace);
-                    seq.observe(&trace);
-                    mb.observe(&trace);
-                    gag.observe(&trace);
-                }
-            })
-            .expect("workload executes without faults");
-        if let Some(trace) = builder.flush() {
-            records.push(TraceRecord::from(&trace));
-            trace_stats.record(&trace);
-            redundancy.record(&trace);
-            seq.observe(&trace);
-            mb.observe(&trace);
-            gag.observe(&trace);
-        }
+        run_traces(&mut machine, budget, cfg, |trace| {
+            records.push(TraceRecord::from(trace));
+            trace_stats.record(trace);
+            redundancy.record(trace);
+            mix.record_trace(trace);
+            seq.observe(trace);
+            mb.observe(trace);
+            gag.observe(trace);
+        })
+        .expect("workload executes without faults");
     }
+    assert_eq!(
+        trace_stats.instrs(),
+        machine.icount(),
+        "{}: the traces cover {} instructions, but {} retired",
+        workload.name,
+        trace_stats.instrs(),
+        machine.icount()
+    );
 
     BenchData {
         name: workload.name,

@@ -196,6 +196,11 @@ impl Machine {
     /// Returns [`SimError::Halted`] if the machine already halted, and
     /// propagates memory faults and control transfers out of the text
     /// segment.
+    ///
+    /// `#[inline]` so that [`Machine::run_with`], which its caller's crate
+    /// compiles, runs each instruction in its own loop instead of calling
+    /// back into this crate once per retired instruction.
+    #[inline]
     pub fn step(&mut self) -> Result<Step, SimError> {
         use Instr::*;
         if self.halted {

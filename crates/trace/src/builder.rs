@@ -1,7 +1,8 @@
 //! Trace selection: chopping the dynamic instruction stream into traces.
 
 use crate::trace::{CtrlInfo, MAX_TRACE_BRANCHES, MAX_TRACE_LEN};
-use crate::{Trace, TraceId};
+use crate::Trace;
+use ntp_isa::ControlKind;
 use ntp_sim::{Machine, SimError, Step, StopReason};
 
 /// Trace-selection limits and heuristics.
@@ -105,56 +106,19 @@ impl std::fmt::Display for TraceConfigError {
 
 impl std::error::Error for TraceConfigError {}
 
-#[derive(Copy, Clone)]
-struct Partial {
-    start_pc: u32,
-    len: u8,
-    branch_bits: u8,
-    branch_count: u8,
-    call_count: u8,
-    last_pc: u32,
-    controls: [CtrlInfo; MAX_TRACE_LEN],
-    n_controls: u8,
-}
-
-impl Partial {
-    fn new(pc: u32) -> Partial {
-        Partial {
-            start_pc: pc,
-            len: 0,
-            branch_bits: 0,
-            branch_count: 0,
-            call_count: 0,
-            last_pc: pc,
-            controls: [CtrlInfo {
-                pc: 0,
-                target: 0,
-                kind: ntp_isa::ControlKind::None,
-                taken: false,
-            }; MAX_TRACE_LEN],
-            n_controls: 0,
-        }
-    }
-
-    fn finish(&self, ends_in_return: bool, ends_in_indirect: bool) -> Trace {
-        Trace::from_parts(
-            TraceId::new(self.start_pc, self.branch_bits, self.branch_count),
-            self.len,
-            self.call_count,
-            ends_in_return,
-            ends_in_indirect,
-            self.last_pc,
-            self.controls,
-            self.n_controls,
-        )
-    }
-}
-
 /// Incremental trace selector.
 ///
-/// Feed it every retired [`Step`]; it emits a [`Trace`] whenever one
-/// completes. Call [`TraceBuilder::flush`] at the end of the run to obtain
-/// the final partial trace.
+/// Feed it every retired [`Step`] with [`TraceBuilder::push`]; call
+/// [`TraceBuilder::flush`] at the end of the run for the final partial
+/// trace. The builder fills each trace in place, in storage it owns, and
+/// hands every completed trace to an `emit` callback by reference, so no
+/// trace is copied unless the callback copies it.
+///
+/// One step calls `emit` zero, one or two times. Two happens when a
+/// conditional branch past `max_branches` seals the open trace, starts a
+/// new one, and then seals that one too (a taken back edge under
+/// [`TraceConfig::stop_at_loop_back_edges`]). Either way every retired
+/// instruction lands in exactly one emitted trace.
 ///
 /// # Examples
 ///
@@ -167,12 +131,8 @@ impl Partial {
 /// let mut m = Machine::new(p);
 /// let mut builder = TraceBuilder::new(TraceConfig::default());
 /// let mut traces = Vec::new();
-/// m.run_with(100, |step| {
-///     if let Some(t) = builder.push(step) {
-///         traces.push(t);
-///     }
-/// })?;
-/// traces.extend(builder.flush());
+/// m.run_with(100, |step| builder.push(step, |t| traces.push(*t)))?;
+/// builder.flush(|t| traces.push(*t));
 /// // `ret` has an indirect target, so it ends the first trace.
 /// assert_eq!(traces[0].len(), 2);
 /// assert!(traces[0].ends_in_return());
@@ -181,7 +141,8 @@ impl Partial {
 #[derive(Clone)]
 pub struct TraceBuilder {
     cfg: TraceConfig,
-    cur: Option<Partial>,
+    /// The open trace; length 0 means none is open.
+    cur: Trace,
 }
 
 impl TraceBuilder {
@@ -202,7 +163,10 @@ impl TraceBuilder {
     /// [`TraceConfigError`] instead of panicking.
     pub fn try_new(cfg: TraceConfig) -> Result<TraceBuilder, TraceConfigError> {
         cfg.try_validate()?;
-        Ok(TraceBuilder { cfg, cur: None })
+        Ok(TraceBuilder {
+            cfg,
+            cur: Trace::empty(),
+        })
     }
 
     /// The limits in force.
@@ -210,34 +174,28 @@ impl TraceBuilder {
         self.cfg
     }
 
-    /// Appends one retired instruction; returns a trace if this instruction
-    /// completed one.
-    pub fn push(&mut self, step: &Step) -> Option<Trace> {
-        let mut completed = None;
-
-        let is_branch = step
-            .control
-            .map(|c| c.kind == ntp_isa::ControlKind::CondBranch)
-            .unwrap_or(false);
-
-        // A 7th conditional branch may not join this trace: seal the current
-        // trace first and start a fresh one at this instruction.
-        if is_branch {
-            if let Some(cur) = &self.cur {
-                if cur.branch_count as usize == self.cfg.max_branches {
-                    completed = Some(cur.finish(false, false));
-                    self.cur = None;
-                }
+    /// Appends one retired instruction, calling `emit` on each trace it
+    /// completes (zero, one or two; see the type's documentation).
+    #[inline]
+    pub fn push(&mut self, step: &Step, mut emit: impl FnMut(&Trace)) {
+        let cur = &mut self.cur;
+        // A conditional branch past `max_branches` may not join the open
+        // trace: seal it first and start a fresh one at this instruction.
+        if let Some(ev) = step.control {
+            if ev.kind == ControlKind::CondBranch
+                && cur.len != 0
+                && cur.id.branch_count as usize == self.cfg.max_branches
+            {
+                emit(cur);
+                cur.len = 0;
             }
         }
-
-        let cur = self.cur.get_or_insert_with(|| Partial::new(step.pc));
+        if cur.len == 0 {
+            cur.open_at(step.pc);
+        }
         cur.len += 1;
         cur.last_pc = step.pc;
-
-        let mut ends_in_return = false;
-        let mut ends_in_indirect = false;
-        let mut seal = false;
+        let mut seal = cur.len as usize == self.cfg.max_len;
 
         if let Some(ev) = step.control {
             cur.controls[cur.n_controls as usize] = CtrlInfo {
@@ -248,55 +206,48 @@ impl TraceBuilder {
             };
             cur.n_controls += 1;
             match ev.kind {
-                ntp_isa::ControlKind::CondBranch => {
+                ControlKind::CondBranch => {
                     if ev.taken {
-                        cur.branch_bits |= 1 << cur.branch_count;
-                        if self.cfg.stop_at_loop_back_edges && ev.target <= step.pc {
-                            seal = true;
-                        }
+                        cur.id.branch_bits |= 1 << cur.id.branch_count;
+                        seal |= self.cfg.stop_at_loop_back_edges && ev.target <= step.pc;
                     }
-                    cur.branch_count += 1;
+                    cur.id.branch_count += 1;
                 }
-                ntp_isa::ControlKind::Call => {
+                ControlKind::Call => {
                     cur.call_count += 1;
-                    if self.cfg.stop_at_calls {
-                        seal = true;
-                    }
+                    seal |= self.cfg.stop_at_calls;
                 }
-                ntp_isa::ControlKind::IndirectCall => {
+                ControlKind::IndirectCall => {
                     cur.call_count += 1;
-                    ends_in_indirect = true;
+                    cur.ends_in_indirect = true;
                     seal = true;
                 }
-                ntp_isa::ControlKind::IndirectJump => {
-                    ends_in_indirect = true;
+                ControlKind::IndirectJump => {
+                    cur.ends_in_indirect = true;
                     seal = true;
                 }
-                ntp_isa::ControlKind::Return => {
-                    ends_in_return = true;
-                    ends_in_indirect = true;
+                ControlKind::Return => {
+                    cur.ends_in_return = true;
+                    cur.ends_in_indirect = true;
                     seal = true;
                 }
-                ntp_isa::ControlKind::Jump | ntp_isa::ControlKind::None => {}
+                ControlKind::Jump | ControlKind::None => {}
             }
         }
 
-        if cur.len as usize == self.cfg.max_len {
-            seal = true;
-        }
-
         if seal {
-            let done = cur.finish(ends_in_return, ends_in_indirect);
-            self.cur = None;
-            debug_assert!(completed.is_none(), "at most one trace completes per step");
-            completed = Some(done);
+            emit(cur);
+            cur.len = 0;
         }
-        completed
     }
 
-    /// Emits the in-progress partial trace, if any (call at end of run).
-    pub fn flush(&mut self) -> Option<Trace> {
-        self.cur.take().map(|p| p.finish(false, false))
+    /// Calls `emit` on the open partial trace, if any (call at the end of
+    /// a run).
+    pub fn flush(&mut self, mut emit: impl FnMut(&Trace)) {
+        if self.cur.len != 0 {
+            emit(&self.cur);
+            self.cur.len = 0;
+        }
     }
 }
 
@@ -313,14 +264,8 @@ pub fn run_traces<F: FnMut(&Trace)>(
     mut visit: F,
 ) -> Result<StopReason, SimError> {
     let mut builder = TraceBuilder::new(cfg);
-    let stop = machine.run_with(budget, |step| {
-        if let Some(t) = builder.push(step) {
-            visit(&t);
-        }
-    })?;
-    if let Some(t) = builder.flush() {
-        visit(&t);
-    }
+    let stop = machine.run_with(budget, |step| builder.push(step, &mut visit))?;
+    builder.flush(&mut visit);
     Ok(stop)
 }
 
@@ -492,6 +437,27 @@ loop:   addi t0, t0, -1
         // into the halt).
         let back_edge_traces = ts.iter().filter(|t| t.len() == 2).count();
         assert_eq!(back_edge_traces, 3, "{ts:?}");
+    }
+
+    #[test]
+    fn a_step_that_completes_two_traces_emits_both() {
+        // Each iteration's back edge is its 7th conditional branch: it
+        // seals the open trace, then, taken and backward, seals the
+        // one-instruction trace it started. The last one falls through.
+        let mut src = String::from("main:   li   s0, 3\nloop:\n");
+        for k in 0..6 {
+            src.push_str(&format!("        bnez zero, l{k}\nl{k}:\n"));
+        }
+        src.push_str("        addi s0, s0, -1\n        bnez s0, loop\n        halt\n");
+        let mut m = Machine::new(assemble(&src).unwrap());
+        let cfg = TraceConfig {
+            stop_at_loop_back_edges: true,
+            ..TraceConfig::default()
+        };
+        let mut lens = Vec::new();
+        run_traces(&mut m, 1000, cfg, |t| lens.push(t.len())).unwrap();
+        assert_eq!(lens, vec![8, 1, 7, 1, 7, 2]);
+        assert_eq!(lens.iter().sum::<usize>() as u64, m.icount());
     }
 
     #[test]

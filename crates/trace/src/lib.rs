@@ -6,11 +6,16 @@
 //! traces; the next-trace predictor predicts them. This crate converts the
 //! dynamic instruction stream produced by [`ntp_sim`] into traces:
 //!
-//! * [`TraceBuilder`]/[`run_traces`] — trace selection;
+//! * [`TraceBuilder`]/[`run_traces`] — trace selection. The builder fills
+//!   each [`Trace`] in place, in storage it owns, and lends every
+//!   completed trace to a callback by reference: zero, one or two per
+//!   retired instruction, each instruction in exactly one trace;
 //! * [`TraceId`] — the paper's 36-bit identifier (start PC + branch
 //!   outcomes) and its 16-bit [`HashedId`] form used in path histories;
 //! * [`TraceRecord`] — the compact 8-byte replay form;
-//! * [`TraceStats`]/[`ControlMix`] — the workload statistics of Tables 1–2.
+//! * [`TraceStats`]/[`ControlMix`]/[`RedundancyStats`] — the workload
+//!   statistics of Tables 1–2 and the selection study, each folded once
+//!   per trace.
 //!
 //! # Example
 //!

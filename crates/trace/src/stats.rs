@@ -183,16 +183,16 @@ impl ControlMix {
         ControlMix::default()
     }
 
-    /// Folds one retired instruction into the mix.
-    pub fn record(&mut self, step: &ntp_sim::Step) {
-        self.instrs += 1;
-        if let Some(ev) = step.control {
-            match ev.kind {
+    /// Folds one trace into the mix: its instructions and every control
+    /// event it holds. Each retired instruction lies in exactly one trace,
+    /// so folding every trace of a run counts each event once.
+    pub fn record_trace(&mut self, trace: &Trace) {
+        self.instrs += trace.len() as u64;
+        for c in trace.controls() {
+            match c.kind {
                 ControlKind::CondBranch => {
                     self.cond_branches += 1;
-                    if ev.taken {
-                        self.taken_branches += 1;
-                    }
+                    self.taken_branches += u64::from(c.taken);
                 }
                 ControlKind::Jump => self.jumps += 1,
                 ControlKind::Call => self.calls += 1,
@@ -277,7 +277,8 @@ f2:     ret
         let p = assemble(src).unwrap();
         let mut m = Machine::new(p);
         let mut mix = ControlMix::new();
-        m.run_with(100, |s| mix.record(s)).unwrap();
+        run_traces(&mut m, 100, TraceConfig::default(), |t| mix.record_trace(t)).unwrap();
+        assert_eq!(mix.instrs, m.icount());
         assert_eq!(mix.calls, 1);
         assert_eq!(mix.indirect_calls, 1);
         assert_eq!(mix.returns, 2);

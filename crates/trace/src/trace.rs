@@ -30,40 +30,52 @@ pub struct CtrlInfo {
 /// conditional branch would exceed six, or immediately after an instruction
 /// with an indirect target (indirect jump/call or return) — the rules of
 /// §3.1/§4.2 of the paper.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone)]
 pub struct Trace {
-    id: TraceId,
-    len: u8,
-    call_count: u8,
-    ends_in_return: bool,
-    ends_in_indirect: bool,
-    last_pc: u32,
-    controls: [CtrlInfo; MAX_TRACE_LEN],
-    n_controls: u8,
+    pub(crate) id: TraceId,
+    pub(crate) len: u8,
+    pub(crate) call_count: u8,
+    pub(crate) ends_in_return: bool,
+    pub(crate) ends_in_indirect: bool,
+    pub(crate) last_pc: u32,
+    // The builder fills traces in place in one reused `Trace`, so slots
+    // past `n_controls` hold an earlier trace's entries; only
+    // `controls()` (and `Debug`, through it) reads this array.
+    pub(crate) controls: [CtrlInfo; MAX_TRACE_LEN],
+    pub(crate) n_controls: u8,
 }
 
 impl Trace {
-    #[allow(clippy::too_many_arguments)] // crate-private constructor fed by the builder
-    pub(crate) fn from_parts(
-        id: TraceId,
-        len: u8,
-        call_count: u8,
-        ends_in_return: bool,
-        ends_in_indirect: bool,
-        last_pc: u32,
-        controls: [CtrlInfo; MAX_TRACE_LEN],
-        n_controls: u8,
-    ) -> Trace {
+    /// An empty trace (length 0) whose control array the builder reuses
+    /// for every trace it selects.
+    pub(crate) fn empty() -> Trace {
         Trace {
-            id,
-            len,
-            call_count,
-            ends_in_return,
-            ends_in_indirect,
-            last_pc,
-            controls,
-            n_controls,
+            id: TraceId::new(0, 0, 0),
+            len: 0,
+            call_count: 0,
+            ends_in_return: false,
+            ends_in_indirect: false,
+            last_pc: 0,
+            controls: [CtrlInfo {
+                pc: 0,
+                target: 0,
+                kind: ControlKind::None,
+                taken: false,
+            }; MAX_TRACE_LEN],
+            n_controls: 0,
         }
+    }
+
+    /// Opens a new trace at `pc`, reusing the control array unread.
+    #[inline]
+    pub(crate) fn open_at(&mut self, pc: u32) {
+        self.id = TraceId::new(pc, 0, 0);
+        self.len = 0;
+        self.call_count = 0;
+        self.ends_in_return = false;
+        self.ends_in_indirect = false;
+        self.last_pc = pc;
+        self.n_controls = 0;
     }
 
     /// The trace's identifier (start PC + branch outcomes).
@@ -118,6 +130,20 @@ impl Trace {
         self.controls()
             .iter()
             .filter(|c| c.kind == ControlKind::CondBranch)
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("id", &self.id)
+            .field("len", &self.len)
+            .field("call_count", &self.call_count)
+            .field("ends_in_return", &self.ends_in_return)
+            .field("ends_in_indirect", &self.ends_in_indirect)
+            .field("last_pc", &self.last_pc)
+            .field("controls", &self.controls())
+            .finish()
     }
 }
 

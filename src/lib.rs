@@ -14,8 +14,9 @@
 //!   contribution): hybrid correlating/secondary tables, DOLC indexing,
 //!   return history stack, alternate prediction, cost-reduced entries, and
 //!   the unbounded model;
-//! * [`baselines`] — gshare/GAg/bimodal, BTBs, RAS and the idealized
-//!   sequential trace predictor the paper compares against;
+//! * [`baselines`] — gshare, indirect-target buffer, RAS, the idealized
+//!   sequential trace predictor the paper compares against, and two
+//!   single-access multiple-branch predictors;
 //! * [`engine`] — a cycle-based fetch/execute model for delayed-update
 //!   studies and a trace cache;
 //! * [`tracefile`] — the persistent on-disk trace-capture cache

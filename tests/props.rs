@@ -189,8 +189,9 @@ fn rhs_depth_bounded() {
     }
 }
 
-/// Builds a synthetic retired-instruction step.
-fn step(pc: u32, kind: ControlKind, taken: bool) -> Step {
+/// Builds a synthetic retired-instruction step whose control transfer, if
+/// any, targets `target`.
+fn step(pc: u32, kind: ControlKind, taken: bool, target: u32) -> Step {
     let instr = match kind {
         ControlKind::None => Instr::Add(Reg::ZERO, Reg::ZERO, Reg::ZERO),
         ControlKind::CondBranch => Instr::Beq(Reg::ZERO, Reg::ZERO, 1),
@@ -203,7 +204,7 @@ fn step(pc: u32, kind: ControlKind, taken: bool) -> Step {
     let control = (kind != ControlKind::None).then_some(ControlEvent {
         kind,
         taken: taken || kind != ControlKind::CondBranch,
-        target: pc.wrapping_add(64),
+        target,
     });
     Step { pc, instr, control }
 }
@@ -221,32 +222,46 @@ fn arb_kind(rng: &mut XorShift64) -> ControlKind {
     }
 }
 
+/// A trace-selection policy with every limit and heuristic drawn.
+fn arb_trace_config(rng: &mut XorShift64) -> TraceConfig {
+    TraceConfig {
+        max_len: rng.range(1, 16) as usize,
+        max_branches: rng.range(1, 6) as usize,
+        stop_at_calls: rng.chance(1, 2),
+        stop_at_loop_back_edges: rng.chance(1, 2),
+    }
+}
+
 #[test]
 fn trace_builder_invariants_on_arbitrary_streams() {
     for case in 0..CASES {
         let rng = &mut case_rng(case);
-        let kinds: Vec<(ControlKind, bool)> = (0..rng.range(1, 399))
-            .map(|_| (arb_kind(rng), rng.chance(1, 2)))
+        let cfg = arb_trace_config(rng);
+        let kinds: Vec<(ControlKind, bool, i32)> = (0..rng.range(1, 399))
+            .map(|_| {
+                (
+                    arb_kind(rng),
+                    rng.chance(1, 2),
+                    rng.range(0, 32) as i32 - 16,
+                )
+            })
             .collect();
-        let mut builder = TraceBuilder::new(TraceConfig::default());
+        let mut builder = TraceBuilder::new(cfg);
         let mut total_in = 0usize;
         let mut total_out = 0usize;
         let mut pc = 0x0040_0000u32;
         let mut traces = Vec::new();
-        for (kind, taken) in kinds {
+        for (kind, taken, words) in kinds {
             total_in += 1;
-            if let Some(t) = builder.push(&step(pc, kind, taken)) {
-                traces.push(t);
-            }
+            let target = pc.wrapping_add_signed(4 * words);
+            builder.push(&step(pc, kind, taken, target), |t| traces.push(*t));
             pc = pc.wrapping_add(4);
         }
-        if let Some(t) = builder.flush() {
-            traces.push(t);
-        }
+        builder.flush(|t| traces.push(*t));
         for t in &traces {
             total_out += t.len();
-            assert!(t.len() <= 16, "case {case}");
-            assert!(t.branch_count() <= 6, "case {case}");
+            assert!(t.len() <= cfg.max_len, "case {case}: {cfg:?}");
+            assert!(t.branch_count() <= cfg.max_branches, "case {case}: {cfg:?}");
             let controls = t.controls();
             for c in &controls[..controls.len().saturating_sub(1)] {
                 assert!(!c.kind.is_indirect(), "case {case}");
@@ -254,7 +269,7 @@ fn trace_builder_invariants_on_arbitrary_streams() {
         }
         assert_eq!(
             total_in, total_out,
-            "case {case}: every instruction lands in exactly one trace"
+            "case {case}: every instruction lands in exactly one trace ({cfg:?})"
         );
     }
 }
