@@ -10,7 +10,8 @@
 //! record stream, the trace and redundancy statistics, the control mix
 //! and the three baselines each fold a whole trace at a time, and the
 //! simulator's step compiles into the same loop. A capture checks that
-//! its traces cover every retired instruction and panics if they do not.
+//! its traces cover every retired instruction and that the program
+//! printed its reference output, and panics if either fails.
 //!
 //! Environment knobs honoured by all binaries:
 //!
@@ -217,8 +218,9 @@ fn estimated_record_capacity(budget: u64) -> usize {
 ///
 /// # Panics
 ///
-/// Panics on a simulation fault, or if the traces do not cover every
-/// retired instruction exactly once.
+/// Panics on a simulation fault, if the traces do not cover every
+/// retired instruction exactly once, or if the program's output is not
+/// its reference output (a prefix of it when the budget ran out first).
 fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData {
     let mut machine = workload.machine();
     let mut records = Vec::with_capacity(estimated_record_capacity(budget));
@@ -250,6 +252,21 @@ fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData
         workload.name,
         trace_stats.instrs(),
         machine.icount()
+    );
+    // A run cut short by its budget has printed a prefix of the output.
+    let (out, want) = (machine.output(), &workload.expected_output);
+    let matches = if machine.halted() {
+        out == want.as_slice()
+    } else {
+        want.starts_with(out)
+    };
+    assert!(
+        matches,
+        "{}: output word {} differs from the reference output ({} of {} words printed)",
+        workload.name,
+        out.iter().zip(want).take_while(|(a, b)| a == b).count(),
+        out.len(),
+        want.len()
     );
 
     BenchData {
@@ -419,6 +436,25 @@ mod tests {
         assert_eq!(d.seq_stats.traces, d.trace_stats.traces());
         assert!(d.trace_stats.avg_trace_len() > 4.0);
         assert!(d.seq_stats.branches > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "jpeg: output word 2 differs from the reference output")]
+    fn capture_refuses_a_wrong_output() {
+        let mut w = ntp_workloads::by_name("jpeg", ScalePreset::Tiny);
+        w.expected_output[2] ^= 1;
+        capture_with_cache(&w, 1_000_000, TraceConfig::default(), None);
+    }
+
+    #[test]
+    fn capture_cut_short_checks_the_printed_prefix() {
+        let w = ntp_workloads::by_name("jpeg", ScalePreset::Tiny);
+        let budget = 40_000;
+        let mut m = w.machine();
+        m.run(budget).unwrap();
+        assert!(!m.halted() && !m.output().is_empty());
+        let d = capture_with_cache(&w, budget, TraceConfig::default(), None);
+        assert_eq!(d.icount, budget);
     }
 
     #[test]

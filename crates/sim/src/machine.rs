@@ -114,7 +114,9 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the program's initialized data exceeds the data capacity.
+    /// Panics if the program's initialized data exceeds the data capacity,
+    /// or if its segments leave the 32-bit address space or overlap (see
+    /// [`Memory::new`]).
     pub fn with_config(program: Program, config: MemoryConfig) -> Machine {
         let text_bytes: Vec<u8> = program
             .encode_text()

@@ -5,7 +5,7 @@
 //! the differential-verification harness: case `k` of a property uses
 //! `XorShift64::new(SEED).fork(k)`, and every failure message names `k`.
 
-use ntp_isa::{decode, Instr, Program};
+use ntp_isa::{decode, Instr, Program, DATA_BASE, STACK_TOP, TEXT_BASE};
 use ntp_sim::{Machine, MemoryConfig, SimError};
 use ntp_verify::XorShift64;
 
@@ -159,4 +159,156 @@ loop:   out  t0
     assert_eq!(m.output().len(), 200);
     assert_eq!(m.output()[0], 200);
     assert_eq!(*m.output().last().unwrap(), 1);
+}
+
+/// The reference semantics of grown memory: every segment allocated at
+/// full capacity and zero-filled, looked up in the order data, stack,
+/// text, with only data and stack writable.
+struct FlatMemory {
+    /// `(base, bytes, writable)` in lookup order.
+    segments: [(u32, Vec<u8>, bool); 3],
+}
+
+impl FlatMemory {
+    fn new(p: &Program, cfg: MemoryConfig) -> FlatMemory {
+        let mut data = vec![0; cfg.data_capacity as usize];
+        data[..p.data.len()].copy_from_slice(&p.data);
+        let stack = vec![0; cfg.stack_capacity as usize];
+        let text = p
+            .encode_text()
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        FlatMemory {
+            segments: [
+                (p.data_base, data, true),
+                (STACK_TOP - cfg.stack_capacity, stack, true),
+                (p.text_base, text, false),
+            ],
+        }
+    }
+
+    /// The first segment holding all of `[addr, addr + width)`, and the
+    /// offset in it; unaligned accesses hold nowhere.
+    fn locate(&mut self, addr: u32, width: u32) -> Option<(&mut Vec<u8>, bool, usize)> {
+        let end = addr.checked_add(width)?;
+        if !addr.is_multiple_of(width) {
+            return None;
+        }
+        self.segments
+            .iter_mut()
+            .find(|(base, bytes, _)| addr >= *base && end as usize <= *base as usize + bytes.len())
+            .map(|(base, bytes, writable)| (bytes, *writable, (addr - *base) as usize))
+    }
+
+    fn load(&mut self, addr: u32, width: u32) -> Result<u32, SimError> {
+        let (bytes, _, off) = self
+            .locate(addr, width)
+            .ok_or(SimError::MemFault { addr })?;
+        let word = &bytes[off..off + width as usize];
+        Ok(word.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b)))
+    }
+
+    fn store(&mut self, addr: u32, width: u32, v: u32) -> Result<(), SimError> {
+        match self.locate(addr, width) {
+            Some((bytes, true, off)) => {
+                let w = width as usize;
+                bytes[off..off + w].copy_from_slice(&v.to_le_bytes()[..w]);
+                Ok(())
+            }
+            _ => Err(SimError::MemFault { addr }),
+        }
+    }
+}
+
+/// Memory that grows on demand answers every load and store exactly as
+/// flat, fully allocated memory does: the same value or the same fault,
+/// at every segment edge, every page edge and anywhere inside a segment.
+#[test]
+fn grown_memory_answers_like_flat_memory() {
+    const CAP: u32 = 1 << 16;
+    const PAGE: u32 = 4096;
+    const STEPS: u64 = 256;
+    let cfg = MemoryConfig {
+        data_capacity: CAP,
+        stack_capacity: CAP,
+    };
+    for case in 0..CASES {
+        let rng = &mut XorShift64::new(SEED).fork(case);
+        let mut p = Program::new();
+        p.instrs = (0..rng.range(1, 64))
+            .filter_map(|_| decode(rng.next_u32()).ok())
+            .collect();
+        // Nonzero bytes, so a read past the image that returns image
+        // bytes instead of zeros shows.
+        p.data = (0..rng.below(300))
+            .map(|_| rng.next_u32() as u8 | 1)
+            .collect();
+        let text_end = TEXT_BASE + 4 * p.instrs.len() as u32;
+        let image_end = DATA_BASE + p.data.len() as u32;
+        let stack_base = STACK_TOP - CAP;
+        let mut flat = FlatMemory::new(&p, cfg);
+        let mut m = Machine::with_config(p, cfg);
+        for step in 0..STEPS {
+            let width = [1, 2, 4][rng.below(3) as usize];
+            let addr = match rng.below(4) {
+                // Within 16 bytes of an edge.
+                0 | 1 => {
+                    let edges = [
+                        DATA_BASE,
+                        image_end,
+                        DATA_BASE + CAP,
+                        DATA_BASE + PAGE * rng.below(u64::from(CAP / PAGE)) as u32,
+                        stack_base,
+                        STACK_TOP,
+                        STACK_TOP - PAGE * rng.below(u64::from(CAP / PAGE)) as u32,
+                        TEXT_BASE,
+                        text_end,
+                        0,
+                        u32::MAX - 3,
+                    ];
+                    let edge = edges[rng.below(edges.len() as u64) as usize];
+                    edge.wrapping_add(rng.range(0, 32) as u32).wrapping_sub(16)
+                }
+                // Uniform inside a segment, aligned three times in four.
+                _ => {
+                    let (base, size) = [
+                        (DATA_BASE, CAP),
+                        (stack_base, CAP),
+                        (TEXT_BASE, text_end - TEXT_BASE),
+                    ][rng.below(3) as usize];
+                    let addr = base + rng.below(u64::from(size)) as u32;
+                    if rng.chance(3, 4) {
+                        addr & !(width - 1)
+                    } else {
+                        addr
+                    }
+                }
+            };
+            let store = rng.chance(1, 2);
+            let v = rng.next_u32() & (u32::MAX >> (32 - 8 * width));
+            let op = if store { "store" } else { "load" };
+            let what = format!("case {case} step {step}: {op}{} at {addr:#x}", 8 * width);
+            let (got, want) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mem = m.mem_mut();
+                if store {
+                    let got = match width {
+                        1 => mem.store8(addr, v as u8),
+                        2 => mem.store16(addr, v as u16),
+                        _ => mem.store32(addr, v),
+                    };
+                    (got.map(|()| v), flat.store(addr, width, v).map(|()| v))
+                } else {
+                    let got = match width {
+                        1 => mem.load8(addr).map(u32::from),
+                        2 => mem.load16(addr).map(u32::from),
+                        _ => mem.load32(addr),
+                    };
+                    (got, flat.load(addr, width))
+                }
+            }))
+            .unwrap_or_else(|_| panic!("{what}: panicked"));
+            assert_eq!(got, want, "{what}");
+        }
+    }
 }

@@ -32,7 +32,9 @@
 #
 # plus each side's spread, (Q3 - Q1) / median, marked UNRESOLVED when
 # either exceeds the bound, unless every change run reads better than
-# every base run. Then it prints every pair's failed counts,
+# every base run, and one row per pair: its seed, the side that ran
+# first and each end-to-end metric as `base → change`. Then it prints
+# every pair's failed counts,
 # whether the two sides printed the same digests, and a flag on every
 # pair in which the change failed more operations than the base.
 #
@@ -163,7 +165,11 @@ jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
            | "  claim (won >= 9/10 of pairs, median gain > base Q3 - Q1): \(if $won * 10 >= 9 * $n and $gain > $biqr then "HOLDS" else "fails" end) (gain \($gain | r) vs base IQR \($biqr | r))",
              "  no regression (median no worse than the base by more than \($m.bound * 100 | r)%): \(if $gain >= -$m.bound * $bm then "holds" else "FAILS" end) (change \(if $bm == 0 then null else ($cm / $bm - 1) * 100 end | r)% vs base)",
              "  spread (Q3 - Q1) / median: base \($bv | spread | r), change \($cv | spread | r), bound \($m.bound | r)\(if any([$bv, $cv][]; (spread // infinite) > $m.bound) and ($sep | not) then ": UNRESOLVED" else "" end)"
-         end)
+         end),
+       "pair seed first   \([$bench[0].end_to_end[].name] | join("   "))   (base → change)",
+       ($both[] as $k
+        | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y
+        | "\($k) \($x.seed) \(if $x.order == 1 then "base" else "change" end)   \([$bench[0].end_to_end[].name as $n | "\($x.result.metrics[$n].value | r) → \($y.result.metrics[$n].value | r)"] | join("   "))")
        end),
       "pair seed first   failed base/change   attempted base/change   same digests",
       ($both[] as $k

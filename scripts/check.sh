@@ -47,10 +47,16 @@ cargo build --release --workspace
 cargo test -q --workspace
 
 say "benchmark: perfbench builds and passes its own tests"
-# perfbench is a workspace of its own that builds against crates/serve
-# and crates/cluster by path, so an API change there can break the
-# benchmark while every workspace gate still passes.
-cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+# perfbench is a workspace of its own that builds nine crates by path
+# (bench, cluster, core, hash, serve, sim, telemetry, trace, workloads),
+# so an API change there can break the benchmark while every workspace
+# gate still passes. Its Cargo.lock pins the dependency edges among
+# them, and --locked refuses to rewrite it.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml || {
+    status=$?
+    echo "perfbench failed; if --locked refused to update perfbench/Cargo.lock, a dependency was added or removed between the crates it builds, and only a change to the benchmark may update that file" >&2
+    exit "$status"
+}
 
 say "differential-verification sweep (fixed seed, 64 points/oracle)"
 # VERIFICATION.md documents the oracles and the seed protocol. Nonzero
