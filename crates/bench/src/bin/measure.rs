@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 fn main() {
     let mut text = String::new();
-    for name in ["compress", "cc", "go", "jpeg", "m88ksim", "xlisp"] {
+    for name in ntp_workloads::NAMES {
         let w = ntp_workloads::by_name(name, ntp_workloads::ScalePreset::Tiny);
         let mut m = w.machine();
         m.run(2_000_000_000).unwrap();

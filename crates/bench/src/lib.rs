@@ -236,8 +236,13 @@ fn capture_cold(workload: &Workload, budget: u64, cfg: TraceConfig) -> BenchData
         let _t = ScopeTimer::new(&mut phases, "simulate");
         run_traces(&mut machine, budget, cfg, |trace| {
             records.push(TraceRecord::from(trace));
+            let static_traces = trace_stats.static_traces();
             trace_stats.record(trace);
-            redundancy.record(trace);
+            // Both sets key on the trace id, and redundancy folds only a
+            // static trace's first occurrence: skip its lookup on repeats.
+            if trace_stats.static_traces() != static_traces {
+                redundancy.record(trace);
+            }
             mix.record_trace(trace);
             seq.observe(trace);
             mb.observe(trace);

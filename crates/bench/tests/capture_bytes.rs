@@ -83,3 +83,49 @@ fn captured_artifacts_are_pinned() {
         );
     }
 }
+
+/// Every workload's program image is pinned too: the assembled text, the
+/// data segment with its generated inputs written in, the symbols and the
+/// entry. A change to how a workload is built that alters one byte of its
+/// image shows up here before it shows up as a different capture.
+#[test]
+fn program_images_are_pinned() {
+    let pins = [
+        (
+            ScalePreset::Tiny,
+            [
+                ("compress", 37_284, 0x4f47_bd17_a129_281e),
+                ("cc", 33_615, 0x01d2_8f68_1a4a_dd5a),
+                ("go", 2_084, 0x8523_9d60_1687_3dc3),
+                ("jpeg", 2_248, 0x14a0_808e_226c_d868),
+                ("m88ksim", 2_282, 0x2491_099c_fc01_f593),
+                ("xlisp", 231_774, 0x073f_c7ee_a729_d5b6),
+            ],
+        ),
+        (
+            ScalePreset::Default,
+            [
+                ("compress", 37_284, 0xa875_578f_45e5_09e0),
+                ("cc", 33_615, 0x5f92_8744_3673_7ba5),
+                ("go", 2_084, 0x8fa9_322d_86e0_956f),
+                ("jpeg", 2_248, 0x7345_f2fd_8cab_0e07),
+                ("m88ksim", 2_282, 0x0605_6777_7c52_bd4f),
+                ("xlisp", 231_774, 0x7fc3_1ead_b113_912e),
+            ],
+        ),
+    ];
+    for (scale, pins) in pins {
+        let suite = ntp_workloads::suite(scale);
+        assert_eq!(suite.len(), pins.len());
+        for (w, (name, len, hash)) in suite.iter().zip(pins) {
+            assert_eq!(w.name, name);
+            let image = w.program.to_image();
+            assert_eq!(
+                (image.len(), fnv64(&image)),
+                (len, hash),
+                "{name} at {} scale: length and hash of the program image",
+                scale.name()
+            );
+        }
+    }
+}

@@ -109,8 +109,7 @@ fn usage() -> String {
 /// Loads a program from a source file, an NTPB image, or `@workload`.
 fn load(spec: &str) -> Result<Program, String> {
     if let Some(name) = spec.strip_prefix('@') {
-        let names = ["compress", "cc", "go", "jpeg", "m88ksim", "xlisp"];
-        if !names.contains(&name) {
+        if !ntp_workloads::NAMES.contains(&name) {
             return Err(format!("unknown workload `{name}` (see `ntp workloads`)"));
         }
         return Ok(ntp_workloads::by_name(name, ntp_workloads::ScalePreset::Tiny).program);
@@ -465,12 +464,30 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
 /// back to the default `.ntp-cache/` so `ntp capture` is useful even
 /// before the environment knob is set.
 fn cmd_capture(rest: &[String]) -> Result<(), String> {
-    let dir = match flag_str(rest, "--dir") {
-        Some(d) => PathBuf::from(d),
-        None => ntp_tracefile::cache_dir_from_env()
-            .unwrap_or_else(|| PathBuf::from(ntp_tracefile::DEFAULT_CACHE_DIR)),
-    };
-    if rest.iter().any(|a| a == "--verify") {
+    const USAGE: &str = "usage: ntp capture [--dir <path>] [--verify]";
+    // A capture writes the whole suite, so refuse anything unknown before
+    // building a workload or touching the cache directory.
+    let (mut dir, mut verify) = (None, false);
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--dir" => match args.next() {
+                Some(d) => dir = Some(PathBuf::from(d)),
+                None => return Err(format!("capture: --dir expects a path ({USAGE})")),
+            },
+            "--verify" => verify = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Ok(());
+            }
+            other => return Err(format!("capture: unknown argument `{other}` ({USAGE})")),
+        }
+    }
+    let dir = dir.unwrap_or_else(|| {
+        ntp_tracefile::cache_dir_from_env()
+            .unwrap_or_else(|| PathBuf::from(ntp_tracefile::DEFAULT_CACHE_DIR))
+    });
+    if verify {
         return capture_verify(&dir);
     }
     let data = ntp_bench::capture_suite_in(Some(&dir));

@@ -176,3 +176,52 @@ fn top_unreachable_server_is_refused() {
     assert!(!out.status.success());
     assert!(diagnostic(&out).contains("--interval"));
 }
+
+/// Runs tiny-scale `ntp capture --dir <fresh dir> <arg>` and reports
+/// whether the directory was still empty afterwards.
+fn capture_with_arg(tag: &str, arg: &str) -> (Output, bool) {
+    let dir = std::env::temp_dir().join(format!("ntp-capture-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ntp"))
+        .arg("capture")
+        .arg("--dir")
+        .arg(&dir)
+        .arg(arg)
+        .env("NTP_SCALE", "tiny")
+        .output()
+        .expect("binary runs");
+    let empty = std::fs::read_dir(&dir).unwrap().next().is_none();
+    let _ = std::fs::remove_dir_all(&dir);
+    (out, empty)
+}
+
+/// `ntp capture` takes only `--dir <path>` and `--verify`: anything else
+/// is refused with one line naming it, before a workload is built or a
+/// file is written.
+#[test]
+fn capture_refuses_an_unknown_argument() {
+    let (out, empty) = capture_with_arg("bogus", "--bogus");
+    assert!(!out.status.success());
+    assert!(diagnostic(&out).contains("--bogus"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().count(),
+        1,
+        "exactly one diagnostic line"
+    );
+    assert!(empty, "a refused capture writes nothing");
+}
+
+/// `ntp capture --help` (and `-h`) prints usage and captures nothing.
+#[test]
+fn capture_help_prints_usage_and_writes_nothing() {
+    for help in ["--help", "-h"] {
+        let (out, empty) = capture_with_arg("help", help);
+        assert!(out.status.success(), "{help}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("usage: ntp capture"),
+            "{help}"
+        );
+        assert!(empty, "{help} writes nothing");
+    }
+}

@@ -179,7 +179,7 @@ pub struct ShardSummary {
     pub batched: u64,
     /// Requests that arrived pre-coalesced: an event loop decoded two or
     /// more frames for this shard, of any sessions, in one read burst
-    /// and enqueued them as a single [`Job::Run`]. Load- and
+    /// and enqueued them as a single `Job::Run`. Load- and
     /// timing-dependent, volatile like `batched`.
     pub coalesced: u64,
     /// Sessions restored from a warm-start snapshot at startup.

@@ -13,11 +13,11 @@
 //! * [`Fingerprint`] — the cache key: workload identity (name, analog,
 //!   assembled program image), instruction budget, trace-selection policy
 //!   and format version, canonicalized and FNV-hashed;
-//! * [`format`] — the validating `.ntc` codec: magic + version header,
+//! * [`format`](mod@format) — the validating `.ntc` codec: magic + version header,
 //!   fingerprint echo, per-section length fields and FNV-1a 64 checksums.
 //!   Stale or corrupt files are **hard errors** ([`TraceFileError`]) — the
 //!   caller re-captures; a cache can never mis-load;
-//! * [`counters`] — process-wide hit/miss/bytes/time telemetry, surfaced
+//! * [`counters`](mod@counters) — process-wide hit/miss/bytes/time telemetry, surfaced
 //!   by the bench reports under the volatile `"throughput"` section;
 //! * [`snapshot`] — the `.nts` predictor *state* snapshot codec: the same
 //!   validating section/checksum/fingerprint discipline applied to trained

@@ -18,7 +18,7 @@
 //! factor  := number | var | '(' expr ')' | '-' factor
 //! ```
 
-use crate::util::{bytes_directive, Lcg};
+use crate::util::{fill, Lcg};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -465,12 +465,12 @@ opptr:  .word 0
         .align 2
 opbuf:  .space 8192
 vstack: .space 512
-input:
-{input_bytes}
+input:  .space {input_len}
 ",
-        input_bytes = bytes_directive(&input),
+        input_len = input.len(),
     );
-    let program = assemble(&src).expect("cc workload assembles");
+    let mut program = assemble(&src).expect("cc workload assembles");
+    fill(&mut program, "input", &input);
     Workload {
         name: "cc",
         analog_of: "SpecInt95 gcc (input: 600 generated expression statements)",

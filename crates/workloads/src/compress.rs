@@ -5,7 +5,7 @@
 //! byte stream, small static code footprint, data-dependent hit/miss
 //! branches, and a table-clearing phase between rounds.
 
-use crate::util::{bytes_directive, Lcg};
+use crate::util::{fill, Lcg};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -158,8 +158,7 @@ round_end:
         out  s3
         halt
         .data
-input:
-{input_bytes}
+input:  .space {n}
         .align 3
 table:  .space {table_bytes}
 ",
@@ -167,9 +166,9 @@ table:  .space {table_bytes}
         mask = TABLE_SLOTS - 1,
         cap = INSERT_CAP,
         table_bytes = TABLE_SLOTS * 8,
-        input_bytes = bytes_directive(&input),
     );
-    let program = assemble(&src).expect("compress workload assembles");
+    let mut program = assemble(&src).expect("compress workload assembles");
+    fill(&mut program, "input", &input);
     Workload {
         name: "compress",
         analog_of: "SpecInt95 compress (input: synthetic text, LZW kernel)",

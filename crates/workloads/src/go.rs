@@ -5,7 +5,7 @@
 //! state — the largest static-trace working set of the suite, stressing
 //! predictor table capacity the way go stresses it in the paper.
 
-use crate::util::{Lcg, LCG_ADD, LCG_MUL};
+use crate::util::{LCG_ADD, LCG_MUL};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -439,7 +439,6 @@ board:  .space {total}
         scan_n = scan_block("n", -(W as i32)),
     );
     let program = assemble(&src).expect("go workload assembles");
-    let _ = Lcg::new(0); // keep util in the module's dependency surface
     Workload {
         name: "go",
         analog_of: "SpecInt95 go (input: seeded 15x15 positions, 25 moves/round)",

@@ -9,7 +9,7 @@
 //! multiplies (the separable DCT), quantization by division, zigzag scan
 //! and run-length encoding into a checksum.
 
-use crate::util::{words_directive, LCG_ADD, LCG_MUL};
+use crate::util::{fill, word_bytes, LCG_ADD, LCG_MUL};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -227,23 +227,23 @@ rle_next:
         bnez s7, block
         halt
         .data
-coef:
-{coef_words}
-quant:
-{quant_words}
-zigzag:
-{zigzag_words}
+coef:   .space {coef_bytes}
+quant:  .space {quant_bytes}
+zigzag: .space {zigzag_bytes}
 pix:    .space 256
 tmpbuf: .space 256
 freq:   .space 256
 ",
         lcg_mul = LCG_MUL,
         lcg_add = LCG_ADD,
-        coef_words = words_directive(&coef),
-        quant_words = words_directive(&quant),
-        zigzag_words = words_directive(&zigzag),
+        coef_bytes = coef.len() * 4,
+        quant_bytes = quant.len() * 4,
+        zigzag_bytes = zigzag.len() * 4,
     );
-    let program = assemble(&src).expect("jpeg workload assembles");
+    let mut program = assemble(&src).expect("jpeg workload assembles");
+    fill(&mut program, "coef", &word_bytes(&coef));
+    fill(&mut program, "quant", &word_bytes(&quant));
+    fill(&mut program, "zigzag", &word_bytes(&zigzag));
     Workload {
         name: "jpeg",
         analog_of: "SpecInt95 ijpeg (input: LCG-generated 8x8 blocks)",

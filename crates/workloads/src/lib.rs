@@ -105,8 +105,8 @@ impl ScalePreset {
         }
     }
 
-    /// Per-workload round counts `(compress, cc, go, jpeg, m88ksim, xlisp)`,
-    /// calibrated so Default ≈ 6M instructions and Full ≈ 24M per workload.
+    /// Per-workload round counts, in [`NAMES`] order, calibrated so
+    /// Default ≈ 6M instructions and Full ≈ 24M per workload.
     fn rounds(self) -> [u32; 6] {
         match self {
             ScalePreset::Tiny => [2, 2, 2, 4, 2, 2],
@@ -116,28 +116,69 @@ impl ScalePreset {
     }
 }
 
-/// Builds all six workloads at the given scale, in the paper's table order.
+/// The six workload names, in the paper's table order: the order
+/// [`suite`] builds them in and the names [`by_name`] accepts.
+pub const NAMES: [&str; 6] = ["compress", "cc", "go", "jpeg", "m88ksim", "xlisp"];
+
+/// Each workload's builder, in [`NAMES`] order.
+const BUILDERS: [fn(u32) -> Workload; 6] = [
+    compress::build,
+    cc::build,
+    go::build,
+    jpeg::build,
+    m88ksim::build,
+    xlisp::build,
+];
+
+/// Builds all six workloads at the given scale, in [`NAMES`] order.
 pub fn suite(scale: ScalePreset) -> Vec<Workload> {
-    let [r_compress, r_cc, r_go, r_jpeg, r_m88k, r_xlisp] = scale.rounds();
-    vec![
-        compress::build(r_compress),
-        cc::build(r_cc),
-        go::build(r_go),
-        jpeg::build(r_jpeg),
-        m88ksim::build(r_m88k),
-        xlisp::build(r_xlisp),
-    ]
+    BUILDERS
+        .iter()
+        .zip(scale.rounds())
+        .map(|(build, rounds)| build(rounds))
+        .collect()
 }
 
-/// Builds one workload by name at the given scale.
+/// Builds one workload by name at the given scale, with the same round
+/// count [`suite`] gives it.
 ///
 /// # Panics
 ///
-/// Panics on an unknown name.
+/// Panics on a name not in [`NAMES`].
 pub fn by_name(name: &str, scale: ScalePreset) -> Workload {
-    let idx = ["compress", "cc", "go", "jpeg", "m88ksim", "xlisp"]
+    let idx = NAMES
         .iter()
         .position(|n| *n == name)
         .unwrap_or_else(|| panic!("unknown workload `{name}`"));
-    suite(scale).swap_remove(idx)
+    BUILDERS[idx](scale.rounds()[idx])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_name_builds_the_suite_entry() {
+        for scale in [ScalePreset::Tiny, ScalePreset::Default] {
+            let suite = suite(scale);
+            assert_eq!(suite.len(), NAMES.len());
+            for (w, name) in suite.iter().zip(NAMES) {
+                assert_eq!(w.name, name);
+                let one = by_name(name, scale);
+                assert_eq!(one.name, name);
+                assert_eq!(
+                    one.program.to_image(),
+                    w.program.to_image(),
+                    "{name} at {} scale: program image",
+                    scale.name()
+                );
+                assert_eq!(
+                    one.expected_output,
+                    w.expected_output,
+                    "{name} at {} scale: expected output",
+                    scale.name()
+                );
+            }
+        }
+    }
 }

@@ -9,7 +9,7 @@
 //! program bubble-sorts seeded data, runs an iterative Fibonacci and a
 //! subtractive GCD, emitting checksums.
 
-use crate::util::{LCG_ADD, LCG_MUL};
+use crate::util::{fill, word_bytes, LCG_ADD, LCG_MUL};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -182,7 +182,6 @@ fn reference(prog: &[u32], rounds: u32) -> Vec<u32> {
 pub fn build(rounds: u32) -> Workload {
     assert!(rounds >= 1);
     let prog = guest_program();
-    let prog_words = crate::util::words_directive(&prog);
     let src = format!(
         "
 ; m88ksim — guest-VM interpreter with indirect dispatch
@@ -336,8 +335,7 @@ vm_done:
         bnez s7, round
         halt
         .data
-vmprog:
-{prog_words}
+vmprog: .space {prog_bytes}
         .align 2
 vmram:  .space 1024
 vmregs: .space 32
@@ -347,8 +345,10 @@ optable:
 ",
         lcg_mul = LCG_MUL,
         lcg_add = LCG_ADD,
+        prog_bytes = prog.len() * 4,
     );
-    let program = assemble(&src).expect("m88ksim workload assembles");
+    let mut program = assemble(&src).expect("m88ksim workload assembles");
+    fill(&mut program, "vmprog", &word_bytes(&prog));
     Workload {
         name: "m88ksim",
         analog_of: "SpecInt95 m88ksim (guest VM: sort + fib + gcd + hash)",

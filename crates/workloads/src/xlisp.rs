@@ -10,7 +10,7 @@
 //! A forest of random binary expression trees lives in the data segment;
 //! each round reseeds the leaves from an LCG and re-evaluates every tree.
 
-use crate::util::{words_directive, Lcg, LCG_ADD, LCG_MUL};
+use crate::util::{fill, word_bytes, Lcg, LCG_ADD, LCG_MUL};
 use crate::Workload;
 use ntp_isa::asm::assemble;
 
@@ -250,12 +250,9 @@ eval_ret:
         addi sp, sp, 12
         ret
         .data
-nodes:
-{node_words}
-leaves:
-{leaf_words}
-roots:
-{root_words}
+nodes:  .space {node_bytes}
+leaves: .space {leaf_bytes}
+roots:  .space {root_bytes}
 ",
         lcg_mul = LCG_MUL,
         lcg_add = LCG_ADD,
@@ -267,11 +264,14 @@ roots:
         op_mul = OP_MUL,
         op_min = OP_MIN,
         op_max = OP_MAX,
-        node_words = words_directive(&node_words),
-        leaf_words = words_directive(&forest.leaves),
-        root_words = words_directive(&forest.roots),
+        node_bytes = node_words.len() * 4,
+        leaf_bytes = n_leaves * 4,
+        root_bytes = n_roots * 4,
     );
-    let program = assemble(&src).expect("xlisp workload assembles");
+    let mut program = assemble(&src).expect("xlisp workload assembles");
+    fill(&mut program, "nodes", &word_bytes(&node_words));
+    fill(&mut program, "leaves", &word_bytes(&forest.leaves));
+    fill(&mut program, "roots", &word_bytes(&forest.roots));
     Workload {
         name: "xlisp",
         analog_of:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build+test, the
+# Local CI gate: formatting, lints, rustdoc, the tier-1 build+test, the
 # benchmark's own build+test (perfbench/), a tiny-scale experiments smoke that validates the emitted BENCH_*.json
 # reports (parse + determinism), a loopback serving smoke that
 # diffs served statistics against the offline oracle (SERVING.md), and
@@ -41,6 +41,11 @@ cargo fmt --all -- --check
 
 say "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+say "rustdoc -D warnings"
+# --lib: the root `ntp` library and the `ntp` binary would both document
+# into target/doc/ntp, and cargo refuses the collision.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 say "tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
