@@ -5,7 +5,7 @@
 //! NTP_SCALE=default cargo run --release -p ntp-bench --bin experiments
 //! ```
 //!
-//! Pass `--json <dir>` (or set `NTP_JSON=1`) to also write one
+//! Pass `--json <dir>` to also write one
 //! machine-readable `BENCH_<name>.json` per benchmark — see
 //! OBSERVABILITY.md for the schema.
 

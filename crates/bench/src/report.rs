@@ -14,11 +14,9 @@
 //! after [`Report::strip_volatile`].
 
 use crate::BenchData;
-use ntp_core::{evaluate_with_sink, predictor_section, NextTracePredictor, PredictorConfig};
+use ntp_core::{evaluate_with_streaks, predictor_section, NextTracePredictor, PredictorConfig};
 use ntp_engine::{DelayedUpdateEngine, EngineConfig, FetchConfig, FetchEngine};
-use ntp_telemetry::{
-    per_second, Json, MetricsRegistry, NullSink, Report, RunManifest, ScopeTimer, ToJson,
-};
+use ntp_telemetry::{per_second, Json, MetricsRegistry, Report, RunManifest, ScopeTimer, ToJson};
 use std::path::{Path, PathBuf};
 
 /// The design point every report replays: `paper(15, 7)` — the
@@ -81,7 +79,7 @@ pub fn bench_report(d: &BenchData) -> Report {
         .unwrap_or_else(|e| panic!("bench: headline predictor config rejected: {e}"));
     let (stats, streaks) = {
         let _t = ScopeTimer::new(report.phases_mut(), "replay");
-        evaluate_with_sink(&mut p, &d.records, &mut NullSink)
+        evaluate_with_streaks(&mut p, &d.records)
     };
     report.section("predictor", predictor_section(&p, &stats));
     report.section("mispredict_streaks", streaks.to_json());
@@ -136,9 +134,8 @@ pub fn bench_report(d: &BenchData) -> Report {
     report
 }
 
-/// Scans the command line for `--json <dir>`; falls back to `NTP_JSON=1`
-/// (directory `NTP_JSON_DIR`, default `out`). `None` means no JSON output
-/// was requested.
+/// Scans the command line for `--json <dir>` (directory `out` when the
+/// flag ends the command line). `None` means no JSON output was requested.
 pub fn json_request() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -147,11 +144,6 @@ pub fn json_request() -> Option<PathBuf> {
                 args.next().unwrap_or_else(|| "out".to_string()),
             ));
         }
-    }
-    if std::env::var("NTP_JSON").is_ok_and(|v| v == "1") {
-        return Some(PathBuf::from(
-            std::env::var("NTP_JSON_DIR").unwrap_or_else(|_| "out".to_string()),
-        ));
     }
     None
 }
@@ -173,7 +165,7 @@ pub fn write_reports(data: &[BenchData], dir: &Path) -> std::io::Result<Vec<Path
 }
 
 /// The shared tail of every data-driven experiment binary: if `--json`
-/// or `NTP_JSON=1` asked for reports, write them and say where they went.
+/// asked for reports, write them and say where they went.
 ///
 /// Exits the process with an error status if the reports cannot be
 /// written (the run's numbers are already on stdout at that point).

@@ -1,43 +1,20 @@
 //! `ntp` — the command-line front end to the toolchain.
 //!
-//! ```text
-//! ntp asm <file.s> [-o out.bin]        assemble to a flat NTPB image
-//! ntp dis <file.s|file.bin>            disassemble
-//! ntp run <file.s|file.bin> [--budget N]
-//! ntp predict <file.s|file.bin|@workload> [--depth D] [--bits B] [--budget N]
-//! ntp trace <file.s|file.bin|@workload> [--budget N] [--limit N]
-//! ntp report <file.s|file.bin|@workload> [--budget N] [--depth D] [--bits B] [--json <path|->]
-//! ntp verify [--seed 0xC0FFEE] [--points N]
-//! ntp capture [--dir <path>] [--verify]
-//! ntp snapshot save <file.s|file.bin|@workload> -o <out.nts>
-//!              [--bits B] [--depth D] [--budget N] [--json <path|->]
-//! ntp snapshot verify <file.nts> [--json <path|->]
-//! ntp serve [--addr host:port] [--workers N] [--max-conns N]
-//!           [--event-threads N] [--queue-depth N]
-//!           [--metrics-addr host:port] [--stats-interval S]
-//!           [--warm <file.nts|dir>] [--snapshot-on-drain <dir>]
-//!           [--snapshot-interval S]
-//! ntp route --backends a1,a2[,...] [--addr host:port]
-//!           [--snapshot-dirs d1,d2[,...]] [--vnodes N] [--probe-interval S]
-//!           [--max-conns N] [--migrate session:<to|next>:after]
-//! ntp loadgen [--addr host:port] [--sessions N] [--clients N] [--chunk N]
-//!             [--bits B] [--depth D] [--shutdown] [--json <path|->]
-//!             [--open-loop] [--rate R] [--duration S] [--zipf Z] [--seed S]
-//! ntp top [--addr host:port] [--interval S] [--once] [--json] [--cluster]
-//!         [--shutdown]
-//! ntp workloads                        list the built-in benchmarks
-//! ```
+//! `ntp help` prints one usage line per subcommand ([`usage`]). Each line
+//! is also the grammar that subcommand's arguments are checked against
+//! before it runs, so an argument the line does not list is refused.
 
 use ntp_core::{
-    evaluate, evaluate_with_sink, predictor_section, NextTracePredictor, PredictorConfig,
+    evaluate, evaluate_with_streaks, predictor_section, NextTracePredictor, PredictorConfig,
 };
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_isa::{asm::assemble, disasm, Program, IMAGE_MAGIC};
 use ntp_sim::Machine;
-use ntp_telemetry::{Json, NullSink, PhaseTimes, Report, RunManifest, ScopeTimer, ToJson};
+use ntp_telemetry::{Json, PhaseTimes, Report, RunManifest, ScopeTimer, ToJson};
 use ntp_trace::{run_traces, TraceConfig, TraceRecord, TraceStats};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,32 +28,62 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+    let Some(first) = args.first() else {
         return Err(usage());
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "asm" => cmd_asm(rest),
-        "dis" => cmd_dis(rest),
-        "run" => cmd_run(rest),
-        "predict" => cmd_predict(rest),
-        "trace" => cmd_trace(rest),
-        "report" => cmd_report(rest),
-        "verify" => cmd_verify(rest),
-        "capture" => cmd_capture(rest),
-        "snapshot" => cmd_snapshot(rest),
-        "serve" => cmd_serve(rest),
-        "route" => cmd_route(rest),
-        "loadgen" => cmd_loadgen(rest),
-        "top" => cmd_top(rest),
-        "workloads" => cmd_workloads(),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
+    if matches!(first.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    // `snapshot` names its subcommand in a second word.
+    let (name, rest) = match args.get(1) {
+        Some(sub) if first == "snapshot" && !sub.starts_with('-') => {
+            (format!("snapshot {sub}"), &args[2..])
+        }
+        _ => (first.clone(), &args[1..]),
+    };
+    let Some(&(_, cmd)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        if name != "snapshot" {
+            return Err(format!("unknown command `{name}`\n{}", usage()));
+        }
+        if !rest.iter().any(|a| a == "--help" || a == "-h") {
+            return Err(format!("snapshot needs `save` or `verify`\n{}", usage()));
+        }
+        for line in usage().lines().filter(|l| l.contains("ntp snapshot ")) {
+            println!("usage: {}", line.trim());
+        }
+        return Ok(());
+    };
+    let line = usage_line(&name);
+    match Args::parse(&name, &line, rest)? {
+        Some(args) => cmd(&args),
+        None => {
+            println!("usage: {line}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
 }
+
+type Cmd = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand's entry point, by the words that follow `ntp`.
+const COMMANDS: &[(&str, Cmd)] = &[
+    ("asm", cmd_asm),
+    ("dis", cmd_dis),
+    ("run", cmd_run),
+    ("predict", cmd_predict),
+    ("trace", cmd_trace),
+    ("report", cmd_report),
+    ("verify", cmd_verify),
+    ("capture", cmd_capture),
+    ("snapshot save", snapshot_save),
+    ("snapshot verify", snapshot_verify),
+    ("serve", cmd_serve),
+    ("route", cmd_route),
+    ("loadgen", cmd_loadgen),
+    ("top", cmd_top),
+    ("workloads", cmd_workloads),
+];
 
 fn usage() -> String {
     "usage:\n  \
@@ -106,6 +113,124 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The [`usage`] line of `ntp <name>`. The line is also the grammar
+/// [`Args::parse`] checks: a leading `<input>` for a command that takes
+/// one, `[--flag X]` (or `-o <out>`) for a flag followed by a value, and
+/// `[--flag]` for a bare flag.
+fn usage_line(name: &str) -> String {
+    let head = format!("ntp {name}");
+    usage()
+        .lines()
+        .map(str::trim)
+        .find(|l| {
+            l.strip_prefix(&head)
+                .is_some_and(|r| r.is_empty() || r.starts_with(' '))
+        })
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// How `grammar` lists `arg`: `Some(true)` for a flag followed by a value,
+/// `Some(false)` for a bare flag, `None` when it lists no such flag.
+fn flag_kind(grammar: &str, arg: &str) -> Option<bool> {
+    grammar.split_whitespace().find_map(|word| {
+        let word = word.trim_start_matches('[');
+        let flag = word.trim_end_matches(']');
+        (flag.starts_with('-') && flag == arg).then_some(flag.len() == word.len())
+    })
+}
+
+/// A subcommand's arguments, checked against its usage line.
+struct Args<'a> {
+    /// The positional input; empty for a command that takes none.
+    input: &'a str,
+    /// Each flag given, with its value unless it is bare.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Checks `rest` against the usage line of `ntp <name>` once, before
+    /// the subcommand runs: every flag must be one the line lists, a value
+    /// flag must have its value, and only a command with an input takes one
+    /// positional argument. `Ok(None)` means `--help` or `-h` asked for the
+    /// usage line instead.
+    fn parse(name: &str, line: &str, rest: &'a [String]) -> Result<Option<Args<'a>>, String> {
+        if rest.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(None);
+        }
+        let refuse = |what: String| format!("{name}: {what} (usage: {line})");
+        let grammar = line.trim_start_matches(&format!("ntp {name}")).trim_start();
+        let takes_input = grammar.starts_with('<');
+        let (mut input, mut flags) = (None, Vec::new());
+        let mut args = rest.iter().map(String::as_str);
+        while let Some(a) = args.next() {
+            match flag_kind(grammar, a) {
+                Some(true) => match args.next() {
+                    Some(v) => flags.push((a, Some(v))),
+                    None => return Err(refuse(format!("{a} expects a value"))),
+                },
+                Some(false) => flags.push((a, None)),
+                None if takes_input && input.is_none() && !a.starts_with('-') => input = Some(a),
+                None => return Err(refuse(format!("unknown argument `{a}`"))),
+            }
+        }
+        if takes_input && input.is_none() {
+            return Err(refuse("missing input file".to_string()));
+        }
+        Ok(Some(Args {
+            input: input.unwrap_or_default(),
+            flags,
+        }))
+    }
+
+    /// Whether the bare flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(f, _)| f == name)
+    }
+
+    /// The value of `name`, verbatim.
+    fn flag_str(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|&&(f, _)| f == name)?.1
+    }
+
+    /// The value of `name` as a whole number.
+    fn flag_value(&self, name: &str) -> Result<Option<u64>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("{name} expects a number, got `{v}`"))
+        };
+        self.flag_str(name).map(parse).transpose()
+    }
+
+    /// The value of `name` as a positive, finite number.
+    fn flag_float(&self, name: &str) -> Result<Option<f64>, String> {
+        let Some(text) = self.flag_str(name) else {
+            return Ok(None);
+        };
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Ok(Some(v)),
+            _ => Err(format!("{name} expects a positive number, got `{text}`")),
+        }
+    }
+
+    /// The value of `name` as a positive number of seconds.
+    fn flag_seconds(&self, name: &str) -> Result<Option<Duration>, String> {
+        Ok(self.flag_float(name)?.map(Duration::from_secs_f64))
+    }
+
+    /// The value of `name` in decimal or `0x`-prefixed hex.
+    fn flag_seed(&self, name: &str, default: u64) -> Result<u64, String> {
+        let Some(text) = self.flag_str(name) else {
+            return Ok(default);
+        };
+        let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => text.parse(),
+        };
+        parsed.map_err(|_| format!("{name} expects a decimal or 0x-hex number, got `{text}`"))
+    }
+}
+
 /// Loads a program from a source file, an NTPB image, or `@workload`.
 fn load(spec: &str) -> Result<Program, String> {
     if let Some(name) = spec.strip_prefix('@') {
@@ -122,32 +247,11 @@ fn load(spec: &str) -> Result<Program, String> {
     assemble(&src).map_err(|e| format!("{spec}:{e}"))
 }
 
-fn flag_value(rest: &[String], name: &str) -> Result<Option<u64>, String> {
-    for pair in rest.windows(2) {
-        if pair[0] == name {
-            return pair[1]
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} expects a number, got `{}`", pair[1]));
-        }
-    }
-    Ok(None)
-}
-
-fn positional(rest: &[String]) -> Result<&str, String> {
-    rest.iter()
-        .take_while(|a| !a.starts_with('-'))
-        .map(String::as_str)
-        .next()
-        .ok_or_else(|| format!("missing input file\n{}", usage()))
-}
-
-fn cmd_asm(rest: &[String]) -> Result<(), String> {
-    let input = positional(rest)?;
-    let out = rest
-        .windows(2)
-        .find(|p| p[0] == "-o")
-        .map(|p| p[1].clone())
+fn cmd_asm(args: &Args) -> Result<(), String> {
+    let input = args.input;
+    let out = args
+        .flag_str("-o")
+        .map(str::to_string)
         .unwrap_or_else(|| format!("{}.bin", input.trim_end_matches(".s")));
     let program = load(input)?;
     std::fs::write(&out, program.to_image()).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -160,8 +264,8 @@ fn cmd_asm(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dis(rest: &[String]) -> Result<(), String> {
-    let program = load(positional(rest)?)?;
+fn cmd_dis(args: &Args) -> Result<(), String> {
+    let program = load(args.input)?;
     print!(
         "{}",
         disasm::disassemble_block(&program.encode_text(), program.text_base)
@@ -169,9 +273,9 @@ fn cmd_dis(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(rest: &[String]) -> Result<(), String> {
-    let program = load(positional(rest)?)?;
-    let budget = flag_value(rest, "--budget")?.unwrap_or(100_000_000);
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let program = load(args.input)?;
+    let budget = args.flag_value("--budget")?.unwrap_or(100_000_000);
     let mut machine = Machine::new(program);
     let stop = machine.run(budget).map_err(|e| e.to_string())?;
     for v in machine.output() {
@@ -188,11 +292,11 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_predict(rest: &[String]) -> Result<(), String> {
-    let program = load(positional(rest)?)?;
-    let budget = flag_value(rest, "--budget")?.unwrap_or(10_000_000);
-    let depth = flag_value(rest, "--depth")?.unwrap_or(7) as usize;
-    let bits = flag_value(rest, "--bits")?.unwrap_or(15) as u32;
+fn cmd_predict(args: &Args) -> Result<(), String> {
+    let program = load(args.input)?;
+    let budget = args.flag_value("--budget")?.unwrap_or(10_000_000);
+    let depth = args.flag_value("--depth")?.unwrap_or(7) as usize;
+    let bits = args.flag_value("--bits")?.unwrap_or(15) as u32;
 
     let mut machine = Machine::new(program);
     let mut records: Vec<TraceRecord> = Vec::new();
@@ -231,10 +335,10 @@ fn cmd_predict(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(rest: &[String]) -> Result<(), String> {
-    let program = load(positional(rest)?)?;
-    let budget = flag_value(rest, "--budget")?.unwrap_or(100_000);
-    let limit = flag_value(rest, "--limit")?.unwrap_or(64) as usize;
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let program = load(args.input)?;
+    let budget = args.flag_value("--budget")?.unwrap_or(100_000);
+    let limit = args.flag_value("--limit")?.unwrap_or(64) as usize;
     let mut machine = Machine::new(program);
     let mut printed = 0usize;
     let mut total = 0u64;
@@ -263,14 +367,6 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
         eprintln!("[{} more traces; raise --limit]", total as usize - printed);
     }
     Ok(())
-}
-
-/// Scans for `--json <value>`, returning the string verbatim (unlike
-/// [`flag_value`], which parses numbers).
-fn flag_str<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.windows(2)
-        .find(|p| p[0] == name)
-        .map(|p| p[1].as_str())
 }
 
 /// Simulates `spec`, replays the predictor and the delayed-update engine
@@ -329,7 +425,7 @@ fn build_report(spec: &str, budget: u64, bits: u32, depth: usize) -> Result<Repo
         let t0 = std::time::Instant::now();
         let pass = if k == 0 {
             let mut predictor = NextTracePredictor::new(cfg);
-            let (pstats, streaks) = evaluate_with_sink(&mut predictor, &records, &mut NullSink);
+            let (pstats, streaks) = evaluate_with_streaks(&mut predictor, &records);
             Pass::Replay(Box::new((predictor, pstats, streaks)))
         } else {
             Pass::Engine(
@@ -356,14 +452,14 @@ fn build_report(spec: &str, budget: u64, bits: u32, depth: usize) -> Result<Repo
     Ok(report)
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let input = positional(rest)?;
-    let budget = flag_value(rest, "--budget")?.unwrap_or(10_000_000);
-    let depth = flag_value(rest, "--depth")?.unwrap_or(7) as usize;
-    let bits = flag_value(rest, "--bits")?.unwrap_or(15) as u32;
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let input = args.input;
+    let budget = args.flag_value("--budget")?.unwrap_or(10_000_000);
+    let depth = args.flag_value("--depth")?.unwrap_or(7) as usize;
+    let bits = args.flag_value("--bits")?.unwrap_or(15) as u32;
     let report = build_report(input, budget, bits, depth)?;
 
-    match flag_str(rest, "--json") {
+    match args.flag_str("--json") {
         Some("-") => {
             println!("{}", report.to_json().pretty());
         }
@@ -422,25 +518,13 @@ fn engine_line(j: &Json) -> String {
     )
 }
 
-/// Scans for `--seed <value>`, accepting decimal or `0x`-prefixed hex.
-fn flag_seed(rest: &[String], name: &str, default: u64) -> Result<u64, String> {
-    let Some(text) = flag_str(rest, name) else {
-        return Ok(default);
-    };
-    let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    parsed.map_err(|_| format!("{name} expects a decimal or 0x-hex number, got `{text}`"))
-}
-
 /// `ntp verify`: the differential-testing and fault-injection sweep
 /// (see VERIFICATION.md). Exit status is nonzero when any oracle reports a
 /// divergence, so this doubles as a CI gate — `scripts/check.sh` pins
 /// `--seed 0xC0FFEE`.
-fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let seed = flag_seed(rest, "--seed", 0xC0FFEE)?;
-    let points = flag_value(rest, "--points")?.unwrap_or(64) as usize;
+fn cmd_verify(args: &Args) -> Result<(), String> {
+    let seed = args.flag_seed("--seed", 0xC0FFEE)?;
+    let points = args.flag_value("--points")?.unwrap_or(64) as usize;
     if points == 0 {
         return Err("--points must be at least 1".to_string());
     }
@@ -463,31 +547,15 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
 /// Without `--dir` the directory comes from `NTP_TRACE_CACHE`, falling
 /// back to the default `.ntp-cache/` so `ntp capture` is useful even
 /// before the environment knob is set.
-fn cmd_capture(rest: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: ntp capture [--dir <path>] [--verify]";
-    // A capture writes the whole suite, so refuse anything unknown before
-    // building a workload or touching the cache directory.
-    let (mut dir, mut verify) = (None, false);
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dir" => match args.next() {
-                Some(d) => dir = Some(PathBuf::from(d)),
-                None => return Err(format!("capture: --dir expects a path ({USAGE})")),
-            },
-            "--verify" => verify = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(format!("capture: unknown argument `{other}` ({USAGE})")),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| {
-        ntp_tracefile::cache_dir_from_env()
-            .unwrap_or_else(|| PathBuf::from(ntp_tracefile::DEFAULT_CACHE_DIR))
-    });
-    if verify {
+fn cmd_capture(args: &Args) -> Result<(), String> {
+    let dir = args
+        .flag_str("--dir")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            ntp_tracefile::cache_dir_from_env()
+                .unwrap_or_else(|| PathBuf::from(ntp_tracefile::DEFAULT_CACHE_DIR))
+        });
+    if args.has("--verify") {
         return capture_verify(&dir);
     }
     let data = ntp_bench::capture_suite_in(Some(&dir));
@@ -546,8 +614,8 @@ fn capture_verify(dir: &Path) -> Result<(), String> {
     }
 }
 
-/// `ntp snapshot`: save and verify `.nts` predictor-state snapshots
-/// (see SERVING.md, "Predictor state snapshots").
+/// `ntp snapshot save` and `ntp snapshot verify`: `.nts` predictor-state
+/// snapshots (see SERVING.md, "Predictor state snapshots").
 ///
 /// * `save` trains a `paper(bits, depth)` predictor on the workload's
 ///   captured trace stream and writes the learned state as a
@@ -559,25 +627,11 @@ fn capture_verify(dir: &Path) -> Result<(), String> {
 ///   embedded config — is a nonzero exit, so this doubles as the
 ///   snapshot gate in `scripts/check.sh`.
 ///
-/// Both subcommands emit the same `--json` shape, derived from the
-/// instantiated predictors: diffing `save --json` against a later
-/// `verify --json` proves the on-disk round trip preserved stats and
-/// table state.
-fn cmd_snapshot(rest: &[String]) -> Result<(), String> {
-    match rest.first().map(String::as_str) {
-        Some("save") => snapshot_save(&rest[1..]),
-        Some("verify") => snapshot_verify(&rest[1..]),
-        Some(other) => Err(format!(
-            "unknown snapshot subcommand `{other}`\n{}",
-            usage()
-        )),
-        None => Err(format!("snapshot needs `save` or `verify`\n{}", usage())),
-    }
-}
-
-/// Renders the canonical per-session JSON both snapshot subcommands
-/// print: stats plus occupancy of the *instantiated* predictor, so a
-/// verify after a save re-derives every number from the decoded state.
+/// Both print the canonical per-session JSON rendered here: stats plus
+/// occupancy of the *instantiated* predictor, so a verify after a save
+/// re-derives every number from the decoded state, and diffing `save
+/// --json` against a later `verify --json` proves the on-disk round trip
+/// preserved stats and table state.
 fn snapshot_json(artifact: &ntp_tracefile::SnapshotArtifact) -> Result<Json, String> {
     let mut sessions = Vec::with_capacity(artifact.sessions.len());
     for s in &artifact.sessions {
@@ -603,12 +657,9 @@ fn snapshot_json(artifact: &ntp_tracefile::SnapshotArtifact) -> Result<Json, Str
 
 /// Writes or prints the snapshot JSON per the `--json` flag, and prints
 /// the one-line-per-session summary otherwise.
-fn snapshot_report(
-    rest: &[String],
-    artifact: &ntp_tracefile::SnapshotArtifact,
-) -> Result<(), String> {
+fn snapshot_report(args: &Args, artifact: &ntp_tracefile::SnapshotArtifact) -> Result<(), String> {
     let j = snapshot_json(artifact)?;
-    match flag_str(rest, "--json") {
+    match args.flag_str("--json") {
         Some("-") => println!("{}", j.pretty()),
         Some(path) => {
             let mut text = j.pretty();
@@ -632,14 +683,15 @@ fn snapshot_report(
 }
 
 /// `ntp snapshot save`: capture, train, persist.
-fn snapshot_save(rest: &[String]) -> Result<(), String> {
-    let input = positional(rest)?;
-    let out = flag_str(rest, "-o")
+fn snapshot_save(args: &Args) -> Result<(), String> {
+    let input = args.input;
+    let out = args
+        .flag_str("-o")
         .map(PathBuf::from)
         .ok_or_else(|| format!("snapshot save needs -o <out.nts>\n{}", usage()))?;
-    let budget = flag_value(rest, "--budget")?.unwrap_or(10_000_000);
-    let depth = flag_value(rest, "--depth")?.unwrap_or(7) as usize;
-    let bits = flag_value(rest, "--bits")?.unwrap_or(15) as u32;
+    let budget = args.flag_value("--budget")?.unwrap_or(10_000_000);
+    let depth = args.flag_value("--depth")?.unwrap_or(7) as usize;
+    let bits = args.flag_value("--bits")?.unwrap_or(15) as u32;
     let cfg = PredictorConfig::try_paper(bits, depth).map_err(|e| e.to_string())?;
 
     let program = load(input)?;
@@ -665,33 +717,19 @@ fn snapshot_save(rest: &[String]) -> Result<(), String> {
         records.len(),
         bytes
     );
-    snapshot_report(rest, &artifact)
+    snapshot_report(args, &artifact)
 }
 
 /// `ntp snapshot verify`: decode, rebuild, report — nonzero on refusal.
-fn snapshot_verify(rest: &[String]) -> Result<(), String> {
-    let input = positional(rest)?;
+fn snapshot_verify(args: &Args) -> Result<(), String> {
+    let input = args.input;
     let (artifact, bytes) =
         ntp_tracefile::read_snapshot_file(Path::new(input)).map_err(|e| format!("{input}: {e}"))?;
     eprintln!(
         "[snapshot] {input}: {} session(s), {bytes} bytes, all states restore",
         artifact.sessions.len()
     );
-    snapshot_report(rest, &artifact)
-}
-
-/// Scans for `<name> <seconds>` (fractional allowed, must be > 0).
-fn flag_seconds(rest: &[String], name: &str) -> Result<Option<std::time::Duration>, String> {
-    let Some(text) = flag_str(rest, name) else {
-        return Ok(None);
-    };
-    let secs: f64 = text
-        .parse()
-        .map_err(|_| format!("{name} expects seconds, got `{text}`"))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("{name} must be a positive number of seconds"));
-    }
-    Ok(Some(std::time::Duration::from_secs_f64(secs)))
+    snapshot_report(args, &artifact)
 }
 
 /// `ntp serve`: runs the sharded prediction service until a client sends
@@ -705,38 +743,38 @@ fn flag_seconds(rest: &[String], name: &str) -> Result<Option<std::time::Duratio
 /// `--snapshot-interval` additionally rewrites them every S seconds
 /// while serving (bounding what a hard failure can lose). SIGTERM
 /// drains gracefully, same as a client `Shutdown` frame.
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut cfg = ntp_serve::ServeConfig::default();
-    if let Some(addr) = flag_str(rest, "--addr") {
+    if let Some(addr) = args.flag_str("--addr") {
         cfg.addr = addr.to_string();
     }
-    if let Some(workers) = flag_value(rest, "--workers")? {
+    if let Some(workers) = args.flag_value("--workers")? {
         cfg.workers = workers as usize;
     }
-    if let Some(max_conns) = flag_value(rest, "--max-conns")? {
+    if let Some(max_conns) = args.flag_value("--max-conns")? {
         cfg.max_conns = max_conns as usize;
     }
-    if let Some(threads) = flag_value(rest, "--event-threads")? {
+    if let Some(threads) = args.flag_value("--event-threads")? {
         // The epoll loops own every connection, so at least one must
         // run: `serve` refuses 0 with a one-line diagnostic.
         cfg.event_threads = threads as usize;
     }
-    if let Some(depth) = flag_value(rest, "--queue-depth")? {
+    if let Some(depth) = args.flag_value("--queue-depth")? {
         cfg.queue_depth = depth as usize;
     }
-    if let Some(maddr) = flag_str(rest, "--metrics-addr") {
+    if let Some(maddr) = args.flag_str("--metrics-addr") {
         cfg.metrics_addr = Some(maddr.to_string());
     }
-    if let Some(interval) = flag_seconds(rest, "--stats-interval")? {
+    if let Some(interval) = args.flag_seconds("--stats-interval")? {
         cfg.stats_interval = Some(interval);
     }
-    if let Some(warm) = flag_str(rest, "--warm") {
+    if let Some(warm) = args.flag_str("--warm") {
         cfg.warm_path = Some(PathBuf::from(warm));
     }
-    if let Some(dir) = flag_str(rest, "--snapshot-on-drain") {
+    if let Some(dir) = args.flag_str("--snapshot-on-drain") {
         cfg.snapshot_dir = Some(PathBuf::from(dir));
     }
-    if let Some(interval) = flag_seconds(rest, "--snapshot-interval")? {
+    if let Some(interval) = args.flag_seconds("--snapshot-interval")? {
         cfg.snapshot_interval = Some(interval);
     }
     let handle = ntp_serve::serve(cfg.clone()).map_err(|e| e.to_string())?;
@@ -762,7 +800,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
                     trigger.trigger();
                     break;
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(100));
             });
     }
     let summary = handle.join();
@@ -809,14 +847,14 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 /// without one); failover restores sessions from there. `--migrate
 /// S:B:N` schedules one scripted migration: session S moves to backend
 /// B after N of its frames have been forwarded.
-fn cmd_route(rest: &[String]) -> Result<(), String> {
-    let Some(backends) = flag_str(rest, "--backends") else {
+fn cmd_route(args: &Args) -> Result<(), String> {
+    let Some(backends) = args.flag_str("--backends") else {
         return Err(format!(
             "route: --backends a1,a2[,...] is required\n{}",
             usage()
         ));
     };
-    let dirs: Vec<Option<PathBuf>> = match flag_str(rest, "--snapshot-dirs") {
+    let dirs: Vec<Option<PathBuf>> = match args.flag_str("--snapshot-dirs") {
         Some(list) => list
             .split(',')
             .map(|d| match d.trim() {
@@ -845,19 +883,19 @@ fn cmd_route(rest: &[String]) -> Result<(), String> {
         ));
     }
     let mut cfg = ntp_cluster::RouterConfig::new(specs);
-    if let Some(addr) = flag_str(rest, "--addr") {
+    if let Some(addr) = args.flag_str("--addr") {
         cfg.addr = addr.to_string();
     }
-    if let Some(vnodes) = flag_value(rest, "--vnodes")? {
+    if let Some(vnodes) = args.flag_value("--vnodes")? {
         cfg.vnodes = vnodes as usize;
     }
-    if let Some(interval) = flag_seconds(rest, "--probe-interval")? {
+    if let Some(interval) = args.flag_seconds("--probe-interval")? {
         cfg.probe_interval = interval;
     }
-    if let Some(max_conns) = flag_value(rest, "--max-conns")? {
+    if let Some(max_conns) = args.flag_value("--max-conns")? {
         cfg.max_conns = max_conns as usize;
     }
-    if let Some(spec) = flag_str(rest, "--migrate") {
+    if let Some(spec) = args.flag_str("--migrate") {
         let parts: Vec<&str> = spec.split(':').collect();
         let parsed = match parts.as_slice() {
             [s, b, n] => {
@@ -913,13 +951,16 @@ fn cmd_route(rest: &[String]) -> Result<(), String> {
 /// after the final poll. `--cluster` points it at an `ntp route`
 /// process instead, rendering the `route.*` counters and the
 /// per-backend forwarding/latency table.
-fn cmd_top(rest: &[String]) -> Result<(), String> {
-    let addr = flag_str(rest, "--addr").unwrap_or(ntp_serve::config::DEFAULT_ADDR);
-    let interval =
-        flag_seconds(rest, "--interval")?.unwrap_or_else(|| std::time::Duration::from_secs(2));
-    let once = rest.iter().any(|a| a == "--once");
-    let as_json = rest.iter().any(|a| a == "--json");
-    let cluster = rest.iter().any(|a| a == "--cluster");
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let addr = args
+        .flag_str("--addr")
+        .unwrap_or(ntp_serve::config::DEFAULT_ADDR);
+    let interval = args
+        .flag_seconds("--interval")?
+        .unwrap_or_else(|| Duration::from_secs(2));
+    let once = args.has("--once");
+    let as_json = args.has("--json");
+    let cluster = args.has("--cluster");
 
     let mut client = ntp_serve::Client::connect(addr)
         .map_err(|e| format!("top: cannot connect to {addr}: {e}"))?;
@@ -951,7 +992,7 @@ fn cmd_top(rest: &[String]) -> Result<(), String> {
         }
         std::thread::sleep(interval);
     }
-    if rest.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         client
             .shutdown_server()
             .map_err(|e| format!("top: shutdown: {e}"))?;
@@ -1137,20 +1178,6 @@ fn print_cluster_top(addr: &str, snap: &Json) {
     }
 }
 
-/// Scans for `<name> <value>` as a positive finite float.
-fn flag_float(rest: &[String], name: &str) -> Result<Option<f64>, String> {
-    let Some(text) = flag_str(rest, name) else {
-        return Ok(None);
-    };
-    let v: f64 = text
-        .parse()
-        .map_err(|_| format!("{name} expects a number, got `{text}`"))?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("{name} must be a positive number"));
-    }
-    Ok(Some(v))
-}
-
 /// `ntp loadgen`: replays the captured benchmark suite as concurrent
 /// wire sessions against a running `ntp serve`, then checks every
 /// session's served statistics against the offline oracle **exactly**
@@ -1165,24 +1192,24 @@ fn flag_float(rest: &[String], name: &str) -> Result<Option<f64>, String> {
 /// replies are shed (not retried), and latency is measured from the
 /// *scheduled* send time — so queueing delay under overload shows up in
 /// p99/p99.9 instead of being coordinated away.
-fn cmd_loadgen(rest: &[String]) -> Result<(), String> {
+fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let mut cfg = ntp_serve::LoadgenConfig::default();
-    if let Some(addr) = flag_str(rest, "--addr") {
+    if let Some(addr) = args.flag_str("--addr") {
         cfg.addr = addr.to_string();
     }
-    if let Some(clients) = flag_value(rest, "--clients")? {
+    if let Some(clients) = args.flag_value("--clients")? {
         cfg.clients = clients as usize;
     }
-    if let Some(chunk) = flag_value(rest, "--chunk")? {
+    if let Some(chunk) = args.flag_value("--chunk")? {
         cfg.chunk = chunk as usize;
     }
-    if let Some(bits) = flag_value(rest, "--bits")? {
+    if let Some(bits) = args.flag_value("--bits")? {
         cfg.bits = bits as u32;
     }
-    if let Some(depth) = flag_value(rest, "--depth")? {
+    if let Some(depth) = args.flag_value("--depth")? {
         cfg.depth = depth as u32;
     }
-    let sessions = flag_value(rest, "--sessions")?.unwrap_or(4) as usize;
+    let sessions = args.flag_value("--sessions")?.unwrap_or(4) as usize;
     if sessions == 0 {
         return Err("--sessions must be at least 1".to_string());
     }
@@ -1202,13 +1229,13 @@ fn cmd_loadgen(rest: &[String]) -> Result<(), String> {
         })
         .collect();
 
-    if rest.iter().any(|a| a == "--open-loop") {
-        return loadgen_open_loop(rest, &cfg, &specs);
+    if args.has("--open-loop") {
+        return loadgen_open_loop(args, &cfg, &specs);
     }
 
     let report = ntp_serve::loadgen::run(&cfg, &specs).map_err(|e| e.to_string())?;
 
-    if rest.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         let mut client =
             ntp_serve::Client::connect(&cfg.addr).map_err(|e| format!("shutdown: {e}"))?;
         client
@@ -1216,7 +1243,7 @@ fn cmd_loadgen(rest: &[String]) -> Result<(), String> {
             .map_err(|e| format!("shutdown: {e}"))?;
     }
 
-    match flag_str(rest, "--json") {
+    match args.flag_str("--json") {
         Some("-") => println!("{}", report.to_json().pretty()),
         Some(path) => {
             let mut text = report.to_json().pretty();
@@ -1282,7 +1309,7 @@ fn cmd_loadgen(rest: &[String]) -> Result<(), String> {
 /// shed `Busy` replies, scheduled-send-time latency, exact oracle check
 /// over the applied subsequence.
 fn loadgen_open_loop(
-    rest: &[String],
+    args: &Args,
     cfg: &ntp_serve::LoadgenConfig,
     specs: &[ntp_serve::SessionSpec],
 ) -> Result<(), String> {
@@ -1293,20 +1320,20 @@ fn loadgen_open_loop(
         depth: cfg.depth,
         ..ntp_serve::OpenLoopConfig::default()
     };
-    if let Some(rate) = flag_float(rest, "--rate")? {
+    if let Some(rate) = args.flag_float("--rate")? {
         ocfg.rate = rate;
     }
-    if let Some(duration) = flag_seconds(rest, "--duration")? {
+    if let Some(duration) = args.flag_seconds("--duration")? {
         ocfg.duration = duration;
     }
-    if let Some(zipf) = flag_float(rest, "--zipf")? {
+    if let Some(zipf) = args.flag_float("--zipf")? {
         ocfg.zipf = zipf;
     }
-    ocfg.seed = flag_seed(rest, "--seed", ocfg.seed)?;
+    ocfg.seed = args.flag_seed("--seed", ocfg.seed)?;
 
     let report = ntp_serve::run_open_loop(&ocfg, specs).map_err(|e| e.to_string())?;
 
-    if rest.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         let mut client =
             ntp_serve::Client::connect(&ocfg.addr).map_err(|e| format!("shutdown: {e}"))?;
         client
@@ -1314,7 +1341,7 @@ fn loadgen_open_loop(
             .map_err(|e| format!("shutdown: {e}"))?;
     }
 
-    match flag_str(rest, "--json") {
+    match args.flag_str("--json") {
         Some("-") => println!("{}", report.to_json().pretty()),
         Some(path) => {
             let mut text = report.to_json().pretty();
@@ -1369,7 +1396,7 @@ fn loadgen_open_loop(
     }
 }
 
-fn cmd_workloads() -> Result<(), String> {
+fn cmd_workloads(_: &Args) -> Result<(), String> {
     for w in ntp_workloads::suite(ntp_workloads::ScalePreset::Tiny) {
         println!("{:<10}{}", w.name, w.analog_of);
     }
@@ -1419,8 +1446,31 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(flag_str(&args, "--json"), Some("-"));
-        assert_eq!(flag_str(&args, "--budget"), Some("5"));
-        assert_eq!(flag_str(&args, "--depth"), None);
+        let args = Args::parse("report", &usage_line("report"), &args)
+            .expect("report accepts these")
+            .expect("no --help");
+        assert_eq!(args.input, "x");
+        assert_eq!(args.flag_str("--json"), Some("-"));
+        assert_eq!(args.flag_str("--budget"), Some("5"));
+        assert_eq!(args.flag_str("--depth"), None);
+    }
+
+    /// Each command's usage line says which flags take a value and which
+    /// stand alone, and every command has one.
+    #[test]
+    fn usage_lines_are_the_grammar() {
+        for &(name, _) in COMMANDS {
+            assert!(
+                usage_line(name).starts_with(&format!("ntp {name}")),
+                "{name}"
+            );
+        }
+        let kind = |name, flag| flag_kind(&usage_line(name), flag);
+        assert_eq!(kind("report", "--json"), Some(true));
+        assert_eq!(kind("top", "--json"), Some(false));
+        assert_eq!(kind("snapshot save", "-o"), Some(true));
+        assert_eq!(kind("route", "--backends"), Some(true));
+        assert_eq!(kind("loadgen", "--open-loop"), Some(false));
+        assert_eq!(kind("verify", "--pionts"), None);
     }
 }

@@ -225,3 +225,64 @@ fn capture_help_prints_usage_and_writes_nothing() {
         assert!(empty, "{help} writes nothing");
     }
 }
+
+/// `ntp <args>` is refused, before it simulates, connects, binds or
+/// writes anything, with one `ntp: <cmd>: …` line that names `arg`.
+fn refused(args: &[&str], arg: &str) {
+    let out = ntp(args);
+    assert!(!out.status.success(), "{args:?} must be refused");
+    let line = diagnostic(&out);
+    assert!(
+        line.starts_with(&format!("ntp: {}: ", args[0])) && line.contains(arg),
+        "diagnostic should name `{arg}`: {line:?}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).lines().count(),
+        1,
+        "exactly one diagnostic line"
+    );
+}
+
+#[test]
+fn verify_refuses_a_misspelt_flag() {
+    refused(&["verify", "--pionts", "1"], "unknown argument `--pionts`");
+}
+
+#[test]
+fn report_refuses_a_misspelt_flag() {
+    refused(&["report", "@compress", "--bitz", "12"], "`--bitz`");
+}
+
+#[test]
+fn report_refuses_a_value_flag_without_its_value() {
+    refused(&["report", "@compress", "--json"], "--json expects a value");
+}
+
+#[test]
+fn top_refuses_a_misspelt_flag() {
+    refused(&["top", "--addr", "127.0.0.1:1", "--onse"], "`--onse`");
+}
+
+/// `--workers 0` makes a build that skips the unknown flag exit on config
+/// validation instead of serving.
+#[test]
+fn serve_refuses_a_misspelt_flag() {
+    refused(
+        &["serve", "--workers", "0", "--adr", "127.0.0.1:0"],
+        "`--adr`",
+    );
+}
+
+/// `--help` and `-h` print the subcommand's own usage line and exit 0.
+#[test]
+fn help_prints_the_subcommand_usage() {
+    for (args, usage) in [
+        (["report", "--help"], "usage: ntp report <file.s"),
+        (["asm", "-h"], "usage: ntp asm <file.s>"),
+    ] {
+        let out = ntp(&args);
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(usage), "{args:?}: {stdout:?}");
+    }
+}

@@ -103,9 +103,9 @@ impl<T: Copy> PathHistory<T> {
         self.entries.iter()
     }
 
-    /// Snapshot of the whole register, newest first (used by speculative
-    /// checkpointing; the return history stack uses the allocation-free
-    /// [`PathHistory::copy_into`] instead).
+    /// Snapshot of the whole register, newest first (used by
+    /// [`crate::NextTracePredictor::save_state`]; the return history stack
+    /// uses the allocation-free [`PathHistory::copy_into`] instead).
     pub fn snapshot(&self) -> Vec<T> {
         self.entries.clone()
     }

@@ -7,8 +7,7 @@
 //!
 //! Components, in paper order:
 //!
-//! * [`PathHistory`] — the shift register of hashed trace IDs (§3.2),
-//!   updated speculatively with checkpoint/restore support;
+//! * [`PathHistory`] — the shift register of hashed trace IDs (§3.2);
 //! * [`Dolc`] — the Depth/Older/Last/Current index-generation scheme with
 //!   XOR folding (§3.2, Table 3);
 //! * [`NextTracePredictor`] — the bounded hybrid predictor: tagged
@@ -17,11 +16,9 @@
 //!   cost-reduced hashed-target entry format (§5.5);
 //! * [`UnboundedPredictor`] — the no-aliasing model of §5.2 (Figure 6);
 //! * [`evaluate`]/[`PredictorStats`] — the immediate-update replay
-//!   methodology of §4.1;
-//! * [`evaluate_batch`] — many independent replay lanes, back to back;
-//!   [`predict_batch`]/[`update_batch`] — one lockstep step over many
-//!   sessions, overlapping their table gathers (both bit-identical to the
-//!   scalar loop).
+//!   methodology of §4.1; [`evaluate_with_streaks`] adds the
+//!   misprediction-streak histogram, and [`evaluate_batch_fresh`] replays
+//!   many independent lanes back to back.
 //!
 //! # Example
 //!
@@ -57,7 +54,7 @@ mod stats;
 mod telemetry;
 mod unbounded;
 
-pub use batch::{evaluate_batch, evaluate_batch_fresh, predict_batch, update_batch, BatchLane};
+pub use batch::evaluate_batch_fresh;
 pub use confidence::{
     evaluate_with_confidence, ConfidenceConfig, ConfidenceEstimator, ConfidenceStats,
 };
@@ -68,10 +65,9 @@ pub use error::ConfigError;
 pub use history::PathHistory;
 pub use prediction::{Prediction, Source, Target, TracePredictor};
 pub use predictor::{
-    AliasingCounters, Checkpoint, IndexSnapshot, NextTracePredictor, PredictorState, StateError,
-    TableOccupancy,
+    AliasingCounters, IndexSnapshot, NextTracePredictor, PredictorState, StateError, TableOccupancy,
 };
 pub use rhs::{ReturnHistoryStack, RhsConfig, RHS_SNAPSHOT_CAP};
 pub use stats::{evaluate, PredictorStats, PREDICTOR_STATS_FIELDS};
-pub use telemetry::{evaluate_with_sink, predictor_section};
+pub use telemetry::{evaluate_with_streaks, predictor_section};
 pub use unbounded::{UnboundedConfig, UnboundedPredictor};

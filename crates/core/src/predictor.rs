@@ -28,9 +28,8 @@
 //! assertion below keeps them inside the word. A probe or an update
 //! therefore touches one cache line per table, and
 //! [`NextTracePredictor::prefetch_tables`] prefetches exactly those two
-//! lines for the lockstep sweeps ([`crate::predict_batch`],
-//! [`crate::update_batch`]) and `ntp-serve`'s shard drain; the offline
-//! replay ([`crate::evaluate`], [`crate::evaluate_batch`]) issues no
+//! lines for `ntp-serve`'s shard drain; the offline replay
+//! ([`crate::evaluate`], [`crate::evaluate_batch_fresh`]) issues no
 //! prefetch. An all-zero word is an invalid entry, so a table starts as a
 //! zeroed allocation whose pages are mapped only as entries fill. The §6
 //! alternate targets live in a separate array that is allocated only when
@@ -224,15 +223,6 @@ pub struct IndexSnapshot {
     corr_index: u32,
     tag: u16,
     sec_index: u32,
-}
-
-/// A checkpoint of the speculative front-end state (history register and
-/// return history stack), used by the execution engine to repair after a
-/// misprediction.
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    history: Vec<HashedId>,
-    rhs: Option<Vec<Vec<HashedId>>>,
 }
 
 /// Table-pressure counters accumulated on the training path.
@@ -546,11 +536,10 @@ impl NextTracePredictor {
     }
 
     /// Hints the cache that the two table entries named by the current
-    /// index snapshot are about to be probed. The lockstep sweeps
-    /// ([`crate::predict_batch`], [`crate::update_batch`]) and `ntp-serve`'s
-    /// shard drain issue this across many sessions before resolving any of
-    /// them, so the gathers overlap instead of serializing on each miss. A
-    /// pure hint: no-op off x86_64, never changes behaviour.
+    /// index snapshot are about to be probed. `ntp-serve`'s shard drain
+    /// issues this across many sessions before resolving any of them, so
+    /// the gathers overlap instead of serializing on each miss. A pure
+    /// hint: no-op off x86_64, never changes behaviour.
     #[inline]
     pub fn prefetch_tables(&self) {
         prefetch_read(&self.corr.words[self.cached_idx.corr_index as usize]);
@@ -679,23 +668,6 @@ impl NextTracePredictor {
         self.history.push(id.hashed());
         if let Some(rhs) = &mut self.rhs {
             rhs.on_trace(&mut self.history, calls, ends_in_return);
-        }
-        self.refresh_indices();
-    }
-
-    /// Captures the speculative front-end state.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            history: self.history.snapshot(),
-            rhs: self.rhs.as_ref().map(ReturnHistoryStack::snapshot),
-        }
-    }
-
-    /// Restores a [`Checkpoint`] (misprediction repair).
-    pub fn restore(&mut self, cp: &Checkpoint) {
-        self.history.restore(&cp.history);
-        if let (Some(rhs), Some(saved)) = (&mut self.rhs, &cp.rhs) {
-            rhs.restore(saved.clone());
         }
         self.refresh_indices();
     }
@@ -1107,20 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_roundtrip() {
-        let mut p = NextTracePredictor::new(cfg_small());
-        p.update(&rec(0x0040_0000, 0, 0));
-        p.update(&rec_callret(0x0040_0100, 1, false));
-        let cp = p.checkpoint();
-        let before: Vec<_> = p.history().iter_newest_first().copied().collect();
-        p.update(&rec(0x0041_0000, 0, 0));
-        p.update(&rec_callret(0x0041_0100, 0, true));
-        p.restore(&cp);
-        let after: Vec<_> = p.history().iter_newest_first().copied().collect();
-        assert_eq!(before, after);
-    }
-
-    #[test]
     fn alternate_tracks_second_choice() {
         let mut p = NextTracePredictor::new(PredictorConfig {
             secondary_index_bits: 8,
@@ -1242,7 +1200,7 @@ mod tests {
     fn cached_indices_always_match_recomputation() {
         // The hot path serves `indices()` from a cache refreshed at history
         // pushes; it must stay bit-identical to recomputing from scratch,
-        // including across RHS pushes/merges and checkpoint restores.
+        // including across RHS pushes/merges and state restores.
         let mut p = NextTracePredictor::new(PredictorConfig::paper(15, 7));
         let expect = |p: &NextTracePredictor| {
             let cfg = p.config();
@@ -1262,7 +1220,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (seed >> 33) as u32
         };
-        let mut cp = p.checkpoint();
+        let mut saved = p.save_state();
         for k in 0..400 {
             let r = rng();
             let calls = (r & 3) as u8 % 3;
@@ -1277,10 +1235,10 @@ mod tests {
             p.update(&rec);
             assert_eq!(p.indices(), expect(&p), "step {k}");
             if k % 67 == 0 {
-                cp = p.checkpoint();
+                saved = p.save_state();
             }
             if k % 131 == 130 {
-                p.restore(&cp);
+                p.restore_state(&saved).expect("saved state is valid");
                 assert_eq!(p.indices(), expect(&p), "after restore at {k}");
             }
         }

@@ -130,8 +130,9 @@ impl<T: Copy + Default> ReturnHistoryStack<T> {
         }
     }
 
-    /// Snapshot for speculative checkpointing. (Checkpointing is off the
-    /// replay hot path, so the heap-allocated exchange format is fine.)
+    /// Snapshot for [`crate::NextTracePredictor::save_state`]. (Saving is
+    /// off the replay hot path, so the heap-allocated exchange format is
+    /// fine.)
     pub fn snapshot(&self) -> Vec<Vec<T>> {
         self.stack.iter().map(|s| s.as_slice().to_vec()).collect()
     }

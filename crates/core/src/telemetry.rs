@@ -1,17 +1,16 @@
 //! Telemetry integration: JSON serialization for every stats struct in the
-//! crate, plus an instrumented replay driver emitting
-//! [`PredictionEvent`]s and a misprediction-streak histogram.
+//! crate, plus [`evaluate_with_streaks`], the replay driver that also
+//! builds a misprediction-streak histogram.
 //!
-//! Everything here is strictly off the prediction hot path except
-//! [`evaluate_with_sink`], which checks [`EventSink::enabled`] once per
-//! prediction (a branch on a bool) and constructs events only when a real
-//! sink is attached — keeping the ≤5 % telemetry-overhead budget.
+//! Everything here is off the prediction hot path except
+//! [`evaluate_with_streaks`], which adds one branch and a counter per
+//! prediction to the [`crate::evaluate`] loop.
 
 use crate::{
-    AliasingCounters, ConfidenceStats, NextTracePredictor, PredictorConfig, PredictorStats, Source,
+    AliasingCounters, ConfidenceStats, NextTracePredictor, PredictorConfig, PredictorStats,
     StoredTarget, TableOccupancy, TracePredictor,
 };
-use ntp_telemetry::{EventSink, EventSource, Histogram, Json, PredictionEvent, ToJson};
+use ntp_telemetry::{Histogram, Json, ToJson};
 use ntp_trace::TraceRecord;
 
 impl ToJson for PredictorStats {
@@ -122,64 +121,35 @@ pub fn predictor_section(p: &NextTracePredictor, stats: &PredictorStats) -> Json
         .with("occupancy", p.occupancy().to_json())
 }
 
-fn event_source(s: Source) -> EventSource {
-    match s {
-        Source::Correlated => EventSource::Correlated,
-        Source::Secondary => EventSource::Secondary,
-        Source::Cold => EventSource::Cold,
-    }
-}
-
-/// [`crate::evaluate`] with instrumentation riding along: each prediction is
-/// offered to `sink` as a [`PredictionEvent`] (skipped entirely when the
-/// sink reports itself disabled), and runs of consecutive primary
-/// mispredictions are recorded into the returned streak [`Histogram`].
+/// [`crate::evaluate`] that also records each run of consecutive primary
+/// mispredictions into the returned streak [`Histogram`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ntp_core::{evaluate_with_sink, NextTracePredictor, PredictorConfig};
-/// use ntp_telemetry::{NullSink, TraceLog};
+/// use ntp_core::{evaluate_with_streaks, NextTracePredictor, PredictorConfig};
 /// use ntp_trace::{TraceId, TraceRecord};
 ///
 /// let records: Vec<TraceRecord> = (0..200)
 ///     .map(|k| TraceRecord::new(TraceId::new(0x0040_0000 + (k % 5) * 64, 0, 0), 16, 0, false, false))
 ///     .collect();
 ///
-/// // Free mode: the null sink skips event construction entirely.
 /// let mut p = NextTracePredictor::new(PredictorConfig::paper(12, 3));
-/// let (stats, streaks) = evaluate_with_sink(&mut p, &records, &mut NullSink);
+/// let (stats, streaks) = evaluate_with_streaks(&mut p, &records);
 /// assert_eq!(stats.predictions, 200);
-/// assert_eq!(streaks.count(), streaks.count()); // cold-start streak recorded
-///
-/// // Forensics mode: a TraceLog keeps sampled events.
-/// let mut log = TraceLog::new(64, 1);
-/// let mut p = NextTracePredictor::new(PredictorConfig::paper(12, 3));
-/// let _ = evaluate_with_sink(&mut p, &records, &mut log);
-/// assert_eq!(log.offered(), 200);
+/// // Every miss belongs to exactly one streak.
+/// assert_eq!(streaks.sum(), stats.predictions - stats.correct);
 /// ```
-pub fn evaluate_with_sink<P: TracePredictor + ?Sized, S: EventSink + ?Sized>(
+pub fn evaluate_with_streaks<P: TracePredictor + ?Sized>(
     predictor: &mut P,
     records: &[TraceRecord],
-    sink: &mut S,
 ) -> (PredictorStats, Histogram) {
     let mut stats = PredictorStats::new();
     let mut streaks = Histogram::new();
     let mut streak: u64 = 0;
-    let emit = sink.enabled();
-    for (i, r) in records.iter().enumerate() {
+    for r in records {
         let pred = predictor.predict();
-        let hit = pred.is_correct(r.id());
-        if emit {
-            sink.record(&PredictionEvent {
-                index: i as u64,
-                source: event_source(pred.source),
-                hit,
-                alternate_hit: !hit && pred.alternate_correct(r.id()),
-                history_len: predictor.history_len().min(u8::MAX as usize) as u8,
-            });
-        }
-        if hit {
+        if pred.is_correct(r.id()) {
             if streak > 0 {
                 streaks.record(streak);
                 streak = 0;
@@ -200,7 +170,6 @@ pub fn evaluate_with_sink<P: TracePredictor + ?Sized, S: EventSink + ?Sized>(
 mod tests {
     use super::*;
     use crate::evaluate;
-    use ntp_telemetry::{NullSink, TraceLog};
     use ntp_trace::TraceId;
 
     fn rec(pc: u32) -> TraceRecord {
@@ -221,34 +190,26 @@ mod tests {
     }
 
     #[test]
-    fn sink_matches_plain_evaluate() {
+    fn streaks_match_plain_evaluate() {
         let records = cycle(4, 400);
         let plain = evaluate(&mut small(), &records);
-        let (with_sink, _) = evaluate_with_sink(&mut small(), &records, &mut NullSink);
-        assert_eq!(plain, with_sink, "instrumentation must not change scoring");
+        let (with_streaks, _) = evaluate_with_streaks(&mut small(), &records);
+        assert_eq!(
+            plain, with_streaks,
+            "instrumentation must not change scoring"
+        );
     }
 
     #[test]
     fn streak_histogram_totals_mispredictions() {
         let records = cycle(4, 400);
-        let (stats, streaks) = evaluate_with_sink(&mut small(), &records, &mut NullSink);
+        let (stats, streaks) = evaluate_with_streaks(&mut small(), &records);
         let missed = stats.predictions - stats.correct;
         assert_eq!(streaks.sum(), missed, "streak lengths sum to total misses");
         assert!(
             streaks.count() >= 1,
             "cold start yields at least one streak"
         );
-    }
-
-    #[test]
-    fn trace_log_captures_events_with_history_depth() {
-        let records = cycle(3, 60);
-        let mut log = TraceLog::new(128, 1);
-        let _ = evaluate_with_sink(&mut small(), &records, &mut log);
-        assert_eq!(log.offered(), 60);
-        let deep = log.iter().filter(|e| e.history_len > 0).count();
-        assert!(deep > 0, "history occupancy reaches the events");
-        assert!(log.iter().any(|e| e.hit), "a 3-cycle is learned");
     }
 
     #[test]

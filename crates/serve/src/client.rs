@@ -10,12 +10,6 @@ use std::time::{Duration, Instant};
 /// Default client-side frame limit (matches the server default).
 pub const CLIENT_MAX_FRAME: u32 = crate::config::DEFAULT_MAX_FRAME;
 
-/// Environment knob: connect/read/write deadline in seconds (fractions
-/// allowed) for every [`Client::connect`]. Unset means the defaults
-/// (5s connect, 30s read/write); an unparsable or non-positive value is
-/// refused at connect time rather than silently ignored.
-pub const CLIENT_TIMEOUT_ENV: &str = "NTP_CLIENT_TIMEOUT";
-
 /// Default connect timeout.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -27,8 +21,8 @@ pub const DEFAULT_RW_TIMEOUT: Duration = Duration::from_secs(30);
 pub enum ClientError {
     /// Transport failure (connect, read, write, EOF mid-reply).
     Io(std::io::Error),
-    /// The deadline ([`CLIENT_TIMEOUT_ENV`] or
-    /// [`Client::connect_with_timeout`]) expired while connecting or
+    /// The deadline ([`Client::connect`]'s defaults or
+    /// [`Client::connect_with_timeout`]'s) expired while connecting or
     /// waiting for a reply.
     Timeout {
         /// How long the call had been underway when it expired.
@@ -85,21 +79,6 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Reads and validates the [`CLIENT_TIMEOUT_ENV`] knob. `Ok(None)` when
-/// unset or empty.
-pub fn client_timeout_from_env() -> Result<Option<Duration>, String> {
-    match std::env::var(CLIENT_TIMEOUT_ENV) {
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 && secs.is_finite() => Ok(Some(Duration::from_secs_f64(secs))),
-            _ => Err(format!(
-                "{CLIENT_TIMEOUT_ENV}={v:?} is not a positive number of seconds"
-            )),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
 /// A blocking connection to an `ntp-serve` server.
 ///
 /// One request is in flight at a time (the protocol is strictly
@@ -125,15 +104,10 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the default deadlines (5s connect, 30s
-    /// read/write), or — when `NTP_CLIENT_TIMEOUT` is set — that many
-    /// seconds for connect *and* read/write. A bad knob value is a hard
-    /// error, never silently ignored.
+    /// Connects with the default deadlines: [`DEFAULT_CONNECT_TIMEOUT`]
+    /// (5s) and [`DEFAULT_RW_TIMEOUT`] (30s read/write).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        match client_timeout_from_env().map_err(ClientError::Protocol)? {
-            Some(t) => Client::connect_with_timeout(addr, t, t),
-            None => Client::connect_with_timeout(addr, DEFAULT_CONNECT_TIMEOUT, DEFAULT_RW_TIMEOUT),
-        }
+        Client::connect_with_timeout(addr, DEFAULT_CONNECT_TIMEOUT, DEFAULT_RW_TIMEOUT)
     }
 
     /// Connects with explicit deadlines: `connect` bounds the TCP

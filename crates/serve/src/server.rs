@@ -174,8 +174,9 @@ pub struct ShardSummary {
     /// Requests that drained through a batched sweep: the shard found two
     /// or more routed requests queued and prefetched every target
     /// session's table lines before resolving any of them (see
-    /// `ntp_core::predict_batch`). Load-dependent — only a busy queue
-    /// batches — so this is a volatile counter, not a determinism gate.
+    /// `NextTracePredictor::prefetch_tables`). Load-dependent — only a
+    /// busy queue batches — so this is a volatile counter, not a
+    /// determinism gate.
     pub batched: u64,
     /// Requests that arrived pre-coalesced: an event loop decoded two or
     /// more frames for this shard, of any sessions, in one read burst
@@ -1070,10 +1071,10 @@ const MAX_DRAIN: usize = 64;
 /// Each wake-up drains the queue opportunistically (up to [`MAX_DRAIN`]
 /// jobs). When the drain picks up two or more routed requests — inside
 /// one read burst's [`Job::Run`] or across jobs from several
-/// connections — the shard runs the same gathered sweep as
-/// `ntp_core::predict_batch`/`update_batch`: one prefetch pass over the
-/// table lines of every request's session, then the resolve pass in
-/// strict arrival order. Each job's replies go back as one
+/// connections — the shard runs a gathered sweep: one
+/// `NextTracePredictor::prefetch_tables` pass over the table lines of
+/// every request's session, then the resolve pass in strict arrival
+/// order. Each job's replies go back as one
 /// [`Completion`] with one wake of its event loop. Replies, session
 /// state and metrics are identical to one-at-a-time processing; only
 /// the cache misses overlap.

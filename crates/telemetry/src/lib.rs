@@ -1,4 +1,4 @@
-//! # ntp-telemetry — metrics, event tracing and machine-readable reports
+//! # ntp-telemetry — metrics, histograms and machine-readable reports
 //!
 //! The observability substrate of the stack. Every other crate depends on
 //! this one (it depends on nothing), implements [`ToJson`] for its stats
@@ -18,8 +18,6 @@
 //! * [`PhaseTimes`] / [`ScopeTimer`] — per-phase wall-clock profiling
 //!   (simulate / trace-build / replay / train) and
 //!   [`per_second`] throughput gauges;
-//! * [`EventSink`] / [`TraceLog`] — sampled structured prediction events
-//!   for misprediction forensics (default-off via [`NullSink`]);
 //! * [`json`] — a dependency-free JSON writer *and* parser (the registry
 //!   is unreachable offline, so no serde), keeping report output
 //!   deterministic byte-for-byte;
@@ -56,7 +54,6 @@
 
 pub mod json;
 
-mod events;
 mod hist;
 mod manifest;
 mod metrics;
@@ -65,7 +62,6 @@ mod rolling;
 mod snapshot;
 mod timer;
 
-pub use events::{EventSink, EventSource, NullSink, PredictionEvent, TraceLog};
 pub use hist::{Histogram, BUCKETS};
 pub use json::Json;
 pub use manifest::RunManifest;

@@ -8,14 +8,14 @@
 //!   the unbounded no-aliasing model *on every prediction* when the stream
 //!   and configuration are constructed so that aliasing is impossible;
 //! * [`evaluate_equivalence`] — the three replay drivers (`evaluate`,
-//!   `evaluate_with_sink`, the delayed-update engine at a latency-free
+//!   `evaluate_with_streaks`, the delayed-update engine at a latency-free
 //!   operating point) must report identical statistics;
 //! * [`runner_determinism`] — the worker pool's ordered merge must equal
 //!   the serial result vector at any thread count;
-//! * [`batch_vs_scalar`] — `evaluate_batch` must equal per-lane
-//!   `evaluate`, and the gathered `predict_batch`/`update_batch` pair
-//!   scalar predict/update, on every prediction, statistic and final
-//!   table state;
+//! * [`batch_vs_scalar`] — `evaluate_batch_fresh` must equal per-lane
+//!   `evaluate`, and a lane replayed with the shard drain's
+//!   `prefetch_tables` hint must equal the same lane without it, on every
+//!   prediction, statistic and final table state;
 //! * [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!   through `save_state`/`restore_state` at random cut points must stay
 //!   in prediction-by-prediction lockstep with one never snapshotted, and

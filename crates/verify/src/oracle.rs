@@ -6,14 +6,15 @@
 //! 1. [`bounded_vs_unbounded`] — the finite tagged predictor against the
 //!    unbounded no-aliasing model on alias-free streams, compared
 //!    *prediction by prediction*;
-//! 2. [`evaluate_equivalence`] — `evaluate`, `evaluate_with_sink` and the
+//! 2. [`evaluate_equivalence`] — `evaluate`, `evaluate_with_streaks` and the
 //!    delayed-update engine (at a latency-free operating point) must produce
 //!    identical [`PredictorStats`];
 //! 3. [`runner_determinism`] — the worker pool's ordered merge must be
 //!    byte-identical to the serial path at any thread count;
-//! 4. [`batch_vs_scalar`] — `evaluate_batch` against per-lane `evaluate`,
-//!    and the gathered `predict_batch`/`update_batch` pair against scalar
-//!    predict/update, per prediction and per final table state;
+//! 4. [`batch_vs_scalar`] — `evaluate_batch_fresh` against per-lane
+//!    `evaluate`, and each lane replayed with the shard drain's
+//!    `prefetch_tables` hint against the same lane without it, per
+//!    prediction and per final table state;
 //! 5. [`snapshot_restore_lockstep`] — a predictor torn down and rebuilt
 //!    through `save_state`/`restore_state` at random cut points must stay
 //!    in lockstep with one that was never snapshotted.
@@ -26,12 +27,11 @@
 use crate::gen::{alias_free_point, paper_point, random_stream};
 use crate::rng::XorShift64;
 use ntp_core::{
-    evaluate, evaluate_batch, evaluate_with_sink, predict_batch, update_batch, BatchLane,
-    NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor, UnboundedPredictor,
+    evaluate, evaluate_batch_fresh, evaluate_with_streaks, NextTracePredictor, PredictorConfig,
+    PredictorStats, TracePredictor, UnboundedPredictor,
 };
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_runner::map_ordered_with;
-use ntp_telemetry::NullSink;
 use std::fmt;
 
 /// One observed disagreement between implementations that must agree.
@@ -181,7 +181,7 @@ fn first_divergent_prefix(n: usize, agrees_on: impl Fn(usize) -> bool) -> usize 
     hi
 }
 
-/// Oracle 2: `evaluate`, `evaluate_with_sink` (null sink) and the
+/// Oracle 2: `evaluate`, `evaluate_with_streaks` and the
 /// delayed-update engine at a latency-free operating point (issue width and
 /// window at least one full trace, so every trace trains before the next
 /// prediction) must produce identical statistics.
@@ -207,8 +207,8 @@ pub fn evaluate_equivalence(seed: u64, cases: usize) -> OracleOutcome {
         let run_eval = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
             evaluate(&mut NextTracePredictor::new(cfg), records)
         };
-        let run_sink = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
-            evaluate_with_sink(&mut NextTracePredictor::new(cfg), records, &mut NullSink).0
+        let run_streaks = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
+            evaluate_with_streaks(&mut NextTracePredictor::new(cfg), records).0
         };
         let run_engine = |records: &[ntp_trace::TraceRecord]| -> PredictorStats {
             DelayedUpdateEngine::new(NextTracePredictor::new(cfg), ecfg)
@@ -218,17 +218,12 @@ pub fn evaluate_equivalence(seed: u64, cases: usize) -> OracleOutcome {
 
         let base = run_eval(&stream);
         comparisons += 2;
-        for (other_name, other) in [
-            ("evaluate_with_sink", run_sink(&stream)),
-            ("delayed-update engine", run_engine(&stream)),
+        for (other_name, runner) in [
+            ("evaluate_with_streaks", &run_streaks as &dyn Fn(&[_]) -> _),
+            ("delayed-update engine", &run_engine),
         ] {
+            let other = runner(&stream);
             if other != base {
-                let runner: &dyn Fn(&[ntp_trace::TraceRecord]) -> PredictorStats =
-                    if other_name == "evaluate_with_sink" {
-                        &run_sink
-                    } else {
-                        &run_engine
-                    };
                 let first = first_divergent_prefix(stream.len(), |k| {
                     runner(&stream[..k]) == run_eval(&stream[..k])
                 });
@@ -310,14 +305,14 @@ pub fn runner_determinism(seed: u64, cases: usize) -> OracleOutcome {
     }
 }
 
-/// Oracle 4: the batched sweeps must be bit-identical to the scalar
-/// replay. `evaluate_batch` over ragged lanes is compared with per-lane
-/// `evaluate` (every [`PredictorStats`] field, and the predictors' final
-/// aliasing counters, occupancy and cached table indexes); the lockstep
-/// `predict_batch`/`update_batch` pair is compared with scalar
-/// predict/update, every per-step [`ntp_core::Prediction`]. The lockstep
-/// sweep only overlaps table gathers via prefetch hints; any observable
-/// difference is a bug.
+/// Oracle 4: the batched paths must be bit-identical to the scalar
+/// replay. `evaluate_batch_fresh` over ragged lanes is compared with
+/// per-lane `evaluate` (every [`PredictorStats`] field). Then each lane is
+/// replayed twice in lockstep: one predictor gets the shard drain's
+/// `prefetch_tables` hint before every predict and update, the other gets
+/// none; every per-step [`ntp_core::Prediction`] and the final aliasing
+/// counters, occupancy and cached table indexes must match. The hint only
+/// overlaps table gathers; any observable difference is a bug.
 pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
     const NAME: &str = "batch-vs-scalar";
     let master = XorShift64::new(seed ^ 0xBA7C_4ED0);
@@ -338,9 +333,6 @@ pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
             let len = rng.range(200, 800) as usize;
             streams.push(random_stream(&mut rng, len));
         }
-        let fresh = |cfgs: &[PredictorConfig]| -> Vec<NextTracePredictor> {
-            cfgs.iter().map(|c| NextTracePredictor::new(*c)).collect()
-        };
         let mut diverge = |index: Option<u64>, detail: String| {
             divergences.push(Divergence {
                 oracle: NAME,
@@ -353,74 +345,58 @@ pub fn batch_vs_scalar(seed: u64, cases: usize) -> OracleOutcome {
         };
 
         // Whole-replay comparison over ragged lanes.
-        let mut batch_preds = fresh(&cfgs);
-        let mut lanes: Vec<BatchLane<'_>> = batch_preds
-            .iter_mut()
-            .zip(streams.iter())
-            .map(|(p, s)| BatchLane::new(p, s))
-            .collect();
-        let batch_stats = evaluate_batch(&mut lanes);
-        let mut serial_preds = fresh(&cfgs);
-        let serial_stats: Vec<PredictorStats> = serial_preds
-            .iter_mut()
-            .zip(streams.iter())
-            .map(|(p, s)| evaluate(p, s))
-            .collect();
+        let views: Vec<&[ntp_trace::TraceRecord]> = streams.iter().map(Vec::as_slice).collect();
+        let batch_stats = evaluate_batch_fresh(&views, |k| NextTracePredictor::new(cfgs[k]));
         comparisons += lanes_n as u64;
-        for (k, (b, s)) in batch_stats.iter().zip(serial_stats.iter()).enumerate() {
-            if b != s {
-                diverge(None, format!("lane {k} stats: batch {b:?} vs scalar {s:?}"));
-            }
-        }
-        comparisons += lanes_n as u64;
-        for (k, (b, s)) in batch_preds.iter().zip(serial_preds.iter()).enumerate() {
-            if b.aliasing() != s.aliasing()
-                || b.occupancy() != s.occupancy()
-                || b.indices() != s.indices()
-            {
+        for (k, (b, s)) in batch_stats.iter().zip(&streams).enumerate() {
+            let want = evaluate(&mut NextTracePredictor::new(cfgs[k]), s);
+            if *b != want {
                 diverge(
                     None,
-                    format!(
-                        "lane {k} final state: batch aliasing {:?} occupancy {:?} indices {:?} \
-                         vs scalar {:?} / {:?} / {:?}",
-                        b.aliasing(),
-                        s.aliasing(),
-                        b.occupancy(),
-                        s.occupancy(),
-                        b.indices(),
-                        s.indices()
-                    ),
+                    format!("lane {k} stats: batch {b:?} vs scalar {want:?}"),
                 );
             }
         }
 
-        // Lockstep comparison: every per-step Prediction, over the common
-        // prefix of all lanes, through predict_batch/update_batch.
-        let steps = streams.iter().map(Vec::len).min().unwrap_or(0);
-        let mut batch_preds = fresh(&cfgs);
-        let mut scalar_preds = fresh(&cfgs);
-        'case: for step in 0..steps {
-            let views: Vec<&NextTracePredictor> = batch_preds.iter().collect();
-            let preds = predict_batch(&views);
-            comparisons += lanes_n as u64;
-            for (k, sp) in scalar_preds.iter().enumerate() {
-                let want = sp.predict();
-                if preds[k] != want {
+        // Lockstep comparison: every per-step Prediction of each lane, with
+        // and without the prefetch hint, then the final table state.
+        'lane: for (k, s) in streams.iter().enumerate() {
+            let mut hinted = NextTracePredictor::new(cfgs[k]);
+            let mut plain = NextTracePredictor::new(cfgs[k]);
+            for (step, r) in s.iter().enumerate() {
+                hinted.prefetch_tables();
+                let got = hinted.predict();
+                let want = plain.predict();
+                comparisons += 1;
+                if got != want {
                     diverge(
                         Some(step as u64),
-                        format!("lane {k}: predict_batch {:?} vs scalar {want:?}", preds[k]),
+                        format!("lane {k}: hinted {got:?} vs plain {want:?}"),
                     );
-                    break 'case;
+                    continue 'lane;
                 }
+                hinted.prefetch_tables();
+                hinted.update(r);
+                plain.update(r);
             }
-            let mut pairs: Vec<(&mut NextTracePredictor, &ntp_trace::TraceRecord)> = batch_preds
-                .iter_mut()
-                .zip(streams.iter())
-                .map(|(p, s)| (p, &s[step]))
-                .collect();
-            update_batch(&mut pairs);
-            for (p, s) in scalar_preds.iter_mut().zip(streams.iter()) {
-                p.update(&s[step]);
+            comparisons += 1;
+            if hinted.aliasing() != plain.aliasing()
+                || hinted.occupancy() != plain.occupancy()
+                || hinted.indices() != plain.indices()
+            {
+                diverge(
+                    None,
+                    format!(
+                        "lane {k} final state: hinted aliasing {:?} occupancy {:?} indices {:?} \
+                         vs plain {:?} / {:?} / {:?}",
+                        hinted.aliasing(),
+                        hinted.occupancy(),
+                        hinted.indices(),
+                        plain.aliasing(),
+                        plain.occupancy(),
+                        plain.indices()
+                    ),
+                );
             }
         }
     }

@@ -90,7 +90,9 @@ echo "stdout byte-identical"
 say "validating BENCH_*.json (parse + required sections)"
 count=0
 for f in "$out_a"/BENCH_*.json; do
-    jq -e '.manifest.name and .phases_ms and .predictor.stats.mispredict_pct != null' \
+    # Every miss belongs to exactly one misprediction streak.
+    jq -e '.manifest.name and .phases_ms and .predictor.stats.mispredict_pct != null
+           and .mispredict_streaks.sum == (.predictor.stats.predictions - .predictor.stats.correct)' \
         "$f" >/dev/null || { echo "invalid report: $f"; exit 1; }
     count=$((count + 1))
 done
@@ -110,7 +112,9 @@ echo "all reports byte-identical after stripping volatiles"
 
 say "CLI report round-trip"
 cargo run --release -q -p ntp-cli -- report @compress --budget 300000 --json - \
-    | jq -e '.capture.icount > 0' >/dev/null
+    | jq -e '.capture.icount > 0
+             and .mispredict_streaks.sum == (.predictor.stats.predictions - .predictor.stats.correct)' \
+        >/dev/null
 echo "ok"
 
 say "trace cache: cold vs warm runs are byte-identical"

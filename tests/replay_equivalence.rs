@@ -3,19 +3,20 @@
 //!
 //! Two families of invariants:
 //!
-//! * the instrumented replay ([`ntp::core::evaluate_with_sink`]) must
+//! * the instrumented replay ([`ntp::core::evaluate_with_streaks`]) must
 //!   produce exactly the same [`ntp::core::PredictorStats`] as the plain
 //!   replay ([`ntp::core::evaluate`]) — telemetry must never perturb the
-//!   experiment;
+//!   experiment — and exactly the misprediction streaks a hand-written
+//!   loop counts;
 //! * the parallel runner's ordered merge must equal the serial map at any
 //!   thread count — parallelism must never perturb the output.
 
 use ntp::core::{
-    evaluate, evaluate_with_sink, NextTracePredictor, PredictorConfig, TracePredictor,
+    evaluate, evaluate_with_streaks, NextTracePredictor, PredictorConfig, TracePredictor,
     UnboundedConfig, UnboundedPredictor,
 };
 use ntp::runner::map_ordered_with;
-use ntp::telemetry::NullSink;
+use ntp::telemetry::Histogram;
 use ntp::trace::{TraceId, TraceRecord};
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants).
@@ -61,8 +62,27 @@ fn arb_stream(seed: u64, n: usize) -> Vec<TraceRecord> {
         .collect()
 }
 
+/// The streak histogram `evaluate_with_streaks` must build: a hand-written
+/// predict/update loop notes every hit or miss, and each maximal run of
+/// misses between hits is one streak.
+fn reference_streaks(p: &mut impl TracePredictor, records: &[TraceRecord]) -> Histogram {
+    let hits: Vec<bool> = records
+        .iter()
+        .map(|r| {
+            let hit = p.predict().is_correct(r.id());
+            p.update(r);
+            hit
+        })
+        .collect();
+    let mut streaks = Histogram::new();
+    for run in hits.split(|&hit| hit).filter(|run| !run.is_empty()) {
+        streaks.record(run.len() as u64);
+    }
+    streaks
+}
+
 #[test]
-fn evaluate_and_evaluate_with_sink_agree_exactly() {
+fn evaluate_and_evaluate_with_streaks_agree_exactly() {
     // Sweep seeds × configurations; instrumented and plain replay must
     // produce identical statistics in every case.
     for seed in [1u64, 0xdead_beef, 42, 7_777_777] {
@@ -77,23 +97,21 @@ fn evaluate_and_evaluate_with_sink_agree_exactly() {
             let mut a = NextTracePredictor::new(cfg);
             let mut b = NextTracePredictor::new(cfg);
             let plain = evaluate(&mut a, &records);
-            let (instrumented, streaks) = evaluate_with_sink(&mut b, &records, &mut NullSink);
+            let (instrumented, streaks) = evaluate_with_streaks(&mut b, &records);
             assert_eq!(
                 plain, instrumented,
                 "telemetry perturbed replay (seed {seed}, cfg {cfg:?})"
             );
-            // The streak histogram tallies one entry per terminated
-            // misprediction streak — it can never exceed the number of
-            // mispredictions.
-            let mispredicts = plain.predictions - plain.correct;
-            assert!(streaks.count() <= mispredicts.max(1));
+            let want = reference_streaks(&mut NextTracePredictor::new(cfg), &records);
+            assert_eq!(streaks, want, "streaks (seed {seed}, cfg {cfg:?})");
         }
         // The unbounded model goes through the same generic path.
-        let mut a = UnboundedPredictor::new(UnboundedConfig::paper(7));
-        let mut b = UnboundedPredictor::new(UnboundedConfig::paper(7));
-        let plain = evaluate(&mut a, &records);
-        let (instrumented, _) = evaluate_with_sink(&mut b, &records, &mut NullSink);
+        let unbounded = || UnboundedPredictor::new(UnboundedConfig::paper(7));
+        let plain = evaluate(&mut unbounded(), &records);
+        let (instrumented, streaks) = evaluate_with_streaks(&mut unbounded(), &records);
         assert_eq!(plain, instrumented, "unbounded (seed {seed})");
+        let want = reference_streaks(&mut unbounded(), &records);
+        assert_eq!(streaks, want, "unbounded streaks (seed {seed})");
     }
 }
 
@@ -106,7 +124,7 @@ fn instrumented_replay_leaves_predictor_in_identical_state() {
     let mut a = NextTracePredictor::new(cfg);
     let mut b = NextTracePredictor::new(cfg);
     let _ = evaluate(&mut a, &records);
-    let _ = evaluate_with_sink(&mut b, &records, &mut NullSink);
+    let _ = evaluate_with_streaks(&mut b, &records);
     assert_eq!(a.indices(), b.indices(), "index state diverged");
     assert_eq!(
         a.predict().target,
