@@ -12,6 +12,7 @@
 use ntp_bench::exp;
 
 fn main() {
+    let json = ntp_bench::report::json_request();
     let data = ntp_bench::capture_suite();
     print!("{}", exp::table1(&data));
     print!("{}", exp::table2(&data));
@@ -31,5 +32,5 @@ fn main() {
     for t in ntp_bench::section_throughput() {
         eprintln!("[throughput] {}", t.summary_line());
     }
-    ntp_bench::report::emit_from_cli(&data);
+    ntp_bench::report::emit_from_cli(&data, json.as_deref());
 }

@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 fn main() {
+    let json = ntp_bench::report::json_request();
     let mut text = String::new();
     for name in ntp_workloads::NAMES {
         let w = ntp_workloads::by_name(name, ntp_workloads::ScalePreset::Tiny);
@@ -23,5 +24,5 @@ fn main() {
         .unwrap();
     }
     print!("{text}");
-    ntp_bench::report::emit_text_from_cli("measure", &text);
+    ntp_bench::report::emit_text_from_cli("measure", &text, json.as_deref());
 }

@@ -134,18 +134,22 @@ pub fn bench_report(d: &BenchData) -> Report {
     report
 }
 
-/// Scans the command line for `--json <dir>` (directory `out` when the
-/// flag ends the command line). `None` means no JSON output was requested.
+/// The experiment binaries' whole command line: nothing, or `--json <dir>`
+/// to also write `BENCH_<name>.json` reports into `<dir>`. Each binary
+/// calls this first in `main`, before any capture; anything else, a bare
+/// `--json` included, prints one usage line and exits with status 2.
 pub fn json_request() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(PathBuf::from(
-                args.next().unwrap_or_else(|| "out".to_string()),
-            ));
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    match args.collect::<Vec<_>>().as_slice() {
+        [] => None,
+        [flag, dir] if flag == "--json" && !dir.starts_with('-') => Some(PathBuf::from(dir)),
+        _ => {
+            let name = Path::new(&bin).file_name().unwrap_or_default();
+            eprintln!("usage: {} [--json <dir>]", name.to_string_lossy());
+            std::process::exit(2)
         }
     }
-    None
 }
 
 /// Writes one `BENCH_<name>.json` per benchmark into `dir` (created if
@@ -165,15 +169,16 @@ pub fn write_reports(data: &[BenchData], dir: &Path) -> std::io::Result<Vec<Path
 }
 
 /// The shared tail of every data-driven experiment binary: if `--json`
-/// asked for reports, write them and say where they went.
+/// asked for reports (`dir` from [`json_request`]), write them and say
+/// where they went.
 ///
 /// Exits the process with an error status if the reports cannot be
 /// written (the run's numbers are already on stdout at that point).
-pub fn emit_from_cli(data: &[BenchData]) {
-    let Some(dir) = json_request() else {
+pub fn emit_from_cli(data: &[BenchData], dir: Option<&Path>) {
+    let Some(dir) = dir else {
         return;
     };
-    match write_reports(data, &dir) {
+    match write_reports(data, dir) {
         Ok(paths) => {
             for p in &paths {
                 eprintln!("[json] wrote {}", p.display());
@@ -188,8 +193,8 @@ pub fn emit_from_cli(data: &[BenchData]) {
 
 /// `--json` support for text-only binaries (table3, selection_study,
 /// measure): wraps the rendered section in a minimal report.
-pub fn emit_text_from_cli(name: &str, text: &str) {
-    let Some(dir) = json_request() else {
+pub fn emit_text_from_cli(name: &str, text: &str, dir: Option<&Path>) {
+    let Some(dir) = dir else {
         return;
     };
     let scale = crate::scale_from_env();
@@ -202,7 +207,7 @@ pub fn emit_text_from_cli(name: &str, text: &str) {
     report.section("text", Json::Str(text.to_string()));
     let path = dir.join(format!("BENCH_{name}.json"));
     let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         let mut out = report.to_json().pretty();
         out.push('\n');
         std::fs::write(&path, out)

@@ -105,9 +105,9 @@ fn usage() -> String {
      ntp route --backends a1,a2[,...] [--addr host:port] \
      [--snapshot-dirs d1,d2[,...]] [--vnodes N] [--probe-interval S] \
      [--max-conns N] [--migrate session:<to|next>:after]\n  \
-     ntp loadgen [--addr host:port] [--sessions N] [--clients N] [--chunk N] \
+     ntp loadgen [--addr host:port] [--sessions N] [--clients N] \
      [--bits B] [--depth D] [--shutdown] [--json <path|->] \
-     [--open-loop] [--rate R] [--duration S] [--zipf Z] [--seed S]\n  \
+     [--rate R] [--duration S] [--zipf Z] [--seed S]\n  \
      ntp top [--addr host:port] [--interval S] [--once] [--json] [--cluster] [--shutdown]\n  \
      ntp workloads"
         .to_string()
@@ -142,6 +142,8 @@ fn flag_kind(grammar: &str, arg: &str) -> Option<bool> {
 
 /// A subcommand's arguments, checked against its usage line.
 struct Args<'a> {
+    /// The subcommand, which prefixes every flag-value diagnostic.
+    cmd: &'a str,
     /// The positional input; empty for a command that takes none.
     input: &'a str,
     /// Each flag given, with its value unless it is bare.
@@ -154,7 +156,7 @@ impl<'a> Args<'a> {
     /// flag must have its value, and only a command with an input takes one
     /// positional argument. `Ok(None)` means `--help` or `-h` asked for the
     /// usage line instead.
-    fn parse(name: &str, line: &str, rest: &'a [String]) -> Result<Option<Args<'a>>, String> {
+    fn parse(name: &'a str, line: &str, rest: &'a [String]) -> Result<Option<Args<'a>>, String> {
         if rest.iter().any(|a| a == "--help" || a == "-h") {
             return Ok(None);
         }
@@ -178,6 +180,7 @@ impl<'a> Args<'a> {
             return Err(refuse("missing input file".to_string()));
         }
         Ok(Some(Args {
+            cmd: name,
             input: input.unwrap_or_default(),
             flags,
         }))
@@ -197,7 +200,7 @@ impl<'a> Args<'a> {
     fn flag_value(&self, name: &str) -> Result<Option<u64>, String> {
         let parse = |v: &str| {
             v.parse()
-                .map_err(|_| format!("{name} expects a number, got `{v}`"))
+                .map_err(|_| format!("{}: {name} expects a number, got `{v}`", self.cmd))
         };
         self.flag_str(name).map(parse).transpose()
     }
@@ -209,13 +212,22 @@ impl<'a> Args<'a> {
         };
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() && v > 0.0 => Ok(Some(v)),
-            _ => Err(format!("{name} expects a positive number, got `{text}`")),
+            _ => Err(format!(
+                "{}: {name} expects a positive number, got `{text}`",
+                self.cmd
+            )),
         }
     }
 
-    /// The value of `name` as a positive number of seconds.
+    /// The value of `name` as a positive number of seconds that a
+    /// [`Duration`] can hold.
     fn flag_seconds(&self, name: &str) -> Result<Option<Duration>, String> {
-        Ok(self.flag_float(name)?.map(Duration::from_secs_f64))
+        let Some(secs) = self.flag_float(name)? else {
+            return Ok(None);
+        };
+        Duration::try_from_secs_f64(secs)
+            .map(Some)
+            .map_err(|_| format!("{}: {name} is out of range, got `{secs:e}`", self.cmd))
     }
 
     /// The value of `name` in decimal or `0x`-prefixed hex.
@@ -227,7 +239,12 @@ impl<'a> Args<'a> {
             Some(hex) => u64::from_str_radix(hex, 16),
             None => text.parse(),
         };
-        parsed.map_err(|_| format!("{name} expects a decimal or 0x-hex number, got `{text}`"))
+        parsed.map_err(|_| {
+            format!(
+                "{}: {name} expects a decimal or 0x-hex number, got `{text}`",
+                self.cmd
+            )
+        })
     }
 }
 
@@ -1178,30 +1195,25 @@ fn print_cluster_top(addr: &str, snap: &Json) {
     }
 }
 
-/// `ntp loadgen`: replays the captured benchmark suite as concurrent
-/// wire sessions against a running `ntp serve`, then checks every
-/// session's served statistics against the offline oracle **exactly**
-/// (see SERVING.md). Exit status is nonzero on any divergence, so this
-/// doubles as the serving gate in `scripts/check.sh`. Records come from
-/// the same persistent trace cache as `ntp capture`, so a pre-warmed
-/// cache makes this simulation-free.
-///
-/// With `--open-loop` the generator switches from closed-loop replay to
-/// a fixed-rate arrival schedule with Zipf session popularity: requests
-/// go out on schedule whether or not earlier replies are back, `Busy`
-/// replies are shed (not retried), and latency is measured from the
-/// *scheduled* send time — so queueing delay under overload shows up in
-/// p99/p99.9 instead of being coordinated away.
+/// `ntp loadgen`: offers the captured benchmark suite as concurrent wire
+/// sessions to a running `ntp serve` (or `ntp route`) on a fixed-rate
+/// arrival schedule with Zipf session popularity: requests go out on
+/// schedule whether or not earlier replies are back, `Busy` replies are
+/// shed (not retried), and latency is measured from the *scheduled* send
+/// time, so queueing delay under overload shows up in p99/p99.9. Every
+/// reply is scored against a lockstep oracle over the applied
+/// subsequence, and each session's served statistics must equal it
+/// **exactly** (see SERVING.md); the exit status is nonzero on any
+/// divergence, so this doubles as the serving gate in `scripts/check.sh`.
+/// Records come from the same persistent trace cache as `ntp capture`,
+/// so a pre-warmed cache makes this simulation-free.
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
-    let mut cfg = ntp_serve::LoadgenConfig::default();
+    let mut cfg = ntp_serve::OpenLoopConfig::default();
     if let Some(addr) = args.flag_str("--addr") {
         cfg.addr = addr.to_string();
     }
     if let Some(clients) = args.flag_value("--clients")? {
-        cfg.clients = clients as usize;
-    }
-    if let Some(chunk) = args.flag_value("--chunk")? {
-        cfg.chunk = chunk as usize;
+        cfg.conns = clients as usize;
     }
     if let Some(bits) = args.flag_value("--bits")? {
         cfg.bits = bits as u32;
@@ -1209,6 +1221,16 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     if let Some(depth) = args.flag_value("--depth")? {
         cfg.depth = depth as u32;
     }
+    if let Some(rate) = args.flag_float("--rate")? {
+        cfg.rate = rate;
+    }
+    if let Some(duration) = args.flag_seconds("--duration")? {
+        cfg.duration = duration;
+    }
+    if let Some(zipf) = args.flag_float("--zipf")? {
+        cfg.zipf = zipf;
+    }
+    cfg.seed = args.flag_seed("--seed", cfg.seed)?;
     let sessions = args.flag_value("--sessions")?.unwrap_or(4) as usize;
     if sessions == 0 {
         return Err("--sessions must be at least 1".to_string());
@@ -1229,113 +1251,11 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
         })
         .collect();
 
-    if args.has("--open-loop") {
-        return loadgen_open_loop(args, &cfg, &specs);
-    }
-
-    let report = ntp_serve::loadgen::run(&cfg, &specs).map_err(|e| e.to_string())?;
+    let report = ntp_serve::run_open_loop(&cfg, &specs).map_err(|e| e.to_string())?;
 
     if args.has("--shutdown") {
         let mut client =
             ntp_serve::Client::connect(&cfg.addr).map_err(|e| format!("shutdown: {e}"))?;
-        client
-            .shutdown_server()
-            .map_err(|e| format!("shutdown: {e}"))?;
-    }
-
-    match args.flag_str("--json") {
-        Some("-") => println!("{}", report.to_json().pretty()),
-        Some(path) => {
-            let mut text = report.to_json().pretty();
-            text.push('\n');
-            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("[json] wrote {path}");
-        }
-        None => {}
-    }
-
-    for s in &report.sessions {
-        println!(
-            "{:<14} shard {}  {:>8} records  {:>6.2}% mispredict  oracle {}",
-            s.name,
-            s.shard,
-            s.served.predictions,
-            s.served.mispredict_pct(),
-            if s.matches() { "match" } else { "MISMATCH" }
-        );
-    }
-    println!(
-        "[loadgen] {} sessions, {} requests, {} records in {:.1} ms: \
-         {:.0} req/s, {:.0} records/s, latency p50 {} us p99 {} us \
-         p99.9 {} us max {} us, {} busy retries",
-        report.sessions.len(),
-        report.requests,
-        report.records,
-        report.wall.as_secs_f64() * 1e3,
-        report.qps(),
-        report.records_per_sec(),
-        report.latency_us.p50(),
-        report.latency_us.p99(),
-        report.latency_us.p999(),
-        report.latency_us.max(),
-        report.busy_retries
-    );
-    if !report.drain_batched.is_empty() {
-        let total: u64 = report.drain_batched.iter().sum();
-        let per: Vec<String> = report
-            .drain_batched
-            .iter()
-            .enumerate()
-            .map(|(k, n)| format!("shard {k}: {n}"))
-            .collect();
-        println!(
-            "[loadgen] {} requests resolved via batched drains ({})",
-            total,
-            per.join(", ")
-        );
-    }
-    if report.all_match() {
-        println!("[loadgen] served == offline oracle for every session");
-        Ok(())
-    } else {
-        let bad = report.sessions.iter().filter(|s| !s.matches()).count();
-        Err(format!(
-            "{bad} session(s) diverged from the offline oracle (served != evaluate)"
-        ))
-    }
-}
-
-/// The `--open-loop` arm of `ntp loadgen`: fixed-rate Zipf schedule,
-/// shed `Busy` replies, scheduled-send-time latency, exact oracle check
-/// over the applied subsequence.
-fn loadgen_open_loop(
-    args: &Args,
-    cfg: &ntp_serve::LoadgenConfig,
-    specs: &[ntp_serve::SessionSpec],
-) -> Result<(), String> {
-    let mut ocfg = ntp_serve::OpenLoopConfig {
-        addr: cfg.addr.clone(),
-        conns: cfg.clients,
-        bits: cfg.bits,
-        depth: cfg.depth,
-        ..ntp_serve::OpenLoopConfig::default()
-    };
-    if let Some(rate) = args.flag_float("--rate")? {
-        ocfg.rate = rate;
-    }
-    if let Some(duration) = args.flag_seconds("--duration")? {
-        ocfg.duration = duration;
-    }
-    if let Some(zipf) = args.flag_float("--zipf")? {
-        ocfg.zipf = zipf;
-    }
-    ocfg.seed = args.flag_seed("--seed", ocfg.seed)?;
-
-    let report = ntp_serve::run_open_loop(&ocfg, specs).map_err(|e| e.to_string())?;
-
-    if args.has("--shutdown") {
-        let mut client =
-            ntp_serve::Client::connect(&ocfg.addr).map_err(|e| format!("shutdown: {e}"))?;
         client
             .shutdown_server()
             .map_err(|e| format!("shutdown: {e}"))?;
@@ -1364,13 +1284,13 @@ fn loadgen_open_loop(
         );
     }
     println!(
-        "[loadgen] open loop: offered {} ({:.0}/s over {:.1}s, zipf {}, seed {:#x}), \
+        "[loadgen] offered {} ({:.0}/s over {:.1}s, zipf {}, seed {:#x}), \
          applied {} ({:.0}/s achieved), {} busy, {} late sends",
         report.offered,
         report.offered_qps(),
-        ocfg.duration.as_secs_f64(),
-        ocfg.zipf,
-        ocfg.seed,
+        cfg.duration.as_secs_f64(),
+        cfg.zipf,
+        cfg.seed,
         report.applied,
         report.achieved_qps(),
         report.busy,
@@ -1391,7 +1311,7 @@ fn loadgen_open_loop(
     } else {
         let bad = report.sessions.iter().filter(|s| !s.matches()).count();
         Err(format!(
-            "{bad} session(s) diverged from the lockstep oracle under open loop"
+            "{bad} session(s) diverged from the lockstep oracle (served != evaluate)"
         ))
     }
 }
@@ -1470,7 +1390,8 @@ mod tests {
         assert_eq!(kind("top", "--json"), Some(false));
         assert_eq!(kind("snapshot save", "-o"), Some(true));
         assert_eq!(kind("route", "--backends"), Some(true));
-        assert_eq!(kind("loadgen", "--open-loop"), Some(false));
+        assert_eq!(kind("loadgen", "--shutdown"), Some(false));
+        assert_eq!(kind("loadgen", "--chunk"), None);
         assert_eq!(kind("verify", "--pionts"), None);
     }
 }

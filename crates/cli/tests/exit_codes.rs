@@ -5,11 +5,20 @@
 use std::net::TcpListener;
 use std::process::{Command, Output};
 
+/// Runs `ntp` at tiny scale, so a command a build wrongly accepts still
+/// finishes quickly.
 fn ntp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ntp"))
         .args(args)
+        .env("NTP_SCALE", "tiny")
         .output()
         .expect("binary runs")
+}
+
+/// An address nothing listens on: a port bound and dropped again.
+fn dead_addr() -> String {
+    let l = TcpListener::bind("127.0.0.1:0").expect("grab a port");
+    l.local_addr().unwrap().to_string()
 }
 
 /// The stderr diagnostic: prefixed, and on one line (usage text aside).
@@ -140,17 +149,11 @@ fn route_misconfigurations_are_refused() {
     );
 }
 
-/// `ntp loadgen` against a dead address: nonzero with an i/o diagnostic,
-/// before any records are replayed. Uses a port we bound and dropped, so
-/// nothing is listening.
+/// `ntp loadgen` against a dead address: an invalid design point is
+/// diagnosed before any connection attempt.
 #[test]
 fn loadgen_unreachable_server_is_refused() {
-    let addr = {
-        let l = TcpListener::bind("127.0.0.1:0").expect("grab a port");
-        l.local_addr().unwrap().to_string()
-        // listener drops here; the port is free but silent
-    };
-    // An invalid design point is diagnosed before any connection attempt.
+    let addr = dead_addr();
     let out = ntp(&["loadgen", "--addr", &addr, "--bits", "9"]);
     assert!(!out.status.success());
     assert!(diagnostic(&out).contains("paper(9,7)"));
@@ -160,10 +163,7 @@ fn loadgen_unreachable_server_is_refused() {
 /// naming the address; a bad `--interval` is refused before connecting.
 #[test]
 fn top_unreachable_server_is_refused() {
-    let addr = {
-        let l = TcpListener::bind("127.0.0.1:0").expect("grab a port");
-        l.local_addr().unwrap().to_string()
-    };
+    let addr = dead_addr();
     let out = ntp(&["top", "--addr", &addr, "--once"]);
     assert!(!out.status.success());
     let line = diagnostic(&out);
@@ -227,10 +227,11 @@ fn capture_help_prints_usage_and_writes_nothing() {
 }
 
 /// `ntp <args>` is refused, before it simulates, connects, binds or
-/// writes anything, with one `ntp: <cmd>: …` line that names `arg`.
+/// writes anything, with one `ntp: <cmd>: …` line that names `arg` and
+/// exit status 1 (a panic exits 101).
 fn refused(args: &[&str], arg: &str) {
     let out = ntp(args);
-    assert!(!out.status.success(), "{args:?} must be refused");
+    assert_eq!(out.status.code(), Some(1), "{args:?} must be refused");
     let line = diagnostic(&out);
     assert!(
         line.starts_with(&format!("ntp: {}: ", args[0])) && line.contains(arg),
@@ -261,6 +262,28 @@ fn report_refuses_a_value_flag_without_its_value() {
 #[test]
 fn top_refuses_a_misspelt_flag() {
     refused(&["top", "--addr", "127.0.0.1:1", "--onse"], "`--onse`");
+}
+
+/// More seconds than a `Duration` holds is refused, not a panic.
+#[test]
+fn top_refuses_an_out_of_range_interval() {
+    let addr = dead_addr();
+    refused(
+        &["top", "--addr", &addr, "--once", "--interval", "1e20"],
+        "--interval is out of range",
+    );
+}
+
+/// `ntp loadgen` has one mode: the closed-loop replay's `--chunk` and the
+/// `--open-loop` switch are gone.
+#[test]
+fn loadgen_refuses_the_closed_loop_flags() {
+    let addr = dead_addr();
+    refused(&["loadgen", "--addr", &addr, "--chunk", "8"], "`--chunk`");
+    refused(
+        &["loadgen", "--addr", &addr, "--open-loop"],
+        "`--open-loop`",
+    );
 }
 
 /// `--workers 0` makes a build that skips the unknown flag exit on config

@@ -293,6 +293,10 @@ impl TracePredictor for UnboundedPredictor {
         self.corr.clear();
         self.sec.clear();
     }
+
+    fn history_len(&self) -> usize {
+        self.history.len()
+    }
 }
 
 #[cfg(test)]

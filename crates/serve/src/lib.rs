@@ -32,10 +32,11 @@
 //!   where the previous process stopped;
 //! * [`client`] — a blocking client library with busy-retry bounded by
 //!   both an attempt count and a total wall-clock deadline;
-//! * [`loadgen`] — the replay load generator behind `ntp loadgen`:
-//!   replays captured trace streams as concurrent sessions, measures
-//!   QPS and p50/p99/p99.9 request latency through [`ntp_telemetry`]
-//!   histograms, and asserts served == offline statistics exactly;
+//! * [`loadgen`] — the open-loop load generator behind `ntp loadgen`:
+//!   offers captured trace streams as concurrent sessions on a seeded,
+//!   fixed-rate Zipf schedule, measures p50/p99/p99.9 sojourn latency
+//!   from each scheduled send through [`ntp_telemetry`] histograms, and
+//!   asserts served == lockstep-oracle statistics exactly;
 //! * [`config`] — [`ServeConfig`], its defaults, and
 //!   [`ServeConfig::validate`], the one check every configuration passes
 //!   before [`serve`] binds; `ntp serve` sets each knob from a flag.
@@ -79,10 +80,7 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use config::ServeConfig;
-pub use loadgen::{
-    run_open_loop, LoadgenConfig, LoadgenReport, OpenLoopConfig, OpenLoopReport, OpenSessionResult,
-    SessionResult, SessionSpec,
-};
+pub use loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport, SessionOutcome, SessionSpec};
 pub use server::{
     install_sigterm_drain, serve, sigterm_pending, ServerHandle, ServerSummary, ShardSummary,
     ShutdownTrigger, DRAIN_MARKER,

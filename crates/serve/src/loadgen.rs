@@ -1,69 +1,29 @@
-//! The replay load generator: drives an `ntp-serve` server with
-//! concurrent client sessions replaying captured trace streams, measures
-//! QPS and request-latency quantiles, and asserts the served statistics
-//! match the offline [`ntp_core::evaluate`] oracle **exactly**.
+//! The replay load generator behind `ntp loadgen`: drives an `ntp-serve`
+//! server with captured trace streams as concurrent sessions and asserts
+//! the served statistics match the offline [`ntp_core::evaluate`] oracle
+//! **exactly**.
 //!
-//! Each session replays one record stream over the wire in
-//! [`LoadgenConfig::chunk`]-sized `Batch` frames, then pulls the
-//! session's final `Stats` and compares them field-for-field against a
-//! local replay of the identical configuration. Any divergence means the
-//! service's predictor state machine differs from the library's — the
-//! same lockstep discipline as `ntp verify`, but across a socket.
-//!
-//! Client sessions fan out over [`ntp_runner::map_ordered_with`], so
-//! results come back in session order and the text report is
-//! deterministic for a fixed input (latency/QPS numbers aside).
-//!
-//! Two driving modes:
-//!
-//! * **Closed-loop** ([`run`]): each client waits for a reply before
-//!   sending the next request. Measures capacity, but under overload the
-//!   arrival rate collapses to the service rate — latency looks fine
-//!   right up to saturation (coordinated omission).
-//! * **Open-loop** ([`run_open_loop`]): arrivals follow a fixed-rate
-//!   schedule with Zipf-distributed session popularity, sent whether or
-//!   not earlier replies have come back (pipelined on each connection).
-//!   Latency is measured from the *scheduled* send time, so queueing
-//!   delay under overload is visible in p99/p99.9 instead of hidden.
-//!   The schedule is a pure function of `(seed, zipf, rate, duration)` —
-//!   two runs offer byte-identical request sequences.
+//! Arrivals follow a fixed-rate schedule with Zipf-distributed session
+//! popularity and are sent whether or not earlier replies have come back
+//! (pipelined on each connection), with no retries: a `Busy` reply is
+//! shed load. Every `Updated` reply is scored against a lockstep oracle
+//! that replays the *applied* subsequence, so equality stays exact under
+//! overload; after the schedule each session's final `Stats` must equal
+//! the oracle's field for field. Latency is measured from the
+//! *scheduled* send time, so queueing delay under overload is visible in
+//! p99/p99.9 instead of hidden by coordinated omission. The schedule is
+//! a pure function of `(seed, zipf, rate, duration)`: two runs offer
+//! byte-identical request sequences.
 
 use crate::client::{Client, ClientError};
 use crate::wire::{self, Request, Response};
-use ntp_core::{evaluate, NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
+use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
 use ntp_telemetry::{Histogram, Json, ToJson};
 use ntp_trace::TraceRecord;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Load-generator parameters.
-#[derive(Clone, Debug)]
-pub struct LoadgenConfig {
-    /// Server address (`host:port`).
-    pub addr: String,
-    /// Concurrent client workers (each owns one connection at a time).
-    pub clients: usize,
-    /// Records per `Batch` frame.
-    pub chunk: usize,
-    /// Correlating-table index bits of every session's predictor.
-    pub bits: u32,
-    /// DOLC history depth of every session's predictor.
-    pub depth: u32,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> LoadgenConfig {
-        LoadgenConfig {
-            addr: crate::config::DEFAULT_ADDR.to_string(),
-            clients: 2,
-            chunk: 256,
-            bits: 15,
-            depth: 7,
-        }
-    }
-}
 
 /// One replay stream: a name and its captured records.
 #[derive(Clone, Debug)]
@@ -73,318 +33,6 @@ pub struct SessionSpec {
     /// The captured record stream to replay.
     pub records: Vec<TraceRecord>,
 }
-
-/// Outcome of one served session.
-#[derive(Clone, Debug)]
-pub struct SessionResult {
-    /// Stream name.
-    pub name: String,
-    /// Session id used on the wire.
-    pub session: u64,
-    /// Shard that owned the session.
-    pub shard: u32,
-    /// Statistics the server accumulated.
-    pub served: PredictorStats,
-    /// Statistics the offline oracle computed for the same stream.
-    pub oracle: PredictorStats,
-    /// Requests this session issued (hello + batches + stats),
-    /// including `Busy` retries.
-    pub requests: u64,
-    /// `Batch` frames the shard applied (retries excluded) — a pure
-    /// function of the stream length and chunk size, so metrics gates
-    /// can compare it against the server's `frames.batch` counter.
-    pub batches: u64,
-}
-
-impl SessionResult {
-    /// True when served and oracle statistics agree **exactly**.
-    pub fn matches(&self) -> bool {
-        self.served == self.oracle
-    }
-}
-
-/// Aggregate loadgen outcome.
-#[derive(Clone, Debug)]
-pub struct LoadgenReport {
-    /// Per-session outcomes, in session order.
-    pub sessions: Vec<SessionResult>,
-    /// Total requests issued.
-    pub requests: u64,
-    /// Total records replayed over the wire.
-    pub records: u64,
-    /// Wall-clock time of the whole run.
-    pub wall: Duration,
-    /// Per-request round-trip latency in microseconds.
-    pub latency_us: Histogram,
-    /// `Busy` replies absorbed (retried) across all sessions.
-    pub busy_retries: u64,
-    /// Per-shard `drain.batched` counters scraped from the server after
-    /// the replay: how many requests each shard resolved through a
-    /// batched drain (one prefetch sweep over several queued sessions).
-    /// Load-dependent, so reports treat this as volatile — it measures
-    /// how often the sweep engaged, not a deterministic replay property.
-    pub drain_batched: Vec<u64>,
-}
-
-impl LoadgenReport {
-    /// True when every session matched its oracle exactly.
-    pub fn all_match(&self) -> bool {
-        self.sessions.iter().all(SessionResult::matches)
-    }
-
-    /// Requests per wall-clock second.
-    pub fn qps(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / s
-        }
-    }
-
-    /// Records replayed per wall-clock second.
-    pub fn records_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.records as f64 / s
-        }
-    }
-}
-
-impl ToJson for LoadgenReport {
-    /// `{sessions: [...], requests, records, wall_ms, qps,
-    /// records_per_sec, busy_retries, latency_us, all_match}` — latency
-    /// and throughput numbers are wall-clock derived, so reports keep
-    /// this under a volatile key (see OBSERVABILITY.md).
-    fn to_json(&self) -> Json {
-        Json::object()
-            .with(
-                "sessions",
-                Json::Array(
-                    self.sessions
-                        .iter()
-                        .map(|s| {
-                            Json::object()
-                                .with("name", Json::Str(s.name.clone()))
-                                .with("session", Json::U64(s.session))
-                                .with("shard", Json::U64(s.shard as u64))
-                                .with("batches", Json::U64(s.batches))
-                                .with("predictions", Json::U64(s.served.predictions))
-                                .with("served_correct", Json::U64(s.served.correct))
-                                .with("oracle_correct", Json::U64(s.oracle.correct))
-                                .with(
-                                    "served_mispredict_pct",
-                                    Json::F64(s.served.mispredict_pct()),
-                                )
-                                .with("matches_oracle", Json::Bool(s.matches()))
-                        })
-                        .collect(),
-                ),
-            )
-            .with("requests", Json::U64(self.requests))
-            .with("records", Json::U64(self.records))
-            .with("wall_ms", Json::F64(self.wall.as_secs_f64() * 1e3))
-            .with("qps", Json::F64(self.qps()))
-            .with("records_per_sec", Json::F64(self.records_per_sec()))
-            .with("busy_retries", Json::U64(self.busy_retries))
-            .with("latency_us", self.latency_us.to_json())
-            .with(
-                "drain_batched",
-                Json::Array(self.drain_batched.iter().map(|&n| Json::U64(n)).collect()),
-            )
-            .with("all_match", Json::Bool(self.all_match()))
-    }
-}
-
-struct SessionRun {
-    result: SessionResult,
-    latency_us: Histogram,
-    busy_retries: u64,
-}
-
-/// Replays every `sessions` stream against the server at
-/// `cfg.addr` and scores the result. Fails fast on transport or
-/// protocol errors; oracle mismatches are *reported*, not errors (the
-/// caller decides — `ntp loadgen` exits nonzero on any mismatch).
-pub fn run(cfg: &LoadgenConfig, sessions: &[SessionSpec]) -> Result<LoadgenReport, ClientError> {
-    // Validate the predictor configuration before opening any socket, so
-    // a bad design point is one clean client-side diagnostic.
-    let pcfg = PredictorConfig::try_paper(cfg.bits, cfg.depth as usize)
-        .map_err(|e| ClientError::Protocol(format!("paper({},{}): {e}", cfg.bits, cfg.depth)))?;
-    let start = Instant::now();
-    let runs: Vec<Result<SessionRun, ClientError>> =
-        ntp_runner::map_ordered_with(cfg.clients.max(1), sessions, |i, spec| {
-            run_session(cfg, pcfg, i as u64, spec)
-        });
-    let wall = start.elapsed();
-
-    let mut report = LoadgenReport {
-        sessions: Vec::with_capacity(runs.len()),
-        requests: 0,
-        records: 0,
-        wall,
-        latency_us: Histogram::new(),
-        busy_retries: 0,
-        drain_batched: Vec::new(),
-    };
-    for run in runs {
-        let run = run?;
-        report.requests += run.result.requests;
-        report.records += run.result.served.predictions;
-        report.latency_us.merge(&run.latency_us);
-        report.busy_retries += run.busy_retries;
-        report.sessions.push(run.result);
-    }
-    report.drain_batched = scrape_drain_batched(&cfg.addr).unwrap_or_default();
-    Ok(report)
-}
-
-/// Scrapes the server's per-shard `drain.batched` counters after a
-/// replay. Best-effort: a scrape failure (server already draining, say)
-/// leaves the report without the numbers rather than failing the run.
-fn scrape_drain_batched(addr: &str) -> Option<Vec<u64>> {
-    let mut client = Client::connect(addr).ok()?;
-    let text = client.metrics_json().ok()?;
-    let snap = ntp_telemetry::json::parse(&text).ok()?;
-    let mut per_shard = Vec::new();
-    while let Some(section) = snap.get(&format!("shard{}", per_shard.len())) {
-        per_shard.push(
-            section
-                .get("counters")
-                .and_then(|c| c.get("drain.batched"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        );
-    }
-    Some(per_shard)
-}
-
-/// Replays one stream as one wire session and scores it.
-fn run_session(
-    cfg: &LoadgenConfig,
-    pcfg: PredictorConfig,
-    session: u64,
-    spec: &SessionSpec,
-) -> Result<SessionRun, ClientError> {
-    let mut client = Client::connect(&cfg.addr)?;
-    let mut latency = Histogram::new();
-    let mut requests = 0u64;
-    let mut busy_retries = 0u64;
-    let chunk = cfg.chunk.max(1);
-
-    let mut timed = |client: &mut Client,
-                     req: &crate::wire::Request|
-     -> Result<crate::wire::Response, ClientError> {
-        loop {
-            let t0 = Instant::now();
-            let resp = client.request(req)?;
-            latency.record(t0.elapsed().as_micros() as u64);
-            requests += 1;
-            if matches!(resp, crate::wire::Response::Busy) {
-                busy_retries += 1;
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            return Ok(resp);
-        }
-    };
-
-    let shard = match timed(
-        &mut client,
-        &crate::wire::Request::Hello {
-            session,
-            bits: cfg.bits,
-            depth: cfg.depth,
-        },
-    )? {
-        crate::wire::Response::HelloOk { shard, .. } => shard,
-        crate::wire::Response::Error { code, message } => {
-            return Err(ClientError::Server { code, message })
-        }
-        other => {
-            return Err(ClientError::Protocol(format!(
-                "expected HelloOk, got {other:?}"
-            )))
-        }
-    };
-
-    let mut served_batches = PredictorStats::new();
-    let mut batches = 0u64;
-    for records in spec.records.chunks(chunk) {
-        batches += 1;
-        match timed(
-            &mut client,
-            &crate::wire::Request::Batch {
-                session,
-                records: records.to_vec(),
-            },
-        )? {
-            crate::wire::Response::BatchDone {
-                predictions,
-                correct,
-            } => {
-                served_batches.predictions += predictions;
-                served_batches.correct += correct;
-            }
-            crate::wire::Response::Error { code, message } => {
-                return Err(ClientError::Server { code, message })
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected BatchDone, got {other:?}"
-                )))
-            }
-        }
-    }
-
-    let served = match timed(&mut client, &crate::wire::Request::Stats { session })? {
-        crate::wire::Response::StatsOk { stats } => stats,
-        crate::wire::Response::Error { code, message } => {
-            return Err(ClientError::Server { code, message })
-        }
-        other => {
-            return Err(ClientError::Protocol(format!(
-                "expected StatsOk, got {other:?}"
-            )))
-        }
-    };
-
-    // Cross-check the per-batch tallies against the final stats frame:
-    // they are two independent paths through the server.
-    if served.predictions != served_batches.predictions || served.correct != served_batches.correct
-    {
-        return Err(ClientError::Protocol(format!(
-            "batch tallies ({}/{}) disagree with the stats frame ({}/{})",
-            served_batches.correct, served_batches.predictions, served.correct, served.predictions
-        )));
-    }
-
-    // The offline oracle: an identical predictor replaying the identical
-    // stream in-process.
-    let mut oracle_pred = NextTracePredictor::try_new(pcfg)
-        .map_err(|e| ClientError::Protocol(format!("oracle config rejected: {e}")))?;
-    let oracle = evaluate(&mut oracle_pred, &spec.records);
-
-    Ok(SessionRun {
-        result: SessionResult {
-            name: spec.name.clone(),
-            session,
-            shard,
-            served,
-            oracle,
-            requests,
-            batches,
-        },
-        latency_us: latency,
-        busy_retries,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop mode
-// ---------------------------------------------------------------------------
 
 /// Open-loop generator parameters.
 #[derive(Clone, Debug)]
@@ -426,7 +74,7 @@ impl Default for OpenLoopConfig {
 
 /// One session's open-loop outcome.
 #[derive(Clone, Debug)]
-pub struct OpenSessionResult {
+pub struct SessionOutcome {
     /// Stream name.
     pub name: String,
     /// Session id on the wire.
@@ -447,7 +95,7 @@ pub struct OpenSessionResult {
     pub oracle: PredictorStats,
 }
 
-impl OpenSessionResult {
+impl SessionOutcome {
     /// True when served and oracle statistics agree exactly.
     pub fn matches(&self) -> bool {
         self.served == self.oracle
@@ -458,7 +106,7 @@ impl OpenSessionResult {
 #[derive(Clone, Debug)]
 pub struct OpenLoopReport {
     /// Per-session outcomes, in session order.
-    pub sessions: Vec<OpenSessionResult>,
+    pub sessions: Vec<SessionOutcome>,
     /// Arrivals the schedule offered.
     pub offered: u64,
     /// Updates the server applied.
@@ -483,7 +131,7 @@ pub struct OpenLoopReport {
 impl OpenLoopReport {
     /// True when every session matched its oracle exactly.
     pub fn all_match(&self) -> bool {
-        self.sessions.iter().all(OpenSessionResult::matches)
+        self.sessions.iter().all(SessionOutcome::matches)
     }
 
     /// The rate the schedule offered, requests per second.
@@ -558,38 +206,66 @@ struct Arrival {
     session: usize,
 }
 
-/// Builds the deterministic arrival schedule: arrival `k` fires at
-/// `k / rate` seconds with a session drawn from a Zipf CDF (session 0
-/// most popular) via xorshift64. Returns the schedule and its FNV digest.
-fn build_schedule(cfg: &OpenLoopConfig, n_sessions: usize) -> (Vec<Arrival>, u64) {
-    let total = (cfg.rate * cfg.duration.as_secs_f64()).round().max(0.0) as usize;
-    // Zipf CDF over session ranks.
-    let weights: Vec<f64> = (0..n_sessions)
-        .map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf))
-        .collect();
-    let sum: f64 = weights.iter().sum();
-    let mut cdf = Vec::with_capacity(n_sessions);
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w / sum;
-        cdf.push(acc);
+/// The deterministic arrival schedule, drawn one arrival at a time as the
+/// pacer reaches it: arrival `k` fires at `k / rate` seconds with a
+/// session drawn from a Zipf CDF (session 0 most popular) via xorshift64,
+/// and every drawn session id is folded into an FNV digest.
+struct Schedule {
+    cdf: Vec<f64>,
+    rate: f64,
+    total: u64,
+    next: u64,
+    x: u64,
+    digest: ntp_hash::Fnv64,
+}
+
+impl Schedule {
+    fn new(cfg: &OpenLoopConfig, n_sessions: usize) -> Schedule {
+        // Zipf CDF over session ranks.
+        let weights: Vec<f64> = (0..n_sessions)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf))
+            .collect();
+        let sum: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        let cdf = weights
+            .iter()
+            .map(|w| {
+                acc += w / sum;
+                acc
+            })
+            .collect();
+        Schedule {
+            cdf,
+            rate: cfg.rate,
+            total: (cfg.rate * cfg.duration.as_secs_f64()).round().max(0.0) as u64,
+            next: 0,
+            x: if cfg.seed == 0 { 0x9E37_79B9 } else { cfg.seed },
+            digest: ntp_hash::Fnv64::new(),
+        }
     }
-    let mut x = if cfg.seed == 0 { 0x9E37_79B9 } else { cfg.seed };
-    let mut digest = ntp_hash::Fnv64::new();
-    let mut schedule = Vec::with_capacity(total);
-    for k in 0..total {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        let session = cdf.partition_point(|&c| c < u).min(n_sessions - 1);
-        digest.update(&(session as u64).to_le_bytes());
-        schedule.push(Arrival {
-            offset: Duration::from_secs_f64(k as f64 / cfg.rate),
+}
+
+impl Iterator for Schedule {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        if self.next == self.total {
+            return None;
+        }
+        let k = self.next;
+        self.next += 1;
+        let x = &mut self.x;
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        let u = (*x >> 11) as f64 / (1u64 << 53) as f64;
+        let session = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
+        self.digest.update(&(session as u64).to_le_bytes());
+        Some(Arrival {
+            offset: Duration::from_secs_f64(k as f64 / self.rate),
             session,
-        });
+        })
     }
-    (schedule, digest.finish())
 }
 
 /// What one reader thread expects next on its connection: replies come
@@ -644,7 +320,6 @@ pub fn run_open_loop(
         return Err(ClientError::Protocol("open-loop rate must be > 0".into()));
     }
     let conns = cfg.conns.clamp(1, sessions.len());
-    let (schedule, schedule_digest) = build_schedule(cfg, sessions.len());
 
     // Connect and open every session up front (below the storm: one
     // lockstep Hello at a time, short busy retry).
@@ -732,9 +407,10 @@ pub fn run_open_loop(
     // each arrival's offset, and write the frame whether or not earlier
     // replies are back (that is the open loop). A send that slips more
     // than 1 ms behind schedule counts as `late`.
+    let mut schedule = Schedule::new(cfg, sessions.len());
     let mut sent_per_session = vec![0u64; sessions.len()];
     let mut late = 0u64;
-    for a in &schedule {
+    for a in schedule.by_ref() {
         let target = t0 + a.offset;
         let now = Instant::now();
         if let Some(wait) = target.checked_duration_since(now) {
@@ -783,7 +459,7 @@ pub fn run_open_loop(
     // Final cross-check: the server's per-session statistics must equal
     // the lockstep oracle's (patient client — the storm is over).
     let mut client = Client::connect(&cfg.addr)?;
-    let mut results: Vec<OpenSessionResult> = Vec::with_capacity(sessions.len());
+    let mut results: Vec<SessionOutcome> = Vec::with_capacity(sessions.len());
     let mut by_session: Vec<Option<OpenOracle>> = (0..sessions.len()).map(|_| None).collect();
     for slot in outcome.into_iter().flatten() {
         by_session[slot.0] = Some(slot.1);
@@ -791,7 +467,7 @@ pub fn run_open_loop(
     for (i, spec) in sessions.iter().enumerate() {
         let oracle = by_session[i].take().expect("every session has an oracle");
         let served = client.stats(i as u64)?;
-        results.push(OpenSessionResult {
+        results.push(SessionOutcome {
             name: spec.name.clone(),
             session: i as u64,
             shard: shards[i],
@@ -804,13 +480,13 @@ pub fn run_open_loop(
     }
 
     Ok(OpenLoopReport {
-        offered: schedule.len() as u64,
+        offered: schedule.total,
         applied: results.iter().map(|s| s.applied).sum(),
         busy: results.iter().map(|s| s.busy).sum(),
         late,
         duration: cfg.duration,
         wall,
-        schedule_digest,
+        schedule_digest: schedule.digest.finish(),
         latency_us,
         sessions: results,
     })
@@ -877,4 +553,45 @@ fn read_replies(
         latency_us,
         last_reply,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cfg(rate: f64, duration: Duration) -> OpenLoopConfig {
+        OpenLoopConfig {
+            rate,
+            duration,
+            zipf: 1.0,
+            seed: 0x5EED,
+            ..OpenLoopConfig::default()
+        }
+    }
+
+    /// The schedule `scripts/check.sh`'s overload smoke offers: its digest
+    /// and per-session counts are pinned, so drawing arrivals lazily must
+    /// not change a single draw.
+    #[test]
+    fn schedule_is_pinned() {
+        let mut schedule = Schedule::new(&cfg(20_000.0, Duration::from_secs(1)), 2);
+        let mut sent = [0u64; 2];
+        for (k, a) in schedule.by_ref().enumerate() {
+            assert_eq!(a.offset, Duration::from_secs_f64(k as f64 / 20_000.0));
+            sent[a.session] += 1;
+        }
+        assert_eq!(schedule.total, 20_000);
+        assert_eq!(sent, [13_383, 6_617]);
+        assert_eq!(schedule.digest.finish(), 0x2efa_9a21_3319_4104);
+    }
+
+    /// A typo-sized schedule (10^10 arrivals) costs nothing until the
+    /// pacer draws from it.
+    #[test]
+    fn a_huge_schedule_is_drawn_lazily() {
+        let mut schedule = Schedule::new(&cfg(1e9, Duration::from_secs(10)), 3);
+        assert_eq!(schedule.total, 10_000_000_000);
+        assert_eq!(schedule.by_ref().take(3).count(), 3);
+        assert_eq!(schedule.next, 3);
+    }
 }

@@ -9,9 +9,8 @@
 //! server — survive to serve the next well-formed request.
 
 use ntp_serve::{
-    config::ServeConfig,
-    loadgen::{self, LoadgenConfig, SessionSpec},
-    serve, wire, Client, ErrorCode, Request, Response,
+    config::ServeConfig, run_open_loop, serve, wire, Client, ErrorCode, OpenLoopConfig,
+    OpenLoopReport, Request, Response, SessionSpec,
 };
 use ntp_trace::{TraceId, TraceRecord};
 use std::io::Write;
@@ -65,6 +64,32 @@ fn served_matches_oracle_four_workers() {
     served_matches_oracle(4);
 }
 
+/// Offers 1 000 updates at 2 000/s over `conns` connections, a load the
+/// server applies in full, and checks that it shed nothing.
+fn open_loop_below_capacity(addr: &str, conns: usize, specs: &[SessionSpec]) -> OpenLoopReport {
+    let report = run_open_loop(
+        &OpenLoopConfig {
+            addr: addr.to_string(),
+            conns,
+            rate: 2_000.0,
+            duration: Duration::from_millis(500),
+            zipf: 1.0,
+            seed: 0x5EED,
+            bits: 12,
+            depth: 5,
+        },
+        specs,
+    )
+    .expect("open loop runs");
+    assert_eq!(report.offered, 1_000);
+    assert_eq!(report.busy, 0, "2k/s must be below capacity");
+    assert_eq!(
+        report.applied, report.offered,
+        "nothing shed below capacity"
+    );
+    report
+}
+
 fn served_matches_oracle(workers: usize) {
     let handle = serve(cfg_on("127.0.0.1:0", workers)).expect("bind");
     let addr = handle.local_addr().to_string();
@@ -75,31 +100,21 @@ fn served_matches_oracle(workers: usize) {
             records: synthetic_stream(0x9E37_79B9 * (i as u64 + 1), 4_000),
         })
         .collect();
-    let report = loadgen::run(
-        &LoadgenConfig {
-            addr: addr.clone(),
-            clients: 3,
-            chunk: 128,
-            bits: 12,
-            depth: 5,
-        },
-        &specs,
-    )
-    .expect("loadgen runs");
+    let report = open_loop_below_capacity(&addr, 3, &specs);
 
     assert_eq!(report.sessions.len(), 6);
-    assert_eq!(report.records, 6 * 4_000);
     for s in &report.sessions {
         assert_eq!(
             s.served, s.oracle,
             "session {} (shard {}) diverged from the offline oracle at {workers} workers",
             s.name, s.shard
         );
-        assert!(s.served.predictions == 4_000);
+        assert!(s.sent > 0, "session {} got no traffic", s.name);
+        assert_eq!(s.served.predictions, s.sent);
         assert_eq!(s.shard as usize, s.session as usize % workers);
     }
     assert!(report.all_match());
-    assert!(report.latency_us.count() >= report.requests);
+    assert!(report.latency_us.count() >= report.applied);
 
     Client::connect(&addr)
         .expect("connect")
@@ -311,9 +326,10 @@ fn counter(snap: &ntp_telemetry::Json, section: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing counter {section}.{name}"))
 }
 
-/// The `Metrics` frame reports exactly the work the loadgen did: summed
-/// per-shard frame and prediction counters equal the oracle-verified
-/// served totals, and the `total` section is the sum of the shards.
+/// The `Metrics` frame reports exactly the work the load generator did:
+/// summed per-shard frame and prediction counters equal the
+/// oracle-verified served totals, and the `total` section is the sum of
+/// the shards.
 #[test]
 fn metrics_frame_counts_served_work_exactly() {
     let workers = 2;
@@ -326,25 +342,14 @@ fn metrics_frame_counts_served_work_exactly() {
             records: synthetic_stream(0xABCD_EF01 * (i as u64 + 1), 2_000),
         })
         .collect();
-    let report = loadgen::run(
-        &LoadgenConfig {
-            addr: addr.clone(),
-            clients: 2,
-            chunk: 128,
-            bits: 12,
-            depth: 5,
-        },
-        &specs,
-    )
-    .expect("loadgen runs");
+    let report = open_loop_below_capacity(&addr, 2, &specs);
     assert!(report.all_match(), "oracle must agree before counting");
 
     let mut client = Client::connect(&addr).expect("connect");
     let json = client.metrics_json().expect("metrics frame");
     let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
 
-    let batches: u64 = report.sessions.iter().map(|s| s.batches).sum();
-    assert_eq!(counter(&snap, "total", "predictions"), report.records);
+    assert_eq!(counter(&snap, "total", "predictions"), report.applied);
     assert_eq!(
         counter(&snap, "total", "predictions.correct"),
         report
@@ -353,7 +358,7 @@ fn metrics_frame_counts_served_work_exactly() {
             .map(|s| s.served.correct)
             .sum::<u64>()
     );
-    assert_eq!(counter(&snap, "total", "frames.batch"), batches);
+    assert_eq!(counter(&snap, "total", "frames.update"), report.applied);
     assert_eq!(counter(&snap, "total", "frames.hello"), 4);
     assert_eq!(counter(&snap, "total", "frames.stats"), 4);
     assert_eq!(counter(&snap, "total", "sessions.opened"), 4);
@@ -361,7 +366,7 @@ fn metrics_frame_counts_served_work_exactly() {
 
     // The total section is exactly the sum of the per-shard sections,
     // and every shard histogram saw every frame it processed.
-    for name in ["predictions", "frames.batch", "sessions.opened"] {
+    for name in ["predictions", "frames.update", "sessions.opened"] {
         let summed: u64 = (0..workers)
             .map(|k| counter(&snap, &format!("shard{k}"), name))
             .sum();
@@ -1153,20 +1158,7 @@ fn open_loop_schedule_is_deterministic() {
     let run = || {
         let handle = serve(cfg_on("127.0.0.1:0", 2)).expect("bind");
         let addr = handle.local_addr().to_string();
-        let report = ntp_serve::run_open_loop(
-            &ntp_serve::OpenLoopConfig {
-                addr: addr.clone(),
-                conns: 2,
-                rate: 2_000.0,
-                duration: Duration::from_millis(500),
-                zipf: 1.0,
-                seed: 0x5EED,
-                bits: 12,
-                depth: 5,
-            },
-            &specs,
-        )
-        .expect("open loop runs");
+        let report = open_loop_below_capacity(&addr, 2, &specs);
         Client::connect(&addr)
             .expect("connect")
             .shutdown_server()
@@ -1178,11 +1170,7 @@ fn open_loop_schedule_is_deterministic() {
     let a = run();
     let b = run();
 
-    assert_eq!(a.offered, 1_000);
     assert_eq!(a.schedule_digest, b.schedule_digest, "schedules diverged");
-    assert_eq!(a.busy, 0, "2k/s on 2 workers must be below capacity");
-    assert_eq!(b.busy, 0);
-    assert_eq!(a.applied, a.offered, "nothing shed below capacity");
     assert!(a.all_match() && b.all_match());
     for (x, y) in a.sessions.iter().zip(&b.sessions) {
         assert_eq!(x.sent, y.sent, "session {} sent diverged", x.name);

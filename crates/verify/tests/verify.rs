@@ -66,6 +66,31 @@ fn bounded_tracks_unbounded_over_a_long_stream() {
     }
 }
 
+/// Oracle 1's divergence report prints both models' history depth, so
+/// the unbounded model must report its own path history, which on an
+/// alias-free point holds exactly what the bounded one holds.
+#[test]
+fn bounded_and_unbounded_report_the_same_history_len() {
+    let master = XorShift64::new(0x0048_15E7);
+    for case in 0..16 {
+        let mut rng = master.fork(case);
+        let point = alias_free_point(&mut rng);
+        let stream = point.stream(&mut rng, 200);
+        let mut bounded = NextTracePredictor::try_new(point.cfg).unwrap();
+        let mut unbounded = UnboundedPredictor::try_new(point.ucfg).unwrap();
+        for (i, r) in stream.iter().enumerate() {
+            bounded.update(r);
+            unbounded.update(r);
+            assert!(bounded.history_len() > 0, "case {case} at {i}");
+            assert_eq!(
+                bounded.history_len(),
+                unbounded.history_len(),
+                "case {case} at {i}"
+            );
+        }
+    }
+}
+
 #[test]
 fn dirty_reports_render_every_divergence_with_context() {
     // Build a synthetic dirty report (as produced when a validation or

@@ -38,12 +38,27 @@
 # whether the two sides printed the same digests, and a flag on every
 # pair in which the change failed more operations than the base.
 #
+# The summary's last line is one JSON object that scripts can read
+# without repeating these rules:
+#
+#   {"workload": W, "base": SHA,
+#    "crashed": [{"pair": K, "side": "base"|"change"}, ...],
+#    "change_failed_more": [K, ...],
+#    "no_regression": {"<metric>": {"base": M, "change": M, "bound": B,
+#                                   "holds": true|false|null}, ...}}
+#
+# `crashed` lists every run that exited nonzero or printed no result
+# line; `change_failed_more` lists the pairs flagged above; and
+# `no_regression` gives each end-to-end metric's medians, its bound and
+# the no-regression verdict (null when a side has no values).
+#
 # A traced run reports BENCHMARK.json's per-layer metrics in place of the
 # end-to-end ones, so with `trace` the summary prints, for every
 # per-layer metric the workload reports (nonzero on some run), each
 # side's median and quartiles, and names the metrics that read 0 on every
 # run. It prints no claim or no-regression verdict: a traced run never
-# feeds one. The failed counts and digests follow as above.
+# feeds one, and the JSON line's `no_regression` is null. The failed
+# counts, digests and JSON line follow as above.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -121,7 +136,8 @@ done
 
 echo "$workload: base $sha vs working tree, $pairs pairs of ${seconds} s, seeds $first_seed..$((first_seed + pairs - 1))$(if ((trace)); then echo ", traced: per-layer metrics, no verdicts"; fi)"
 echo "raw result lines: ${raw#"$root"/}"
-jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
+jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" \
+    --arg workload "$workload" --arg sha "$sha" '
     def q($p): sort | if length == 0 then null else
         ((length - 1) * $p) as $h | ($h | floor) as $l
         | .[$l] + ($h - $l) * (.[[$l + 1, length - 1] | min] - .[$l]) end;
@@ -133,19 +149,28 @@ jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
     def failed: .result.failed // infinite;
     side("base") as $b | side("change") as $c
     | ([$b[].pair] - ([$b[].pair] - [$c[].pair])) as $both
-    | (if $trace == 1 then
+    | def vals($s; $m): [$s[].result.metrics[$m.name].value // empty];
+      # No regression: the change median is no worse than the base
+      # median by more than the metric bound (a fraction of the base).
+      def no_regression($m):
+        (vals($b; $m) | q(0.5)) as $bm | (vals($c; $m) | q(0.5)) as $cm
+        | {base: $bm, change: $cm, bound: $m.bound,
+           holds: (if $bm == null or $cm == null then null
+                   else (if $m.better == "lower" then $bm - $cm else $cm - $bm end) >= -$m.bound * $bm end)};
+      def failed_more: [$both[] as $k | ($b[] | select(.pair == $k)) as $x
+                        | ($c[] | select(.pair == $k)) as $y
+                        | select(($y | failed) > ($x | failed)) | $k];
+      (if $trace == 1 then
        ([$bench[0].per_layer[]
          | . as $m
          | {m: $m,
-            bv: [$b[].result.metrics[$m.name].value // empty],
-            cv: [$c[].result.metrics[$m.name].value // empty]}] as $rows
+            bv: vals($b; $m), cv: vals($c; $m)}] as $rows
         | ($rows[] | select(any((.bv + .cv)[]; . != 0))
            | "\(.m.name) (\(.m.unit), \(.m.better) is better): base \(.bv | q(0.5) | r4) [\(.bv | q(0.25) | r4), \(.bv | q(0.75) | r4)]  change \(.cv | q(0.5) | r4) [\(.cv | q(0.25) | r4), \(.cv | q(0.75) | r4)]"),
           "zero on every run: \([$rows[] | select(all((.bv + .cv)[]; . == 0)) | .m.name] | if length == 0 then "none" else join(", ") end)")
        else
        ($bench[0].end_to_end[] as $m
-       | [$b[].result.metrics[$m.name].value // empty] as $bv
-       | [$c[].result.metrics[$m.name].value // empty] as $cv
+       | vals($b; $m) as $bv | vals($c; $m) as $cv
        | [$both[] as $k
           | ($b[] | select(.pair == $k) | .result.metrics[$m.name].value) as $x
           | ($c[] | select(.pair == $k) | .result.metrics[$m.name].value) as $y
@@ -163,7 +188,7 @@ jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
            # Every change run better than every base run resolves any spread.
            | (if $m.better == "lower" then ($cv | max) < ($bv | min) else ($cv | min) > ($bv | max) end) as $sep
            | "  claim (won >= 9/10 of pairs, median gain > base Q3 - Q1): \(if $won * 10 >= 9 * $n and $gain > $biqr then "HOLDS" else "fails" end) (gain \($gain | r) vs base IQR \($biqr | r))",
-             "  no regression (median no worse than the base by more than \($m.bound * 100 | r)%): \(if $gain >= -$m.bound * $bm then "holds" else "FAILS" end) (change \(if $bm == 0 then null else ($cm / $bm - 1) * 100 end | r)% vs base)",
+             "  no regression (median no worse than the base by more than \($m.bound * 100 | r)%): \(if no_regression($m).holds then "holds" else "FAILS" end) (change \(if $bm == 0 then null else ($cm / $bm - 1) * 100 end | r)% vs base)",
              "  spread (Q3 - Q1) / median: base \($bv | spread | r), change \($cv | spread | r), bound \($m.bound | r)\(if any([$bv, $cv][]; (spread // infinite) > $m.bound) and ($sep | not) then ": UNRESOLVED" else "" end)"
          end),
        "pair seed first   \([$bench[0].end_to_end[].name] | join("   "))   (base → change)",
@@ -175,5 +200,11 @@ jq -rs --slurpfile bench BENCHMARK.json --argjson trace "$trace" '
       ($both[] as $k
        | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y
        | "\($k) \($x.seed) \(if $x.order == 1 then "base" else "change" end)   \($x.result.failed // "crash")/\($y.result.failed // "crash")   \($x.result.attempted // "-")/\($y.result.attempted // "-")   \($x.digests == $y.digests)\(if ($y | failed) > ($x | failed) then "   CHANGE FAILED MORE" else "" end)"),
-      "pairs in which the change failed more operations than the base: \([$both[] as $k | ($b[] | select(.pair == $k)) as $x | ($c[] | select(.pair == $k)) as $y | select(($y | failed) > ($x | failed)) | $k] | if length == 0 then "none" else map(tostring) | join(", ") end)"
+      "pairs in which the change failed more operations than the base: \(failed_more | if length == 0 then "none" else map(tostring) | join(", ") end)",
+      ({workload: $workload, base: $sha,
+        crashed: [.[] | select(.exit != 0 or .result == null) | {pair, side}],
+        change_failed_more: failed_more,
+        no_regression: (if $trace == 1 then null
+                        else [$bench[0].end_to_end[] | {key: .name, value: no_regression(.)}] | from_entries end)}
+       | tojson)
 ' "$raw"

@@ -152,34 +152,6 @@ cold_ms=$(jq '.phases_ms.simulate' "$out_cold"/BENCH_compress.json)
 warm_ms=$(jq '.phases_ms.cache_load // 0' "$out_warm"/BENCH_compress.json)
 echo "cold simulate ${cold_ms} ms vs warm cache_load ${warm_ms} ms"
 
-say "perf gate: warm replay throughput vs scripts/BENCH_baseline.json"
-# The warm-cache run above replays the same records through the same
-# configurations as the checked-in baseline (tiny scale, 1 thread), so
-# its .throughput.replay_traces_per_sec is directly comparable. The
-# default floor percentage is deliberately loose — it exists to catch
-# "the SoA hot path got deoptimised" class regressions, not scheduler
-# jitter; tighten with NTP_PERF_FLOOR_PCT=90 when hunting smaller ones.
-baseline=scripts/BENCH_baseline.json
-floor_pct="${NTP_PERF_FLOOR_PCT:-$(jq '.floor_pct_default' "$baseline")}"
-perf_fail=0
-for f in "$out_warm"/BENCH_*.json; do
-    name=$(jq -r '.manifest.name' "$f")
-    base=$(jq -r --arg n "$name" '.replay_traces_per_sec[$n] // empty' "$baseline")
-    [ -n "$base" ] || { echo "  $name: no baseline entry, skipped"; continue; }
-    got=$(jq -r '.throughput.replay_traces_per_sec' "$f")
-    if jq -ne --argjson got "$got" --argjson base "$base" --argjson pct "$floor_pct" \
-        '$got >= $base * $pct / 100' >/dev/null; then
-        printf '  %-10s %11.0f rec/s (baseline %.0f, floor %s%%)\n' \
-            "$name" "$got" "$base" "$floor_pct"
-    else
-        printf '  %-10s %11.0f rec/s REGRESSION: below %s%% of baseline %.0f\n' \
-            "$name" "$got" "$floor_pct" "$base"
-        perf_fail=1
-    fi
-done
-[ "$perf_fail" -eq 0 ] || { echo "replay throughput regression (see above)"; exit 1; }
-echo "all benchmarks at or above the ${floor_pct}% floor"
-
 say "trace cache: audit passes, corruption falls back to re-capture"
 NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     cargo run --release -q -p ntp-cli -- capture --verify >/dev/null
@@ -212,10 +184,10 @@ echo "corrupt file refused with warning; fallback output byte-identical"
 say "serving smoke: loopback serve + loadgen + live metrics plane"
 # SERVING.md documents the protocol and this recipe. An ephemeral-port
 # server (2 shard workers) with the metrics sidecar and periodic stderr
-# stats enabled, a fixed loadgen replay (4 sessions over the cached
-# tiny-scale suite), an exact served-vs-oracle diff, a mid-flight scrape
-# whose counters must equal the loadgen oracle totals, then a graceful
-# drain via `ntp top --shutdown`.
+# stats enabled, a fixed loadgen schedule (4 sessions over the cached
+# tiny-scale suite, 2 000 updates/s for 1 s, which sheds nothing), an
+# exact served-vs-oracle diff, a scrape whose counters must equal the
+# loadgen totals, then a graceful drain via `ntp top --shutdown`.
 ntp_bin=target/release/ntp
 mktmp out_srv
 
@@ -239,62 +211,45 @@ serve_replay() {
     [ -n "$maddr" ] || { echo "ntp serve never printed its metrics address"; exit 1; }
     NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
         "$ntp_bin" loadgen --addr "$addr" --sessions 4 --clients 2 \
+        --rate 2000 --duration 1 --zipf 1.0 --seed 0x5EED \
         --json "$out_srv/loadgen$tag.json" >"$out_srv/loadgen$tag.txt" \
         || { echo "loadgen failed (served != oracle?)"; cat "$out_srv/loadgen$tag.txt"; exit 1; }
 }
 
 serve_replay 1
 echo "server up on $addr (metrics on $maddr)"
-jq -e '.all_match == true and (.sessions | length) == 4
+jq -e '.all_match == true and .busy == 0 and .applied == .offered
+       and (.sessions | length) == 4
        and ([.sessions[] | select(.matches_oracle)] | length) == 4
-       and .latency_us.count >= .requests' \
+       and .latency_us.count >= .applied' \
     "$out_srv/loadgen1.json" >/dev/null \
-    || { echo "loadgen report failed validation"; exit 1; }
-echo "4 sessions served; statistics identical to the offline oracle"
-
-# Serving perf gate: the fixed closed-loop smoke must stay at or above
-# the floor percentage of the checked-in baseline QPS — this is what
-# catches "the event loops got slower than the recorded baseline" class
-# regressions.
-qps_base=$(jq '.loadgen_req_per_sec' "$baseline")
-qps_got=$(jq '.qps' "$out_srv/loadgen1.json")
-if jq -ne --argjson got "$qps_got" --argjson base "$qps_base" --argjson pct "$floor_pct" \
-    '$got >= $base * $pct / 100' >/dev/null; then
-    printf 'loadgen %.0f req/s (baseline %.0f, floor %s%%)\n' \
-        "$qps_got" "$qps_base" "$floor_pct"
-else
-    printf 'loadgen %.0f req/s REGRESSION: below %s%% of baseline %.0f\n' \
-        "$qps_got" "$floor_pct" "$qps_base"
-    exit 1
-fi
+    || { echo "loadgen report failed validation"; cat "$out_srv/loadgen1.json"; exit 1; }
+echo "4 sessions served, nothing shed; statistics identical to the lockstep oracle"
 
 # The scraped counters must equal the loadgen oracle totals exactly: the
 # observability plane may not drop or invent a single frame.
-records=$(jq '.records' "$out_srv/loadgen1.json")
-batches=$(jq '[.sessions[].batches] | add' "$out_srv/loadgen1.json")
+applied=$(jq '.applied' "$out_srv/loadgen1.json")
 curl -sf "http://$maddr/metrics" >"$out_srv/metrics.txt" \
     || { echo "text scrape of $maddr failed"; exit 1; }
-grep -q "^total\.predictions $records\$" "$out_srv/metrics.txt" \
-    || { echo "text exposition disagrees with loadgen ($records records)"; exit 1; }
+grep -q "^total\.predictions $applied\$" "$out_srv/metrics.txt" \
+    || { echo "text exposition disagrees with loadgen ($applied applied)"; exit 1; }
 curl -sf "http://$maddr/metrics.json" >"$out_srv/metrics.json" \
     || { echo "json scrape of $maddr failed"; exit 1; }
-jq -e --argjson r "$records" --argjson b "$batches" '
-    .total.counters.predictions == $r
-    and .total.counters."frames.batch" == $b
+jq -e --argjson a "$applied" '
+    .total.counters.predictions == $a
+    and .total.counters."frames.update" == $a
     and .total.counters."frames.hello" == 4
     and .total.counters."frames.stats" == 4
-    and ([.shard0, .shard1 | .counters.predictions] | add) == $r
+    and ([.shard0, .shard1 | .counters.predictions] | add) == $a
+    and ([.shard0, .shard1 | .counters."frames.update"] | add) == $a
     and .server.counters."protocol.errors" == 0' \
     "$out_srv/metrics.json" >/dev/null \
     || { echo "scraped counters disagree with the loadgen oracle totals"; exit 1; }
-echo "scraped counters equal the loadgen totals ($records predictions, $batches batches)"
+echo "scraped counters equal the loadgen totals ($applied predictions and updates)"
 
 "$ntp_bin" top --addr "$addr" --once >"$out_srv/top.txt"
 grep -q '^total' "$out_srv/top.txt" \
     || { echo "ntp top table missing the total row"; cat "$out_srv/top.txt"; exit 1; }
-# Give the 0.2 s stats heartbeat a chance to fire at least once before
-# draining — a warm-cache replay can finish faster than one interval.
-sleep 0.5
 # `ntp top --shutdown` drains the server after the final poll.
 "$ntp_bin" top --addr "$addr" --once --json --shutdown >"$out_srv/top1.json"
 wait "$serve_pid" || { echo "ntp serve exited nonzero"; exit 1; }
@@ -325,8 +280,8 @@ if ! diff <(jq "$strip_top" "$out_srv/top1.json") \
 fi
 echo "stripped top snapshots byte-identical"
 
-say "open-loop overload smoke: shed load, exact oracle, clean drain"
-# SERVING.md "Open-loop mode". A deliberately tiny server (1 worker,
+say "overload smoke: shed load, exact oracle, clean drain"
+# SERVING.md "The load generator". A deliberately tiny server (1 worker,
 # queue depth 1) offered far more than it can apply must shed the
 # excess as Busy without retries, keep the lockstep oracle exact over
 # the applied subsequence, report a sane sojourn tail, and still drain
@@ -344,9 +299,9 @@ done
 [ -n "$addr" ] || { echo "ntp serve never printed its bound address"; exit 1; }
 NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     "$ntp_bin" loadgen --addr "$addr" --sessions 2 --clients 2 \
-    --open-loop --rate 20000 --duration 1 --zipf 1.0 --seed 0x5EED \
+    --rate 20000 --duration 1 --zipf 1.0 --seed 0x5EED \
     --json "$out_srv/openloop.json" >"$out_srv/openloop.txt" \
-    || { echo "open-loop loadgen failed (oracle divergence?)"; cat "$out_srv/openloop.txt"; exit 1; }
+    || { echo "overload loadgen failed (oracle divergence?)"; cat "$out_srv/openloop.txt"; exit 1; }
 # Overload must actually shed (busy > 0), the books must balance
 # (applied + busy == offered), the oracle must hold, and the p99.9
 # sojourn must stay under 5 s — queueing, not deadlock.
@@ -354,7 +309,7 @@ jq -e '.all_match == true and .busy > 0 and .applied > 0
        and .applied + .busy == .offered
        and .latency_us.p999 < 5000000' \
     "$out_srv/openloop.json" >/dev/null \
-    || { echo "open-loop overload report failed validation"; cat "$out_srv/openloop.json"; exit 1; }
+    || { echo "overload report failed validation"; cat "$out_srv/openloop.json"; exit 1; }
 "$ntp_bin" top --addr "$addr" --once --shutdown >/dev/null
 wait "$serve_pid" || { echo "ntp serve exited nonzero after overload"; exit 1; }
 grep -q 'drained: 2 sessions' "$out_srv/serve_ol.txt" \
@@ -484,7 +439,7 @@ echo "router up on $raddr fronting $b0_addr + $b1_addr"
 # can be torn down mid-run.
 NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     "$ntp_bin" loadgen --addr "$raddr" --sessions 4 --clients 2 \
-    --open-loop --rate 2000 --duration 2 --zipf 1.0 --seed 0x5EED \
+    --rate 2000 --duration 2 --zipf 1.0 --seed 0x5EED \
     --json "$out_cl/loadgen.json" >"$out_cl/loadgen.txt" 2>&1 &
 loadgen_pid=$!
 bg_pids+=("$loadgen_pid")
@@ -528,5 +483,39 @@ grep -q '\[route\] drained:' "$out_cl/route.txt" \
 grep -q 'drained: 4 sessions' "$out_cl/route.txt" \
     || { echo "router summary missing the 4 sessions"; cat "$out_cl/route.txt"; exit 1; }
 echo "cluster drained cleanly through the router"
+
+say "performance gate: paired perfbench runs against the parent commit"
+# BENCHMARK.json's end-to-end metrics, normalised by perfbench's frozen
+# reference kernel, measured in alternating pairs against the parent on
+# this host: offline-sweep for the replay path (the predictor core) and
+# serve-burst for the serving path (wire, event loop and shard). The
+# gate fails on a crashed run, on a pair in which the change failed more
+# operations, or on a latency_p50_us, latency_p90_us or peak_rss_mb
+# median worse than the parent's by more than that metric's
+# BENCHMARK.json bound; scripts/bench_ab.sh computes each verdict and
+# prints them as its last line. The parent is HEAD while a tracked file
+# differs from it (the change is uncommitted) and HEAD~1 once the change
+# is committed; its perfbench is built once, under target/bench-ab/.
+# offline-sweep runs 4 pairs of 5 s (its round times spread by about
+# 2 %), serve-burst 6 pairs of 10 s (a 5 s run's burst p50 is the median
+# of only 5 one-second windows and read anywhere from 114 to 228 us on
+# unchanged code): about 3.5 minutes.
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then parent=HEAD; else parent=HEAD~1; fi
+mktmp out_ab
+for run in "offline-sweep 4 5" "serve-burst 6 10"; do
+    read -r workload pairs seconds <<<"$run"
+    scripts/bench_ab.sh "$parent" "$workload" "$pairs" 1 "$seconds" >"$out_ab/$workload.txt" \
+        || { echo "bench_ab.sh failed on $workload"; exit 1; }
+    tail -n 1 "$out_ab/$workload.txt" >"$out_ab/$workload.json"
+    jq -r '.workload as $w | .no_regression
+        | to_entries[] | select(.key == ("latency_p50_us", "latency_p90_us", "peak_rss_mb"))
+        | "\($w) \(.key): parent \(.value.base * 100 | round / 100), change \(.value.change * 100 | round / 100) (bound \(.value.bound * 100)%: \(if .value.holds then "holds" else "FAILS" end))"' \
+        "$out_ab/$workload.json"
+    jq -e '(.crashed | length) == 0 and (.change_failed_more | length) == 0
+        and ([.no_regression[("latency_p50_us", "latency_p90_us", "peak_rss_mb")].holds] | all)' \
+        "$out_ab/$workload.json" >/dev/null \
+        || { echo "performance gate failed on $workload"; cat "$out_ab/$workload.txt"; exit 1; }
+done
+echo "no regression against $(git rev-parse --short "$parent") on offline-sweep or serve-burst"
 
 printf '\nAll checks passed.\n'
