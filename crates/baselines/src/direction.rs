@@ -2,19 +2,6 @@
 
 use crate::PatternHistoryTable;
 
-/// A conditional-branch direction predictor.
-pub trait DirectionPredictor {
-    /// Predicted direction for the branch at `pc`.
-    fn predict(&self, pc: u32) -> bool;
-
-    /// Trains with the actual direction of the branch at `pc` (and shifts
-    /// any global history).
-    fn update(&mut self, pc: u32, taken: bool);
-
-    /// Forgets all state.
-    fn reset(&mut self);
-}
-
 /// GSHARE (McFarling): global history XORed with the branch PC indexes the
 /// PHT. The paper's sequential baseline uses a 16-bit gshare.
 #[derive(Clone, Debug)]
@@ -52,19 +39,23 @@ impl Gshare {
     pub fn history(&self) -> u32 {
         self.bhr
     }
-}
 
-impl DirectionPredictor for Gshare {
-    fn predict(&self, pc: u32) -> bool {
+    /// Predicted direction for the branch at `pc`.
+    #[inline]
+    pub fn predict(&self, pc: u32) -> bool {
         self.pht.predict(self.index(pc))
     }
 
-    fn update(&mut self, pc: u32, taken: bool) {
+    /// Trains with the actual direction of the branch at `pc` and shifts
+    /// it into the global history.
+    #[inline]
+    pub fn update(&mut self, pc: u32, taken: bool) {
         self.pht.update(self.index(pc), taken);
         self.bhr = ((self.bhr << 1) | taken as u32) & ((1 << self.hist_bits) - 1);
     }
 
-    fn reset(&mut self) {
+    /// Forgets all state.
+    pub fn reset(&mut self) {
         self.pht.reset();
         self.bhr = 0;
     }
@@ -74,7 +65,7 @@ impl DirectionPredictor for Gshare {
 mod tests {
     use super::*;
 
-    fn train<P: DirectionPredictor>(p: &mut P, seq: &[(u32, bool)], rounds: usize) -> u32 {
+    fn train(p: &mut Gshare, seq: &[(u32, bool)], rounds: usize) -> u32 {
         let mut wrong = 0;
         for _ in 0..rounds {
             for &(pc, taken) in seq {

@@ -2,8 +2,9 @@
 //!
 //! * the single-branch direction predictor [`Gshare`] (the paper's
 //!   reference is a 16-bit gshare) over a [`PatternHistoryTable`];
-//! * target predictors: [`ReturnAddressStack`] and the correlated
-//!   [`IndirectTargetBuffer`] of Chang, Hao & Patt;
+//! * the correlated [`IndirectTargetBuffer`] of Chang, Hao & Patt for
+//!   indirect jumps and calls (every baseline predicts returns perfectly,
+//!   as the paper's does);
 //! * [`SequentialTracePredictor`] — the idealized sequential baseline of
 //!   §5.1 that the paper's headline "~26% lower misprediction" is measured
 //!   against;
@@ -12,10 +13,15 @@
 //!   GAg form (after Yeh et al.), for context below the idealized
 //!   baseline.
 //!
+//! Each predictor folds one whole trace per `observe` call. A trace's
+//! identifier holds every conditional-branch outcome, and an indirect
+//! transfer can only end a trace, so only the trace's last control is
+//! ever looked up in the indirect-target buffer.
+//!
 //! # Example
 //!
 //! ```
-//! use ntp_baselines::{DirectionPredictor, Gshare};
+//! use ntp_baselines::Gshare;
 //! let mut g = Gshare::paper();
 //! g.update(0x0040_0000, true);
 //! let _ = g.predict(0x0040_0000);
@@ -30,8 +36,8 @@ mod sequential;
 mod targets;
 mod telemetry;
 
-pub use direction::{DirectionPredictor, Gshare};
+pub use direction::Gshare;
 pub use multibranch::{MultiBranchStats, MultiGAg, TraceGshare};
 pub use pht::PatternHistoryTable;
-pub use sequential::{SequentialConfig, SequentialStats, SequentialTracePredictor};
-pub use targets::{IndirectTargetBuffer, ReturnAddressStack};
+pub use sequential::{SequentialStats, SequentialTracePredictor};
+pub use targets::IndirectTargetBuffer;

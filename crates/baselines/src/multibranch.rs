@@ -1,15 +1,20 @@
-//! A realizable multiple-branch predictor in the style of Patel, Friendly &
-//! Patt: one PHT access per trace, with each entry holding six two-bit
-//! counters so all embedded branches are predicted simultaneously.
+//! Realizable multiple-branch predictors: one PHT access per trace, with
+//! each entry holding six two-bit counters so all embedded branches are
+//! predicted simultaneously. [`TraceGshare`] (Patel, Friendly & Patt)
+//! indexes the table with the trace's start PC XORed with a global branch
+//! history register; [`MultiGAg`] (Yeh, Marr & Patt) with the history
+//! alone.
 //!
-//! The index is the trace's start PC XORed with a global branch history
-//! register (gshare-style). Because all counters are read in one access,
-//! later branches cannot see the outcomes of earlier ones — the accuracy
-//! cost that motivates explicit next-trace prediction.
+//! Because all counters are read in one access, later branches cannot see
+//! the outcomes of earlier ones — the accuracy cost that motivates
+//! explicit next-trace prediction.
 
 use crate::IndirectTargetBuffer;
 use ntp_isa::ControlKind;
 use ntp_trace::{Trace, MAX_TRACE_BRANCHES};
+
+/// One bit per counter of a PHT entry.
+const PLANE: u16 = (1 << MAX_TRACE_BRANCHES) - 1;
 
 /// Per-trace multiple-branch predictor statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -35,6 +40,78 @@ impl MultiBranchStats {
     }
 }
 
+/// The table, history and indirect-target buffer both single-access
+/// predictors share; they differ only in the index they pass to
+/// [`SixCounterTable::observe`].
+///
+/// An entry is one `u16` holding six two-bit counters as two planes: bit
+/// `i` is counter `i`'s low bit and bit `6 + i` its high bit, which is
+/// also its predicted direction. Counter `i` predicts a trace's `i`-th
+/// conditional branch.
+#[derive(Clone, Debug)]
+struct SixCounterTable {
+    entries: Vec<u16>,
+    bhr: u32,
+    itb: IndirectTargetBuffer,
+    stats: MultiBranchStats,
+}
+
+impl SixCounterTable {
+    fn new(index_bits: u32) -> SixCounterTable {
+        assert!((1..=24).contains(&index_bits));
+        SixCounterTable {
+            // Every counter weakly not-taken (1).
+            entries: vec![PLANE; 1 << index_bits],
+            bhr: 0,
+            itb: IndirectTargetBuffer::paper(),
+            stats: MultiBranchStats::default(),
+        }
+    }
+
+    /// Predicts all of `trace`'s branch directions from the entry at
+    /// `index` (masked to the table), and any trailing indirect target;
+    /// then trains the entry's live counters and shifts the trace's
+    /// outcomes into the history, oldest first.
+    #[inline]
+    fn observe(&mut self, index: u32, trace: &Trace) {
+        let id = trace.id();
+        let count = u32::from(id.branch_count);
+        let live = (1u16 << count) - 1;
+        let taken = u16::from(id.branch_bits);
+        let mask = self.entries.len() - 1;
+        let entry = &mut self.entries[index as usize & mask];
+        let (lo, hi) = (*entry & PLANE, *entry >> MAX_TRACE_BRANCHES);
+        let wrong = (hi ^ taken) & live;
+        // A live counter steps toward its outcome and saturates: its high
+        // bit becomes the majority of (high, low, outcome), and its low bit
+        // is set when it lands on 1 or 3.
+        let up_hi = (hi & lo) | (taken & (hi | lo));
+        let up_lo = (hi & taken) | ((hi ^ taken) & !lo);
+        let hi = (hi & !live) | (up_hi & live);
+        let lo = (lo & !live) | (up_lo & live);
+        *entry = (hi << MAX_TRACE_BRANCHES) | lo;
+        // Bit `i` of the outcomes lands at history bit `count - 1 - i`.
+        let oldest_first = (u32::from(taken) << (32 - MAX_TRACE_BRANCHES)).reverse_bits()
+            >> (MAX_TRACE_BRANCHES as u32 - count);
+        self.bhr = ((self.bhr << count) | oldest_first) & mask as u32;
+
+        let mut trace_wrong = wrong != 0;
+        // Returns are predicted perfectly, as in the paper's baseline, and
+        // direct targets are known.
+        if let Some(c) = trace
+            .trailing_indirect()
+            .filter(|c| c.kind != ControlKind::Return)
+        {
+            trace_wrong |= self.itb.predict(c.pc) != c.target;
+            self.itb.update(c.pc, c.target);
+        }
+        self.stats.traces += 1;
+        self.stats.trace_mispredicts += u64::from(trace_wrong);
+        self.stats.branches += u64::from(count);
+        self.stats.branch_mispredicts += u64::from(wrong.count_ones());
+    }
+}
+
 /// A trace-indexed gshare predicting up to six branch directions per access.
 ///
 /// # Examples
@@ -46,11 +123,7 @@ impl MultiBranchStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceGshare {
-    pht: Vec<[u8; MAX_TRACE_BRANCHES]>,
-    bhr: u32,
-    index_bits: u32,
-    itb: IndirectTargetBuffer,
-    stats: MultiBranchStats,
+    table: SixCounterTable,
 }
 
 impl TraceGshare {
@@ -62,70 +135,21 @@ impl TraceGshare {
     ///
     /// Panics if `index_bits` is 0 or greater than 24.
     pub fn new(index_bits: u32) -> TraceGshare {
-        assert!((1..=24).contains(&index_bits));
         TraceGshare {
-            pht: vec![[1; MAX_TRACE_BRANCHES]; 1 << index_bits],
-            bhr: 0,
-            index_bits,
-            itb: IndirectTargetBuffer::paper(),
-            stats: MultiBranchStats::default(),
+            table: SixCounterTable::new(index_bits),
         }
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &MultiBranchStats {
-        &self.stats
-    }
-
-    fn index(&self, start_pc: u32) -> usize {
-        (((start_pc >> 2) ^ self.bhr) as usize) & (self.pht.len() - 1)
+        &self.table.stats
     }
 
     /// Observes one completed trace: predicts all its branch directions in
     /// a single access, plus any trailing indirect target, then trains.
     pub fn observe(&mut self, trace: &Trace) {
-        let idx = self.index(trace.id().start_pc);
-        let mut wrong = false;
-
-        let mut branch_i = 0usize;
-        for c in trace.controls() {
-            match c.kind {
-                ControlKind::CondBranch => {
-                    self.stats.branches += 1;
-                    let pred = self.pht[idx][branch_i] >= 2;
-                    if pred != c.taken {
-                        self.stats.branch_mispredicts += 1;
-                        wrong = true;
-                    }
-                    branch_i += 1;
-                }
-                ControlKind::IndirectJump | ControlKind::IndirectCall => {
-                    if self.itb.predict(c.pc) != c.target {
-                        wrong = true;
-                    }
-                    self.itb.update(c.pc, c.target);
-                }
-                // Returns are predicted perfectly, as in the paper's
-                // baseline, and direct targets are known.
-                _ => {}
-            }
-        }
-
-        // Train the counters and shift actual outcomes into the history.
-        for (branch_i, c) in trace.cond_branches().enumerate() {
-            let ctr = &mut self.pht[idx][branch_i];
-            if c.taken {
-                *ctr = (*ctr + 1).min(3);
-            } else {
-                *ctr = ctr.saturating_sub(1);
-            }
-            self.bhr = ((self.bhr << 1) | c.taken as u32) & ((1 << self.index_bits) - 1);
-        }
-
-        self.stats.traces += 1;
-        if wrong {
-            self.stats.trace_mispredicts += 1;
-        }
+        let index = (trace.id().start_pc >> 2) ^ self.table.bhr;
+        self.table.observe(index, trace);
     }
 }
 
@@ -197,11 +221,7 @@ skip:   addi s0, s0, -1
 /// predictor (and ultimately next-trace prediction) addressed.
 #[derive(Clone, Debug)]
 pub struct MultiGAg {
-    pht: Vec<[u8; MAX_TRACE_BRANCHES]>,
-    bhr: u32,
-    hist_bits: u32,
-    itb: IndirectTargetBuffer,
-    stats: MultiBranchStats,
+    table: SixCounterTable,
 }
 
 impl MultiGAg {
@@ -212,60 +232,20 @@ impl MultiGAg {
     ///
     /// Panics if `hist_bits` is 0 or greater than 24.
     pub fn new(hist_bits: u32) -> MultiGAg {
-        assert!((1..=24).contains(&hist_bits));
         MultiGAg {
-            pht: vec![[1; MAX_TRACE_BRANCHES]; 1 << hist_bits],
-            bhr: 0,
-            hist_bits,
-            itb: IndirectTargetBuffer::paper(),
-            stats: MultiBranchStats::default(),
+            table: SixCounterTable::new(hist_bits),
         }
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &MultiBranchStats {
-        &self.stats
+        &self.table.stats
     }
 
     /// Observes one completed trace (one PHT access for all its branches).
     pub fn observe(&mut self, trace: &Trace) {
-        let idx = (self.bhr as usize) & (self.pht.len() - 1);
-        let mut wrong = false;
-        let mut branch_i = 0usize;
-        for c in trace.controls() {
-            match c.kind {
-                ControlKind::CondBranch => {
-                    self.stats.branches += 1;
-                    if (self.pht[idx][branch_i] >= 2) != c.taken {
-                        self.stats.branch_mispredicts += 1;
-                        wrong = true;
-                    }
-                    branch_i += 1;
-                }
-                ControlKind::IndirectJump | ControlKind::IndirectCall => {
-                    if self.itb.predict(c.pc) != c.target {
-                        wrong = true;
-                    }
-                    self.itb.update(c.pc, c.target);
-                }
-                // Returns are predicted perfectly, as in the paper's
-                // baseline, and direct targets are known.
-                _ => {}
-            }
-        }
-        for (branch_i, c) in trace.cond_branches().enumerate() {
-            let ctr = &mut self.pht[idx][branch_i];
-            if c.taken {
-                *ctr = (*ctr + 1).min(3);
-            } else {
-                *ctr = ctr.saturating_sub(1);
-            }
-            self.bhr = ((self.bhr << 1) | c.taken as u32) & ((1 << self.hist_bits) - 1);
-        }
-        self.stats.traces += 1;
-        if wrong {
-            self.stats.trace_mispredicts += 1;
-        }
+        let index = self.table.bhr;
+        self.table.observe(index, trace);
     }
 }
 

@@ -11,34 +11,9 @@
 //!
 //! A trace counts as mispredicted if *any* prediction inside it was wrong.
 
-use crate::{DirectionPredictor, Gshare, IndirectTargetBuffer, ReturnAddressStack};
+use crate::{Gshare, IndirectTargetBuffer};
 use ntp_isa::ControlKind;
 use ntp_trace::Trace;
-
-/// Configuration of the sequential baseline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SequentialConfig {
-    /// gshare history bits / log2 PHT entries (paper: 16).
-    pub gshare_bits: u32,
-    /// log2 entries of the correlated indirect-target buffer (paper: 12).
-    pub itb_bits: u32,
-    /// Use a perfect return-address predictor (paper: yes). When false a
-    /// bounded RAS of depth `ras_depth` is used.
-    pub perfect_ras: bool,
-    /// RAS depth when `perfect_ras` is false.
-    pub ras_depth: usize,
-}
-
-impl Default for SequentialConfig {
-    fn default() -> SequentialConfig {
-        SequentialConfig {
-            gshare_bits: 16,
-            itb_bits: 12,
-            perfect_ras: true,
-            ras_depth: 16,
-        }
-    }
-}
 
 /// Accuracy statistics of the sequential baseline.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -57,7 +32,8 @@ pub struct SequentialStats {
     pub indirect_mispredicts: u64,
     /// Returns observed.
     pub returns: u64,
-    /// Returns the (non-perfect) RAS got wrong.
+    /// Returns predicted wrong: always 0, since the return predictor is
+    /// perfect.
     pub return_mispredicts: u64,
 }
 
@@ -103,34 +79,18 @@ impl SequentialStats {
 pub struct SequentialTracePredictor {
     gshare: Gshare,
     itb: IndirectTargetBuffer,
-    ras: ReturnAddressStack,
-    perfect_ras: bool,
     stats: SequentialStats,
 }
 
 impl SequentialTracePredictor {
-    /// Builds the baseline with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range table sizes.
-    pub fn new(cfg: SequentialConfig) -> SequentialTracePredictor {
+    /// The paper's configuration: a 16-bit gshare, a 4K-entry ITB and a
+    /// perfect return predictor.
+    pub fn paper() -> SequentialTracePredictor {
         SequentialTracePredictor {
-            gshare: Gshare::new(cfg.gshare_bits),
-            itb: IndirectTargetBuffer::new(cfg.itb_bits),
-            ras: if cfg.perfect_ras {
-                ReturnAddressStack::perfect()
-            } else {
-                ReturnAddressStack::bounded(cfg.ras_depth)
-            },
-            perfect_ras: cfg.perfect_ras,
+            gshare: Gshare::paper(),
+            itb: IndirectTargetBuffer::paper(),
             stats: SequentialStats::default(),
         }
-    }
-
-    /// The paper's configuration (16-bit gshare, 4K-entry ITB, perfect RAS).
-    pub fn paper() -> SequentialTracePredictor {
-        SequentialTracePredictor::new(SequentialConfig::default())
     }
 
     /// Accumulated statistics.
@@ -139,52 +99,34 @@ impl SequentialTracePredictor {
     }
 
     /// Observes one completed trace: sequentially predicts and trains on
-    /// every control instruction inside it.
+    /// every conditional branch inside it, then on the indirect transfer
+    /// that ends it, if any. Direct targets are known (a perfect BTB), and
+    /// a perfect return predictor never misses, so jumps and calls need no
+    /// work and a return is only counted.
     pub fn observe(&mut self, trace: &Trace) {
         let mut wrong = false;
-        for c in trace.controls() {
-            match c.kind {
-                ControlKind::CondBranch => {
-                    self.stats.branches += 1;
-                    let pred = self.gshare.predict(c.pc);
-                    if pred != c.taken {
-                        self.stats.branch_mispredicts += 1;
-                        wrong = true;
-                    }
-                    self.gshare.update(c.pc, c.taken);
-                }
-                ControlKind::Jump => {
-                    // Perfect BTB: direct targets never miss.
-                }
-                ControlKind::Call => {
-                    self.ras.push(c.pc.wrapping_add(4));
-                }
-                ControlKind::IndirectJump | ControlKind::IndirectCall => {
-                    self.stats.indirects += 1;
-                    if self.itb.predict(c.pc) != c.target {
-                        self.stats.indirect_mispredicts += 1;
-                        wrong = true;
-                    }
-                    self.itb.update(c.pc, c.target);
-                    if c.kind == ControlKind::IndirectCall {
-                        self.ras.push(c.pc.wrapping_add(4));
-                    }
-                }
-                ControlKind::Return => {
-                    self.stats.returns += 1;
-                    let popped = self.ras.pop();
-                    if !self.perfect_ras && popped != Some(c.target) {
-                        self.stats.return_mispredicts += 1;
-                        wrong = true;
-                    }
-                }
-                ControlKind::None => {}
+        for c in trace.cond_branches() {
+            if self.gshare.predict(c.pc) != c.taken {
+                self.stats.branch_mispredicts += 1;
+                wrong = true;
             }
+            self.gshare.update(c.pc, c.taken);
+        }
+        self.stats.branches += trace.branch_count() as u64;
+        match trace.trailing_indirect() {
+            Some(c) if c.kind == ControlKind::Return => self.stats.returns += 1,
+            Some(c) => {
+                self.stats.indirects += 1;
+                if self.itb.predict(c.pc) != c.target {
+                    self.stats.indirect_mispredicts += 1;
+                    wrong = true;
+                }
+                self.itb.update(c.pc, c.target);
+            }
+            None => {}
         }
         self.stats.traces += 1;
-        if wrong {
-            self.stats.trace_mispredicts += 1;
-        }
+        self.stats.trace_mispredicts += u64::from(wrong);
     }
 }
 

@@ -1,61 +1,5 @@
-//! Target predictors: return address stacks and the correlated
-//! indirect-target buffer of Chang, Hao & Patt (ISCA 1997).
-
-/// A return address stack. The paper's sequential baseline uses a *perfect*
-/// return predictor; a bounded stack is provided for ablations.
-#[derive(Clone, Debug)]
-pub struct ReturnAddressStack {
-    stack: Vec<u32>,
-    max_depth: Option<usize>,
-}
-
-impl ReturnAddressStack {
-    /// An unbounded (perfect, never-overflowing) stack.
-    pub fn perfect() -> ReturnAddressStack {
-        ReturnAddressStack {
-            stack: Vec::new(),
-            max_depth: None,
-        }
-    }
-
-    /// A bounded stack that discards its oldest entry on overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn bounded(depth: usize) -> ReturnAddressStack {
-        assert!(depth > 0, "RAS depth must be nonzero");
-        ReturnAddressStack {
-            stack: Vec::with_capacity(depth),
-            max_depth: Some(depth),
-        }
-    }
-
-    /// Pushes a return address (at a call).
-    pub fn push(&mut self, return_addr: u32) {
-        if let Some(cap) = self.max_depth {
-            if self.stack.len() == cap {
-                self.stack.remove(0);
-            }
-        }
-        self.stack.push(return_addr);
-    }
-
-    /// Pops the predicted return target (at a return); `None` on underflow.
-    pub fn pop(&mut self) -> Option<u32> {
-        self.stack.pop()
-    }
-
-    /// Current depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Empties the stack.
-    pub fn reset(&mut self) {
-        self.stack.clear();
-    }
-}
+//! Target prediction: the correlated indirect-target buffer of Chang, Hao &
+//! Patt (ISCA 1997).
 
 /// A correlated indirect-target buffer: a table of last-seen targets indexed
 /// by the jump PC XORed with a path history of recent indirect targets
@@ -116,28 +60,6 @@ impl IndirectTargetBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_ras_matches_call_return_nesting() {
-        let mut ras = ReturnAddressStack::perfect();
-        ras.push(0x104);
-        ras.push(0x204);
-        assert_eq!(ras.pop(), Some(0x204));
-        assert_eq!(ras.pop(), Some(0x104));
-        assert_eq!(ras.pop(), None);
-    }
-
-    #[test]
-    fn bounded_ras_discards_oldest() {
-        let mut ras = ReturnAddressStack::bounded(2);
-        ras.push(1);
-        ras.push(2);
-        ras.push(3);
-        assert_eq!(ras.depth(), 2);
-        assert_eq!(ras.pop(), Some(3));
-        assert_eq!(ras.pop(), Some(2));
-        assert_eq!(ras.pop(), None, "entry 1 was discarded");
-    }
 
     #[test]
     fn itb_learns_stable_target() {

@@ -46,6 +46,20 @@ fn captured_artifacts_are_pinned() {
     };
     let cases = [
         (
+            "compress",
+            TraceConfig::default(),
+            "default",
+            110_656,
+            0x7a52_2c0a_621a_58c1,
+        ),
+        (
+            "cc",
+            TraceConfig::default(),
+            "default",
+            208_156,
+            0xf3ad_459f_b11b_eb45,
+        ),
+        (
             "go",
             TraceConfig::default(),
             "default",
@@ -58,6 +72,20 @@ fn captured_artifacts_are_pinned() {
             "back-edges",
             232_246,
             0xf22d_eb0b_06b9_e8f6,
+        ),
+        (
+            "jpeg",
+            TraceConfig::default(),
+            "default",
+            42_653,
+            0x72dd_dbfc_a268_efb7,
+        ),
+        (
+            "m88ksim",
+            TraceConfig::default(),
+            "default",
+            171_675,
+            0xb699_1676_b0e6_9a3f,
         ),
         (
             "xlisp",

@@ -186,22 +186,27 @@ impl ControlMix {
     /// Folds one trace into the mix: its instructions and every control
     /// event it holds. Each retired instruction lies in exactly one trace,
     /// so folding every trace of a run counts each event once.
+    ///
+    /// The counts come from the trace's identifier and flags: the
+    /// identifier holds every conditional-branch outcome, the call count
+    /// covers direct and indirect calls, and an indirect transfer can only
+    /// end a trace, so every other control is a direct jump.
     pub fn record_trace(&mut self, trace: &Trace) {
+        let id = trace.id();
+        let trailing = trace.trailing_indirect().map(|c| c.kind);
+        let indirect_call = u8::from(trailing == Some(ControlKind::IndirectCall));
+        let indirect_jump = u8::from(trailing == Some(ControlKind::IndirectJump));
+        let ret = u8::from(trace.ends_in_return());
+        let calls = trace.call_count() - indirect_call;
+        let not_jumps = id.branch_count + calls + indirect_call + indirect_jump + ret;
         self.instrs += trace.len() as u64;
-        for c in trace.controls() {
-            match c.kind {
-                ControlKind::CondBranch => {
-                    self.cond_branches += 1;
-                    self.taken_branches += u64::from(c.taken);
-                }
-                ControlKind::Jump => self.jumps += 1,
-                ControlKind::Call => self.calls += 1,
-                ControlKind::IndirectJump => self.indirect_jumps += 1,
-                ControlKind::IndirectCall => self.indirect_calls += 1,
-                ControlKind::Return => self.returns += 1,
-                ControlKind::None => {}
-            }
-        }
+        self.cond_branches += u64::from(id.branch_count);
+        self.taken_branches += u64::from(id.branch_bits.count_ones());
+        self.jumps += (trace.controls().len() - usize::from(not_jumps)) as u64;
+        self.calls += u64::from(calls);
+        self.indirect_jumps += u64::from(indirect_jump);
+        self.indirect_calls += u64::from(indirect_call);
+        self.returns += u64::from(ret);
     }
 }
 

@@ -131,6 +131,17 @@ impl Trace {
             .iter()
             .filter(|c| c.kind == ControlKind::CondBranch)
     }
+
+    /// The indirect jump, indirect call or return that ends the trace, if
+    /// it ends in one. No other control in a trace has an indirect target.
+    #[inline]
+    pub fn trailing_indirect(&self) -> Option<&CtrlInfo> {
+        if self.ends_in_indirect {
+            self.controls().last()
+        } else {
+            None
+        }
+    }
 }
 
 impl fmt::Debug for Trace {

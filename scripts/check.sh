@@ -487,32 +487,38 @@ echo "cluster drained cleanly through the router"
 say "performance gate: paired perfbench runs against the parent commit"
 # BENCHMARK.json's end-to-end metrics, normalised by perfbench's frozen
 # reference kernel, measured in alternating pairs against the parent on
-# this host: offline-sweep for the replay path (the predictor core) and
-# serve-burst for the serving path (wire, event loop and shard). The
-# gate fails on a crashed run, on a pair in which the change failed more
-# operations, or on a latency_p50_us, latency_p90_us or peak_rss_mb
-# median worse than the parent's by more than that metric's
+# this host: offline-sweep for the capture stage and the replay path
+# (the predictor core) and serve-burst for the serving path (wire, event
+# loop and shard). The gate fails on a crashed run, on a pair in which
+# the change failed more operations, or on a latency_p50_us,
+# latency_p90_us or peak_rss_mb median, or offline-sweep's setup_s
+# median, worse than the parent's by more than that metric's
 # BENCHMARK.json bound; scripts/bench_ab.sh computes each verdict and
-# prints them as its last line. The parent is HEAD while a tracked file
-# differs from it (the change is uncommitted) and HEAD~1 once the change
-# is committed; its perfbench is built once, under target/bench-ab/.
+# prints them as its last line. serve-burst's setup_s is not held: its
+# set-up is mostly a tiny-scale capture, the code offline-sweep's setup_s
+# holds, and its quartile spread across 20 s runs reached a fifth of its
+# median, near the bound.
+# The parent is HEAD while a tracked file differs from it (the change is
+# uncommitted) and HEAD~1 once the change is committed; its perfbench is
+# built once, under target/bench-ab/.
 # offline-sweep runs 4 pairs of 5 s (its round times spread by about
 # 2 %), serve-burst 6 pairs of 10 s (a 5 s run's burst p50 is the median
 # of only 5 one-second windows and read anywhere from 114 to 228 us on
 # unchanged code): about 3.5 minutes.
 if [ -n "$(git status --porcelain --untracked-files=no)" ]; then parent=HEAD; else parent=HEAD~1; fi
 mktmp out_ab
-for run in "offline-sweep 4 5" "serve-burst 6 10"; do
-    read -r workload pairs seconds <<<"$run"
+for run in "offline-sweep 4 5 setup_s,latency_p50_us,latency_p90_us,peak_rss_mb" \
+    "serve-burst 6 10 latency_p50_us,latency_p90_us,peak_rss_mb"; do
+    read -r workload pairs seconds held <<<"$run"
     scripts/bench_ab.sh "$parent" "$workload" "$pairs" 1 "$seconds" >"$out_ab/$workload.txt" \
         || { echo "bench_ab.sh failed on $workload"; exit 1; }
     tail -n 1 "$out_ab/$workload.txt" >"$out_ab/$workload.json"
-    jq -r '.workload as $w | .no_regression
-        | to_entries[] | select(.key == ("latency_p50_us", "latency_p90_us", "peak_rss_mb"))
+    jq -r --arg held "$held" '.workload as $w | .no_regression
+        | to_entries[] | select(.key | IN($held | split(",")[]))
         | "\($w) \(.key): parent \(.value.base * 100 | round / 100), change \(.value.change * 100 | round / 100) (bound \(.value.bound * 100)%: \(if .value.holds then "holds" else "FAILS" end))"' \
         "$out_ab/$workload.json"
-    jq -e '(.crashed | length) == 0 and (.change_failed_more | length) == 0
-        and ([.no_regression[("latency_p50_us", "latency_p90_us", "peak_rss_mb")].holds] | all)' \
+    jq -e --arg held "$held" '(.crashed | length) == 0 and (.change_failed_more | length) == 0
+        and ([.no_regression[$held | split(",")[]].holds] | all)' \
         "$out_ab/$workload.json" >/dev/null \
         || { echo "performance gate failed on $workload"; cat "$out_ab/$workload.txt"; exit 1; }
 done

@@ -6,10 +6,11 @@
 //! `XorShift64::new(SEED).fork(k)`, and every failure message names `k`,
 //! so a failure reproduces from the message alone.
 
+use ntp::baselines::{MultiGAg, SequentialTracePredictor, TraceGshare};
 use ntp::core::{Counter, CounterSpec, Dolc, PathHistory, ReturnHistoryStack, RhsConfig};
 use ntp::isa::{decode, encode, ControlKind, Instr, Reg};
 use ntp::sim::{ControlEvent, Step};
-use ntp::trace::{HashedId, TraceBuilder, TraceConfig, TraceId};
+use ntp::trace::{ControlMix, HashedId, Trace, TraceBuilder, TraceConfig, TraceId};
 use ntp::verify::XorShift64;
 
 /// Seeded cases per property.
@@ -209,16 +210,17 @@ fn step(pc: u32, kind: ControlKind, taken: bool, target: u32) -> Step {
     Step { pc, instr, control }
 }
 
-/// A control kind weighted 5:2:1:1:1:1 over none, conditional branch,
-/// jump, call, return and indirect jump.
+/// A control kind weighted 5:2:1:1:1:1:1 over none, conditional branch,
+/// jump, call, return, indirect jump and indirect call.
 fn arb_kind(rng: &mut XorShift64) -> ControlKind {
-    match rng.below(11) {
+    match rng.below(12) {
         0..=4 => ControlKind::None,
         5 | 6 => ControlKind::CondBranch,
         7 => ControlKind::Jump,
         8 => ControlKind::Call,
         9 => ControlKind::Return,
-        _ => ControlKind::IndirectJump,
+        10 => ControlKind::IndirectJump,
+        _ => ControlKind::IndirectCall,
     }
 }
 
@@ -232,32 +234,38 @@ fn arb_trace_config(rng: &mut XorShift64) -> TraceConfig {
     }
 }
 
+/// A drawn selection policy, the number of steps in a drawn stream of
+/// straight-line pcs, and the traces the policy selects from it. Branch
+/// and indirect targets fall up to 16 words either side of their pc.
+fn arb_traces(rng: &mut XorShift64) -> (TraceConfig, usize, Vec<Trace>) {
+    let cfg = arb_trace_config(rng);
+    let steps: Vec<(ControlKind, bool, i32)> = (0..rng.range(1, 399))
+        .map(|_| {
+            (
+                arb_kind(rng),
+                rng.chance(1, 2),
+                rng.range(0, 32) as i32 - 16,
+            )
+        })
+        .collect();
+    let mut builder = TraceBuilder::new(cfg);
+    let mut pc = 0x0040_0000u32;
+    let mut traces = Vec::new();
+    for &(kind, taken, words) in &steps {
+        let target = pc.wrapping_add_signed(4 * words);
+        builder.push(&step(pc, kind, taken, target), |t| traces.push(*t));
+        pc = pc.wrapping_add(4);
+    }
+    builder.flush(|t| traces.push(*t));
+    (cfg, steps.len(), traces)
+}
+
 #[test]
 fn trace_builder_invariants_on_arbitrary_streams() {
     for case in 0..CASES {
         let rng = &mut case_rng(case);
-        let cfg = arb_trace_config(rng);
-        let kinds: Vec<(ControlKind, bool, i32)> = (0..rng.range(1, 399))
-            .map(|_| {
-                (
-                    arb_kind(rng),
-                    rng.chance(1, 2),
-                    rng.range(0, 32) as i32 - 16,
-                )
-            })
-            .collect();
-        let mut builder = TraceBuilder::new(cfg);
-        let mut total_in = 0usize;
+        let (cfg, total_in, traces) = arb_traces(rng);
         let mut total_out = 0usize;
-        let mut pc = 0x0040_0000u32;
-        let mut traces = Vec::new();
-        for (kind, taken, words) in kinds {
-            total_in += 1;
-            let target = pc.wrapping_add_signed(4 * words);
-            builder.push(&step(pc, kind, taken, target), |t| traces.push(*t));
-            pc = pc.wrapping_add(4);
-        }
-        builder.flush(|t| traces.push(*t));
         for t in &traces {
             total_out += t.len();
             assert!(t.len() <= cfg.max_len, "case {case}: {cfg:?}");
@@ -266,11 +274,236 @@ fn trace_builder_invariants_on_arbitrary_streams() {
             for c in &controls[..controls.len().saturating_sub(1)] {
                 assert!(!c.kind.is_indirect(), "case {case}");
             }
+            // The identifier holds every conditional-branch outcome, in
+            // order, and nothing past the last one.
+            let id = t.id();
+            let branches: Vec<bool> = controls
+                .iter()
+                .filter(|c| c.kind == ControlKind::CondBranch)
+                .map(|c| c.taken)
+                .collect();
+            assert_eq!(
+                id.branch_count as usize,
+                branches.len(),
+                "case {case}: {t:?}"
+            );
+            for (i, &taken) in branches.iter().enumerate() {
+                assert_eq!((id.branch_bits >> i) & 1 == 1, taken, "case {case}: {t:?}");
+            }
+            assert_eq!(id.branch_bits >> id.branch_count, 0, "case {case}: {t:?}");
+            // The flags name the trailing indirect transfer and count calls.
+            let last = controls.last().map(|c| c.kind);
+            assert_eq!(
+                t.ends_in_indirect(),
+                last.is_some_and(ControlKind::is_indirect),
+                "case {case}: {t:?}"
+            );
+            assert_eq!(
+                t.ends_in_return(),
+                last == Some(ControlKind::Return),
+                "case {case}: {t:?}"
+            );
+            let calls = controls
+                .iter()
+                .filter(|c| matches!(c.kind, ControlKind::Call | ControlKind::IndirectCall))
+                .count();
+            assert_eq!(t.call_count() as usize, calls, "case {case}: {t:?}");
         }
         assert_eq!(
             total_in, total_out,
             "case {case}: every instruction lands in exactly one trace ({cfg:?})"
         );
+    }
+}
+
+/// The streaming baselines and `ControlMix::record_trace` as they were
+/// before each came to fold a whole trace in one step: one dispatch per
+/// control. The shipped folds must match these statistic for statistic.
+mod per_control {
+    use ntp::baselines::{IndirectTargetBuffer, MultiBranchStats, SequentialStats};
+    use ntp::isa::ControlKind;
+    use ntp::trace::{ControlMix, Trace, MAX_TRACE_BRANCHES};
+
+    /// A two-bit saturating counter trained with one outcome.
+    fn train(ctr: &mut u8, taken: bool) {
+        *ctr = if taken {
+            (*ctr + 1).min(3)
+        } else {
+            ctr.saturating_sub(1)
+        };
+    }
+
+    /// §5.1's sequential predictor: a 16-bit gshare, a perfect BTB, a
+    /// 4K-entry indirect-target buffer and a perfect return predictor,
+    /// which never misses, so returns are only counted.
+    pub struct Sequential {
+        pht: Vec<u8>,
+        bhr: u32,
+        itb: IndirectTargetBuffer,
+        pub stats: SequentialStats,
+    }
+
+    impl Sequential {
+        pub fn paper() -> Sequential {
+            Sequential {
+                pht: vec![1; 1 << 16],
+                bhr: 0,
+                itb: IndirectTargetBuffer::paper(),
+                stats: SequentialStats::default(),
+            }
+        }
+
+        pub fn observe(&mut self, trace: &Trace) {
+            let mut wrong = false;
+            for c in trace.controls() {
+                match c.kind {
+                    ControlKind::CondBranch => {
+                        self.stats.branches += 1;
+                        let ctr = &mut self.pht[((c.pc >> 2) ^ self.bhr) as usize & 0xFFFF];
+                        if (*ctr >= 2) != c.taken {
+                            self.stats.branch_mispredicts += 1;
+                            wrong = true;
+                        }
+                        train(ctr, c.taken);
+                        self.bhr = ((self.bhr << 1) | c.taken as u32) & 0xFFFF;
+                    }
+                    ControlKind::IndirectJump | ControlKind::IndirectCall => {
+                        self.stats.indirects += 1;
+                        if self.itb.predict(c.pc) != c.target {
+                            self.stats.indirect_mispredicts += 1;
+                            wrong = true;
+                        }
+                        self.itb.update(c.pc, c.target);
+                    }
+                    ControlKind::Return => self.stats.returns += 1,
+                    ControlKind::Jump | ControlKind::Call | ControlKind::None => {}
+                }
+            }
+            self.stats.traces += 1;
+            if wrong {
+                self.stats.trace_mispredicts += 1;
+            }
+        }
+    }
+
+    /// `TraceGshare` (start pc XOR history, `with_pc`) or `MultiGAg`
+    /// (history alone): six counters per entry, read in one access.
+    pub struct MultiBranch {
+        pht: Vec<[u8; MAX_TRACE_BRANCHES]>,
+        bhr: u32,
+        bits: u32,
+        with_pc: bool,
+        itb: IndirectTargetBuffer,
+        pub stats: MultiBranchStats,
+    }
+
+    impl MultiBranch {
+        pub fn new(bits: u32, with_pc: bool) -> MultiBranch {
+            MultiBranch {
+                pht: vec![[1; MAX_TRACE_BRANCHES]; 1 << bits],
+                bhr: 0,
+                bits,
+                with_pc,
+                itb: IndirectTargetBuffer::paper(),
+                stats: MultiBranchStats::default(),
+            }
+        }
+
+        pub fn observe(&mut self, trace: &Trace) {
+            let pc = if self.with_pc {
+                trace.id().start_pc >> 2
+            } else {
+                0
+            };
+            let idx = ((pc ^ self.bhr) as usize) & (self.pht.len() - 1);
+            let mut wrong = false;
+            let mut branch_i = 0usize;
+            for c in trace.controls() {
+                match c.kind {
+                    ControlKind::CondBranch => {
+                        self.stats.branches += 1;
+                        if (self.pht[idx][branch_i] >= 2) != c.taken {
+                            self.stats.branch_mispredicts += 1;
+                            wrong = true;
+                        }
+                        branch_i += 1;
+                    }
+                    ControlKind::IndirectJump | ControlKind::IndirectCall => {
+                        if self.itb.predict(c.pc) != c.target {
+                            wrong = true;
+                        }
+                        self.itb.update(c.pc, c.target);
+                    }
+                    _ => {}
+                }
+            }
+            let branches = trace
+                .controls()
+                .iter()
+                .filter(|c| c.kind == ControlKind::CondBranch);
+            for (branch_i, c) in branches.enumerate() {
+                train(&mut self.pht[idx][branch_i], c.taken);
+                self.bhr = ((self.bhr << 1) | c.taken as u32) & ((1 << self.bits) - 1);
+            }
+            self.stats.traces += 1;
+            if wrong {
+                self.stats.trace_mispredicts += 1;
+            }
+        }
+    }
+
+    pub fn record_trace(mix: &mut ControlMix, trace: &Trace) {
+        mix.instrs += trace.len() as u64;
+        for c in trace.controls() {
+            match c.kind {
+                ControlKind::CondBranch => {
+                    mix.cond_branches += 1;
+                    mix.taken_branches += u64::from(c.taken);
+                }
+                ControlKind::Jump => mix.jumps += 1,
+                ControlKind::Call => mix.calls += 1,
+                ControlKind::IndirectJump => mix.indirect_jumps += 1,
+                ControlKind::IndirectCall => mix.indirect_calls += 1,
+                ControlKind::Return => mix.returns += 1,
+                ControlKind::None => {}
+            }
+        }
+    }
+}
+
+/// The shipped baselines and `ControlMix` fold each trace in one step;
+/// after every trace of every drawn stream their statistics equal the
+/// per-control model's. The multiple-branch tables are drawn small (1–8
+/// index bits) so that traces share entries.
+#[test]
+fn baselines_fold_traces_like_the_per_control_model() {
+    for case in 0..CASES {
+        let rng = &mut case_rng(case);
+        let (cfg, _, traces) = arb_traces(rng);
+        let bits = rng.range(1, 8) as u32;
+        let mut seq = SequentialTracePredictor::paper();
+        let mut gshare = TraceGshare::new(bits);
+        let mut gag = MultiGAg::new(bits);
+        let mut mix = ControlMix::new();
+        let mut seq_model = per_control::Sequential::paper();
+        let mut gshare_model = per_control::MultiBranch::new(bits, true);
+        let mut gag_model = per_control::MultiBranch::new(bits, false);
+        let mut mix_model = ControlMix::new();
+        for (i, t) in traces.iter().enumerate() {
+            seq.observe(t);
+            gshare.observe(t);
+            gag.observe(t);
+            mix.record_trace(t);
+            seq_model.observe(t);
+            gshare_model.observe(t);
+            gag_model.observe(t);
+            per_control::record_trace(&mut mix_model, t);
+            let at = || format!("case {case}, trace {i} ({cfg:?}, {bits} index bits): {t:?}");
+            assert_eq!(seq.stats(), &seq_model.stats, "sequential, {}", at());
+            assert_eq!(gshare.stats(), &gshare_model.stats, "TraceGshare, {}", at());
+            assert_eq!(gag.stats(), &gag_model.stats, "MultiGAg, {}", at());
+            assert_eq!(mix, mix_model, "ControlMix, {}", at());
+        }
     }
 }
 
