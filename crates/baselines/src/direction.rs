@@ -1,6 +1,6 @@
 //! Single-branch direction prediction: the paper's 16-bit gshare.
 
-use crate::PatternHistoryTable;
+use crate::pht::PatternHistoryTable;
 
 /// GSHARE (McFarling): global history XORed with the branch PC indexes the
 /// PHT. The paper's sequential baseline uses a 16-bit gshare.
@@ -35,11 +35,6 @@ impl Gshare {
         (pc >> 2) ^ self.bhr
     }
 
-    /// The current global history register value.
-    pub fn history(&self) -> u32 {
-        self.bhr
-    }
-
     /// Predicted direction for the branch at `pc`.
     #[inline]
     pub fn predict(&self, pc: u32) -> bool {
@@ -52,12 +47,6 @@ impl Gshare {
     pub fn update(&mut self, pc: u32, taken: bool) {
         self.pht.update(self.index(pc), taken);
         self.bhr = ((self.bhr << 1) | taken as u32) & ((1 << self.hist_bits) - 1);
-    }
-
-    /// Forgets all state.
-    pub fn reset(&mut self) {
-        self.pht.reset();
-        self.bhr = 0;
     }
 }
 
@@ -94,14 +83,6 @@ mod tests {
         p.update(0, true);
         p.update(0, false);
         p.update(0, true);
-        assert_eq!(p.history(), 0b101);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut p = Gshare::new(6);
-        p.update(0, true);
-        p.reset();
-        assert_eq!(p.history(), 0);
+        assert_eq!(p.bhr, 0b101);
     }
 }

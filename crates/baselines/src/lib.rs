@@ -1,7 +1,8 @@
 //! # ntp-baselines — the predictors the paper compares against
 //!
 //! * the single-branch direction predictor [`Gshare`] (the paper's
-//!   reference is a 16-bit gshare) over a [`PatternHistoryTable`];
+//!   reference is a 16-bit gshare) over a pattern history table of
+//!   two-bit saturating counters;
 //! * the correlated [`IndirectTargetBuffer`] of Chang, Hao & Patt for
 //!   indirect jumps and calls (every baseline predicts returns perfectly,
 //!   as the paper's does);
@@ -38,6 +39,5 @@ mod telemetry;
 
 pub use direction::Gshare;
 pub use multibranch::{MultiBranchStats, MultiGAg, TraceGshare};
-pub use pht::PatternHistoryTable;
 pub use sequential::{SequentialStats, SequentialTracePredictor};
 pub use targets::IndirectTargetBuffer;

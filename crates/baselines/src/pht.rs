@@ -2,9 +2,8 @@
 
 /// A table of classic two-bit saturating counters (predict taken at 2 or 3).
 #[derive(Clone, Debug)]
-pub struct PatternHistoryTable {
+pub(crate) struct PatternHistoryTable {
     counters: Vec<u8>,
-    index_bits: u32,
 }
 
 impl PatternHistoryTable {
@@ -18,23 +17,7 @@ impl PatternHistoryTable {
         assert!((1..=28).contains(&index_bits), "index bits must be 1..=28");
         PatternHistoryTable {
             counters: vec![1; 1 << index_bits],
-            index_bits,
         }
-    }
-
-    /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Always false — tables are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Index width in bits.
-    pub fn index_bits(&self) -> u32 {
-        self.index_bits
     }
 
     fn slot(&self, index: u32) -> usize {
@@ -55,11 +38,6 @@ impl PatternHistoryTable {
         } else {
             *c = c.saturating_sub(1);
         }
-    }
-
-    /// Resets all counters to weakly not-taken.
-    pub fn reset(&mut self) {
-        self.counters.fill(1);
     }
 }
 
@@ -87,14 +65,5 @@ mod tests {
         pht.update(0x10, true); // aliases slot 0
         pht.update(0x10, true);
         assert!(pht.predict(0));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut pht = PatternHistoryTable::new(4);
-        pht.update(1, true);
-        pht.update(1, true);
-        pht.reset();
-        assert!(!pht.predict(1));
     }
 }

@@ -49,12 +49,6 @@ impl IndirectTargetBuffer {
         let mask = (1u32 << self.hist_bits) - 1;
         self.hist = ((self.hist << 2) ^ (target >> 2)) & mask;
     }
-
-    /// Forgets all state.
-    pub fn reset(&mut self) {
-        self.targets.fill(0);
-        self.hist = 0;
-    }
 }
 
 #[cfg(test)]
@@ -91,13 +85,5 @@ mod tests {
             wrong <= 2,
             "correlated ITB tracks alternating targets: {wrong}"
         );
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut itb = IndirectTargetBuffer::new(6);
-        itb.update(0x500, 0x900);
-        itb.reset();
-        assert_eq!(itb.predict(0x500), 0);
     }
 }

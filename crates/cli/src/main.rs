@@ -10,7 +10,9 @@ use ntp_core::{
 use ntp_engine::{DelayedUpdateEngine, EngineConfig};
 use ntp_isa::{asm::assemble, disasm, Program, IMAGE_MAGIC};
 use ntp_sim::Machine;
-use ntp_telemetry::{Json, PhaseTimes, Report, RunManifest, ScopeTimer, ToJson};
+use ntp_telemetry::{
+    Histogram, Json, PhaseTimes, Report, RunManifest, ScopeTimer, Snapshot, ToJson,
+};
 use ntp_trace::{run_traces, TraceConfig, TraceRecord, TraceStats};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -429,13 +431,7 @@ fn build_report(spec: &str, budget: u64, bits: u32, depth: usize) -> Result<Repo
     // section order, phase names, and all numbers are identical at any
     // thread count; only the wall-clock phase durations vary.
     enum Pass {
-        Replay(
-            Box<(
-                NextTracePredictor,
-                ntp_core::PredictorStats,
-                ntp_telemetry::Histogram,
-            )>,
-        ),
+        Replay(Box<(NextTracePredictor, ntp_core::PredictorStats, Histogram)>),
         Engine(ntp_engine::EngineStats),
     }
     let passes = ntp_runner::map_ordered(&[0usize, 1], |_, &k| {
@@ -962,12 +958,14 @@ fn cmd_route(args: &Args) -> Result<(), String> {
 }
 
 /// `ntp top`: a live view of a running server's per-shard runtime
-/// metrics, polled over the `Metrics` frame (see SERVING.md). With
-/// `--json` each poll prints the raw snapshot instead of the table;
-/// `--once` polls a single time, and `--shutdown` drains the server
-/// after the final poll. `--cluster` points it at an `ntp route`
-/// process instead, rendering the `route.*` counters and the
-/// per-backend forwarding/latency table.
+/// metrics, polled over the `Metrics` frame (see SERVING.md). Each
+/// poll's QPS is the [`ntp_serve::rate`] since the previous poll; the
+/// first is measured against an empty snapshot at uptime 0, so it reads
+/// the mean since start. With `--json` each poll prints the snapshot
+/// instead of the table; `--once` polls a single time, and
+/// `--shutdown` drains the server after the final poll. `--cluster`
+/// points it at an `ntp route` process instead, rendering the `route.*`
+/// counters and the per-backend forwarding/latency table.
 fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args
         .flag_str("--addr")
@@ -981,10 +979,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
 
     let mut client = ntp_serve::Client::connect(addr)
         .map_err(|e| format!("top: cannot connect to {addr}: {e}"))?;
+    let mut prev = Snapshot::new();
     loop {
-        let text = client.metrics_json().map_err(|e| format!("top: {e}"))?;
-        let snap = ntp_telemetry::json::parse(&text)
-            .map_err(|e| format!("top: bad metrics reply: {e}"))?;
+        let snap = client.metrics().map_err(|e| format!("top: {e}"))?;
         if cluster && snap.get("router").is_none() {
             return Err(format!(
                 "top: {addr} is not a router (no `router` metrics section) — \
@@ -992,21 +989,22 @@ fn cmd_top(args: &Args) -> Result<(), String> {
             ));
         }
         if as_json {
-            println!("{}", snap.pretty());
+            println!("{}", snap.to_json().pretty());
         } else {
             if !once {
                 // Repaint in place, like top(1).
                 print!("\x1b[H\x1b[2J");
             }
             if cluster {
-                print_cluster_top(addr, &snap);
+                print_cluster_top(addr, &prev, &snap);
             } else {
-                print_top(addr, &snap);
+                print_top(addr, &prev, &snap);
             }
         }
         if once {
             break;
         }
+        prev = snap;
         std::thread::sleep(interval);
     }
     if args.has("--shutdown") {
@@ -1017,36 +1015,28 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders one metrics snapshot as the `ntp top` table.
-fn print_top(addr: &str, snap: &Json) {
-    let counter = |sec: &str, name: &str| {
-        snap.get(sec)
-            .and_then(|s| s.get("counters"))
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
+/// A counter of one snapshot section, 0 when either is absent.
+fn counter_of(snap: &Snapshot, section: &str, name: &str) -> u64 {
+    snap.get(section)
+        .and_then(|m| m.counter_by_name(name))
+        .unwrap_or(0)
+}
+
+/// Renders one metrics snapshot as the `ntp top` table; `prev` is the
+/// previous poll's snapshot, which the QPS column is measured from.
+fn print_top(addr: &str, prev: &Snapshot, snap: &Snapshot) {
+    let counter = |sec: &str, name: &str| counter_of(snap, sec, name);
     let gauge = |sec: &str, name: &str| {
         snap.get(sec)
-            .and_then(|s| s.get("gauges"))
-            .and_then(|g| g.get(name))
-            .and_then(Json::as_f64)
+            .and_then(|m| m.gauge_by_name(name))
             .unwrap_or(0.0)
     };
-    let latency = |sec: &str, field: &str| {
+    let latency = |sec: &str, quantile: fn(&Histogram) -> u64| {
         snap.get(sec)
-            .and_then(|s| s.get("histograms"))
-            .and_then(|h| h.get("latency_us.all"))
-            .and_then(|h| h.get(field))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
+            .and_then(|m| m.histogram_by_name("latency_us.all"))
+            .map_or(0, quantile)
     };
-    let frames = |sec: &str| -> u64 {
-        FRAME_NAMES
-            .iter()
-            .map(|f| counter(sec, &format!("frames.{f}")))
-            .sum()
-    };
+    let qps = |sec: &str| ntp_serve::rate(prev, snap, "server", |s| ntp_serve::frame_count(s, sec));
     let errors = |sec: &str| -> u64 {
         counter(sec, "errors.unknown_session")
             + counter(sec, "errors.bad_config")
@@ -1078,82 +1068,53 @@ fn print_top(addr: &str, snap: &Json) {
         "queue",
         "errors"
     );
-    let (mut shard, mut qps_sum, mut queue_sum) = (0usize, 0.0f64, 0.0f64);
-    loop {
+    let mut queue_sum = 0.0f64;
+    let row = |name: &str, sec: &str, queue: f64| {
+        println!(
+            "{:<7}{:>9.1}{:>10}{:>12}{:>9}{:>8}{:>8}{:>8}{:>7.0}{:>8}",
+            name,
+            qps(sec),
+            ntp_serve::frame_count(snap, sec),
+            counter(sec, "predictions"),
+            counter(sec, "sessions.opened"),
+            latency(sec, Histogram::p50),
+            latency(sec, Histogram::p99),
+            latency(sec, Histogram::p999),
+            queue,
+            errors(sec),
+        );
+    };
+    for shard in 0.. {
         let sec = format!("shard{shard}");
         if snap.get(&sec).is_none() {
             break;
         }
-        let wsec = format!("{sec}.window");
-        let qps = counter(&wsec, "frames") as f64 / counter(&wsec, "epochs").max(1) as f64;
         let queue = gauge(&sec, "queue.depth");
-        qps_sum += qps;
         queue_sum += queue;
-        println!(
-            "{:<7}{:>9.1}{:>10}{:>12}{:>9}{:>8}{:>8}{:>8}{:>7.0}{:>8}",
-            shard,
-            qps,
-            frames(&sec),
-            counter(&sec, "predictions"),
-            counter(&sec, "sessions.opened"),
-            latency(&sec, "p50"),
-            latency(&sec, "p99"),
-            latency(&sec, "p999"),
-            queue,
-            errors(&sec),
-        );
-        shard += 1;
+        row(&shard.to_string(), &sec, queue);
     }
-    println!(
-        "{:<7}{:>9.1}{:>10}{:>12}{:>9}{:>8}{:>8}{:>8}{:>7.0}{:>8}",
-        "total",
-        qps_sum,
-        frames("total"),
-        counter("total", "predictions"),
-        counter("total", "sessions.opened"),
-        latency("total", "p50"),
-        latency("total", "p99"),
-        latency("total", "p999"),
-        queue_sum,
-        errors("total"),
-    );
+    row("total", "total", queue_sum);
 }
-
-/// Frame kinds as named in the shard metrics registries.
-const FRAME_NAMES: [&str; 6] = ["hello", "predict", "update", "batch", "stats", "migrate"];
 
 /// Renders one router metrics snapshot as the `ntp top --cluster`
 /// table: the `route.*` counters up top, one row per backend below
-/// (cumulative plus the rolling-window rate and latency percentiles).
-fn print_cluster_top(addr: &str, snap: &Json) {
-    let counter = |sec: &str, name: &str| {
+/// (its QPS since `prev`, the previous poll's snapshot, then cumulative
+/// counts and latency percentiles).
+fn print_cluster_top(addr: &str, prev: &Snapshot, snap: &Snapshot) {
+    let counter = |sec: &str, name: &str| counter_of(snap, sec, name);
+    let latency = |sec: &str, quantile: fn(&Histogram) -> u64| {
         snap.get(sec)
-            .and_then(|s| s.get("counters"))
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let gauge = |sec: &str, name: &str| {
-        snap.get(sec)
-            .and_then(|s| s.get("gauges"))
-            .and_then(|g| g.get(name))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    let latency = |sec: &str, field: &str| {
-        snap.get(sec)
-            .and_then(|s| s.get("histograms"))
-            .and_then(|h| h.get("latency_us"))
-            .and_then(|h| h.get(field))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
+            .and_then(|m| m.histogram_by_name("latency_us"))
+            .map_or(0, quantile)
     };
 
     println!(
         "ntp route — {addr}  up {:.0}s  sessions {}  forwarded {}  \
          migrations {}  failovers {}  errors {}  lost {}  restored {}  \
          conns {} (refused {})",
-        gauge("router", "uptime_s"),
+        snap.get("router")
+            .and_then(|m| m.gauge_by_name("uptime_s"))
+            .unwrap_or(0.0),
         counter("router", "route.sessions"),
         counter("router", "route.forwarded"),
         counter("router", "route.migrations"),
@@ -1168,14 +1129,11 @@ fn print_cluster_top(addr: &str, snap: &Json) {
         "{:<9}{:>7}{:>9}{:>11}{:>9}{:>8}{:>8}{:>8}",
         "backend", "alive", "qps", "forwarded", "errors", "p50us", "p99us", "p999us"
     );
-    let mut k = 0usize;
-    loop {
+    for k in 0.. {
         let sec = format!("backend{k}");
         if snap.get(&sec).is_none() {
             break;
         }
-        let wsec = format!("{sec}.window");
-        let qps = counter(&wsec, "forwarded") as f64 / counter(&wsec, "epochs").max(1) as f64;
         println!(
             "{:<9}{:>7}{:>9.1}{:>11}{:>9}{:>8}{:>8}{:>8}",
             k,
@@ -1184,14 +1142,13 @@ fn print_cluster_top(addr: &str, snap: &Json) {
             } else {
                 "no"
             },
-            qps,
+            ntp_serve::rate(prev, snap, "router", |s| counter_of(s, &sec, "forwarded")),
             counter(&sec, "forwarded"),
             counter(&sec, "errors"),
-            latency(&sec, "p50"),
-            latency(&sec, "p99"),
-            latency(&sec, "p999"),
+            latency(&sec, Histogram::p50),
+            latency(&sec, Histogram::p99),
+            latency(&sec, Histogram::p999),
         );
-        k += 1;
     }
 }
 

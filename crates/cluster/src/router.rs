@@ -53,7 +53,7 @@ use crate::ring::HashRing;
 use ntp_serve::client::Client;
 use ntp_serve::wire::{self, ErrorCode, Request, Response, WireError};
 use ntp_serve::DRAIN_MARKER;
-use ntp_telemetry::{CounterId, HistogramId, MetricsRegistry, RollingWindow, Snapshot, ToJson};
+use ntp_telemetry::{CounterId, HistogramId, MetricsRegistry, Snapshot, ToJson};
 use ntp_tracefile::{encode_session_wire, read_snapshot_file, SessionSnapshot, SNAPSHOT_EXT};
 use std::collections::HashMap;
 use std::io::Write;
@@ -75,10 +75,6 @@ pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_secs(1);
 /// carries a whole serialized session, which outgrows the 1 MiB
 /// client default long before the paper-point configs do.
 pub const DEFAULT_BACKEND_MAX_FRAME: u32 = 8 << 20;
-
-/// Rolling-window span for per-backend rates, in one-second epochs
-/// (matches the server's shard windows).
-const WINDOW_EPOCHS: u64 = 10;
 
 /// One backend as configured: where it listens and where (if anywhere)
 /// it writes its `shard<k>.nts` snapshots — the directory failover
@@ -224,11 +220,9 @@ struct RouteCounters {
     refused: AtomicU64,
 }
 
-/// Per-backend cumulative metrics plus the rolling window behind
-/// `backend<k>.window` rates.
+/// Per-backend cumulative metrics.
 struct BackendMetrics {
     reg: MetricsRegistry,
-    window: RollingWindow,
     c_forwarded: CounterId,
     c_errors: CounterId,
     h_latency: HistogramId,
@@ -242,7 +236,6 @@ impl BackendMetrics {
         let h_latency = reg.histogram("latency_us");
         BackendMetrics {
             reg,
-            window: RollingWindow::new(WINDOW_EPOCHS as usize),
             c_forwarded,
             c_errors,
             h_latency,
@@ -424,7 +417,6 @@ impl Core {
     /// Records one relayed reply in backend `k`'s metrics.
     fn record(&self, k: u32, latency: Duration, is_error: bool) {
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let epoch = self.start.elapsed().as_secs();
         let mut metrics = self.metrics.lock().expect("metrics lock");
         let bm = &mut metrics[k as usize];
         bm.reg.inc(bm.c_forwarded);
@@ -432,18 +424,12 @@ impl Core {
             bm.reg.inc(bm.c_errors);
         }
         bm.reg.observe(bm.h_latency, us);
-        let bucket = bm.window.bucket_mut(epoch);
-        let f = bucket.counter("forwarded");
-        bucket.inc(f);
-        let h = bucket.histogram("latency_us");
-        bucket.observe(h, us);
     }
 
-    /// The router's merged metrics snapshot, rendered like a server's:
-    /// a `router` section, one `backend<k>` section per backend plus
-    /// its `.window` — so `ntp top --cluster` and the scrape tooling
-    /// read one schema.
-    fn metrics_json(&self) -> String {
+    /// The router's merged metrics snapshot, shaped like a server's: a
+    /// `router` section and one `backend<k>` section per backend, so
+    /// `ntp top --cluster` and the scrape tooling read one schema.
+    fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         let mut router = MetricsRegistry::new();
         let c = &self.counters;
@@ -475,23 +461,14 @@ impl Core {
         router.set(up, self.start.elapsed().as_secs_f64());
         snap.push("router", router);
 
-        let epoch = self.start.elapsed().as_secs();
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        for (k, bm) in metrics.iter_mut().enumerate() {
+        let metrics = self.metrics.lock().expect("metrics lock");
+        for (k, bm) in metrics.iter().enumerate() {
             let mut reg = bm.reg.clone();
             let alive = reg.counter("alive");
             reg.set_counter(alive, u64::from(self.alive[k].load(Ordering::SeqCst)));
             snap.push(&format!("backend{k}"), reg);
-            bm.window.advance_to(epoch);
-            let mut merged = bm.window.merged();
-            // Epochs actually covered, so readers can turn window
-            // counters into per-second rates (same contract as the
-            // server's shard windows).
-            let e = merged.counter("epochs");
-            merged.set_counter(e, (epoch + 1).min(WINDOW_EPOCHS));
-            snap.push(&format!("backend{k}.window"), merged);
         }
-        snap.to_json().render()
+        snap
     }
 
     /// Starts the router drain and pokes the acceptor awake.
@@ -849,7 +826,7 @@ fn forwarder_loop(core: &Arc<Core>, mut client: TcpStream) {
             Request::Metrics => {
                 if tx
                     .send(RelayItem::Direct(Response::Metrics {
-                        json: core.metrics_json(),
+                        json: core.metrics_snapshot().to_json().render(),
                     }))
                     .is_err()
                 {
@@ -1067,10 +1044,11 @@ fn relay_loop(core: &Arc<Core>, mut client: TcpStream, rx: Receiver<RelayItem>) 
 // ---- probe thread ------------------------------------------------------
 
 /// Polls each live backend's metrics. `draining: 1` triggers a graceful
-/// failover; two consecutive probe failures (connect or request) a hard
-/// one. Probe connections are persistent — a draining backend refuses
-/// *new* connections but keeps serving established ones, which is
-/// exactly how the flag stays readable mid-drain.
+/// failover; two consecutive probe failures (connect, request, or a
+/// reply that does not decode as a snapshot) a hard one. Probe
+/// connections are persistent — a draining backend refuses *new*
+/// connections but keeps serving established ones, which is exactly
+/// how the flag stays readable mid-drain.
 fn probe_loop(core: &Arc<Core>) {
     let n = core.cfg.backends.len();
     let mut probes: Vec<Option<Client>> = (0..n).map(|_| None).collect();
@@ -1098,10 +1076,10 @@ fn probe_loop(core: &Arc<Core>) {
                 }
             }
             if let Some(probe) = probes[k].as_mut() {
-                match probe.metrics_json() {
-                    Ok(json) => {
+                match probe.metrics() {
+                    Ok(snap) => {
                         failures[k] = 0;
-                        if backend_is_draining(&json) {
+                        if reports_draining(&snap) {
                             probes[k] = None; // Our conn must close for its drain to finish.
                             core.failover(k as u32, true);
                         }
@@ -1131,12 +1109,11 @@ fn probe_loop(core: &Arc<Core>) {
     }
 }
 
-/// Reads the `server.counters.draining` flag out of a backend's metrics
-/// JSON.
-fn backend_is_draining(json: &str) -> bool {
-    ntp_telemetry::json::parse(json)
-        .ok()
-        .and_then(|j| j.get("server")?.get("counters")?.get("draining")?.as_u64())
+/// Whether a backend's metrics snapshot sets its `server` section's
+/// `draining` flag.
+fn reports_draining(snap: &Snapshot) -> bool {
+    snap.get("server")
+        .and_then(|s| s.counter_by_name("draining"))
         == Some(1)
 }
 
@@ -1182,10 +1159,16 @@ impl RouterHandle {
         self.core.migrate_session(session, to)
     }
 
-    /// The router's metrics snapshot as rendered JSON (same call a
-    /// `Metrics` frame answers).
+    /// The router's metrics snapshot, as a `Metrics` frame answers it
+    /// (the in-process counterpart of `ServerHandle::metrics_snapshot`).
+    pub fn metrics_snapshot(&self) -> Snapshot {
+        self.core.metrics_snapshot()
+    }
+
+    /// [`RouterHandle::metrics_snapshot`] rendered as the `Metrics`
+    /// reply's JSON text.
     pub fn metrics_json(&self) -> String {
-        self.core.metrics_json()
+        self.metrics_snapshot().to_json().render()
     }
 
     /// Starts the router drain: stop accepting, let connections finish.
@@ -1380,11 +1363,14 @@ mod tests {
 
     #[test]
     fn draining_flag_parses_out_of_server_metrics_json() {
-        let yes = r#"{"server":{"counters":{"draining":1},"gauges":{},"histograms":{}}}"#;
-        let no = r#"{"server":{"counters":{"draining":0},"gauges":{},"histograms":{}}}"#;
-        assert!(backend_is_draining(yes));
-        assert!(!backend_is_draining(no));
-        assert!(!backend_is_draining("not json"));
-        assert!(!backend_is_draining("{}"));
+        let server = |counters: &str| -> Snapshot {
+            format!(r#"{{"server":{{"counters":{counters},"gauges":{{}},"histograms":{{}}}}}}"#)
+                .parse()
+                .expect("a server snapshot")
+        };
+        assert!(reports_draining(&server(r#"{"draining":1}"#)));
+        assert!(!reports_draining(&server(r#"{"draining":0}"#)));
+        assert!(!reports_draining(&server("{}")));
+        assert!(!reports_draining(&Snapshot::new()));
     }
 }

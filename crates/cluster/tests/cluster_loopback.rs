@@ -16,6 +16,7 @@
 use ntp_cluster::{start, BackendSpec, HashRing, RouterConfig};
 use ntp_core::{evaluate, NextTracePredictor, PredictorConfig};
 use ntp_serve::{config::ServeConfig, serve, Client};
+use ntp_telemetry::{Snapshot, ToJson};
 use ntp_trace::{TraceId, TraceRecord};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -70,13 +71,11 @@ fn backend(snapshot_dir: Option<PathBuf>) -> ntp_serve::ServerHandle {
 }
 
 fn poll_counter(client: &mut Client, section: &str, name: &str) -> u64 {
-    let json = client.metrics_json().expect("router metrics");
-    ntp_telemetry::json::parse(&json)
-        .expect("metrics parse")
+    client
+        .metrics()
+        .expect("router metrics")
         .get(section)
-        .and_then(|s| s.get("counters"))
-        .and_then(|c| c.get(name))
-        .and_then(|v| v.as_u64())
+        .and_then(|s| s.counter_by_name(name))
         .unwrap_or(0)
 }
 
@@ -195,6 +194,22 @@ fn migration_and_failover_stay_in_lockstep_with_the_oracle() {
         );
     }
 
+    // The router's `Metrics` reply, with a live migration and a failover
+    // behind it, decodes to a snapshot that renders back to the same
+    // bytes.
+    let text = router.metrics_json();
+    let snap: Snapshot = text.parse().expect("router metrics decode");
+    assert_eq!(
+        snap.to_json().render(),
+        text,
+        "decode is the render's inverse"
+    );
+    assert_eq!(
+        snap.get("router")
+            .and_then(|r| r.counter_by_name("route.migrations")),
+        Some(1)
+    );
+
     // Cluster-wide shutdown through the router: surviving backend
     // drains, then the router itself.
     client.shutdown_server().expect("shutdown through router");
@@ -229,12 +244,11 @@ fn cfg_vnodes() -> usize {
 fn dead_backend_is_hard_failed_over_and_traffic_continues() {
     let b0 = backend(None);
     let addr0 = b0.local_addr().to_string();
-    // Bind an ephemeral port, then drop it: a valid address with
-    // nothing behind it.
-    let dead_addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
-        l.local_addr().expect("addr").to_string()
-    };
+    // A valid address with nothing behind it. Port 1 lies below every
+    // ephemeral range, so no `bind(":0")` elsewhere in this binary (the
+    // tests run in parallel) can hand it to a live backend, as a port
+    // bound and dropped here could be.
+    let dead_addr = "127.0.0.1:1".to_string();
 
     let mut cfg = RouterConfig::new(vec![
         BackendSpec {

@@ -2,6 +2,7 @@
 
 use crate::wire::{self, ErrorCode, Request, Response, WireError};
 use ntp_core::{PredictorStats, Source, Target};
+use ntp_telemetry::Snapshot;
 use ntp_trace::TraceRecord;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -309,12 +310,16 @@ impl Client {
         }
     }
 
-    /// Reads the server's merged runtime-metrics snapshot as rendered
-    /// JSON text (sections per shard plus `server`/`total`; see
-    /// OBSERVABILITY.md "Live serving metrics" for the schema).
-    pub fn metrics_json(&mut self) -> Result<String, ClientError> {
+    /// Reads the server's (or a router's) merged runtime-metrics
+    /// snapshot: sections per shard plus `server`/`total`, or `router`
+    /// plus `backend<k>`; see OBSERVABILITY.md "Live serving metrics"
+    /// for the schema. A reply that does not decode is a
+    /// [`ClientError::Protocol`].
+    pub fn metrics(&mut self) -> Result<Snapshot, ClientError> {
         match self.request(&Request::Metrics)? {
-            Response::Metrics { json } => Ok(json),
+            Response::Metrics { json } => json
+                .parse()
+                .map_err(|e| ClientError::Protocol(format!("undecodable metrics reply: {e}"))),
             resp => Err(unexpected("Metrics", resp)),
         }
     }

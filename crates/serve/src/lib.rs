@@ -21,10 +21,12 @@
 //!   single-threaded and lock-free; bounded per-shard queues reply
 //!   `Busy` under load, connection/frame/idle-timeout limits bound
 //!   resource use, and shutdown drains in-flight sessions.
-//!   Each shard also owns a private metrics registry and rolling window
-//!   — the live observability plane behind the `Metrics` frame, the
+//!   Each shard also owns a private, cumulative metrics registry — the
+//!   live observability plane behind the `Metrics` frame (read back as a
+//!   typed [`ntp_telemetry::Snapshot`] by [`Client::metrics`]), the
 //!   optional `--metrics-addr` scrape sidecar, the
-//!   `--stats-interval` stderr summaries and `ntp top`. Sessions can be
+//!   `--stats-interval` stderr summaries and `ntp top`, whose rates are
+//!   [`rate`]s between two snapshots. Sessions can be
 //!   **warm-started** from a `.nts` predictor-state snapshot
 //!   ([`ServeConfig::warm_path`]; all-or-nothing, refusals log and fall
 //!   back to a cold start) and persisted per shard at graceful drain
@@ -82,7 +84,7 @@ pub use client::{Client, ClientError};
 pub use config::ServeConfig;
 pub use loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport, SessionOutcome, SessionSpec};
 pub use server::{
-    install_sigterm_drain, serve, sigterm_pending, ServerHandle, ServerSummary, ShardSummary,
-    ShutdownTrigger, DRAIN_MARKER,
+    frame_count, install_sigterm_drain, rate, serve, sigterm_pending, ServerHandle, ServerSummary,
+    ShardSummary, ShutdownTrigger, DRAIN_MARKER, FRAME_KINDS,
 };
 pub use wire::{ErrorCode, Request, Response, PROTOCOL_VERSION};

@@ -16,13 +16,14 @@
 //!
 //! Each shard owns a private [`MetricsRegistry`] (frames by type,
 //! predictions, typed errors, busy/idle time, per-frame-type latency
-//! histograms) plus a [`RollingWindow`] of one-second buckets for live
-//! rates. Nothing on the prediction path is shared or atomic: snapshots
-//! travel through the same shard queue as requests (a rare
-//! `Job::Snapshot`), so reading metrics costs the shard one queue slot,
-//! not a lock. Connection-side totals (accepted/refused, `Busy` replies,
-//! protocol errors, resyncs, queue depth) live in relaxed atomics and are
-//! folded in at snapshot time. Three consumers share one collection path
+//! histograms). Every metric is cumulative; a live rate is the
+//! difference of two snapshots ([`rate`]). Nothing on the prediction
+//! path is shared or atomic: snapshots travel through the same shard
+//! queue as requests (a rare `Job::Snapshot`), so reading metrics costs
+//! the shard one queue slot, not a lock. Connection-side totals
+//! (accepted/refused, `Busy` replies, protocol errors, resyncs, queue
+//! depth) live in relaxed atomics and are folded in at snapshot time.
+//! Three consumers share one collection path
 //! ([`ServerHandle::metrics_snapshot`]):
 //!
 //! * a `Metrics` wire frame, answered by the connection itself;
@@ -60,9 +61,7 @@ use crate::event::ConnRouter;
 use crate::poll::WakeFd;
 use crate::wire::{self, ErrorCode, Request, Response};
 use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
-use ntp_telemetry::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, RollingWindow, Snapshot, ToJson,
-};
+use ntp_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry, Snapshot, ToJson};
 use ntp_tracefile::snapshot::{
     read_snapshot_file, write_snapshot_file, SessionSnapshot, SnapshotArtifact, SNAPSHOT_EXT,
 };
@@ -75,9 +74,6 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Rolling-window span: QPS and friends are "over the last 10 seconds".
-const WINDOW_EPOCHS: usize = 10;
 
 /// One unit of shard work: routed requests, or a metrics snapshot
 /// travelling the same queue (so reading metrics never locks the shard).
@@ -93,7 +89,7 @@ pub(crate) enum Job {
         reply: Reply,
         entries: Vec<(u64, Request)>,
     },
-    /// A snapshot of the shard's registry and rolling window.
+    /// A snapshot of the shard's registry.
     Snapshot { reply: mpsc::Sender<ShardSnapshot> },
     /// Snapshot-on-demand: persist the shard's sessions to
     /// `<dir>/shard<k>.nts` *now* (the same artifact the graceful drain
@@ -314,8 +310,8 @@ pub(crate) struct Hub {
 
 impl Hub {
     /// Collects the full snapshot: a `server` section from the
-    /// connection-side atomics, one section per shard plus its rolling
-    /// window, and a `total` section merging the shard cumulatives.
+    /// connection-side atomics, one section per shard, and a `total`
+    /// section merging the shard cumulatives.
     /// Blocks until every live shard answers (snapshots ride the request
     /// queue); a shard that has already exited is skipped.
     pub(crate) fn collect(&self) -> Snapshot {
@@ -391,7 +387,6 @@ impl Hub {
         }
         for s in shard_snaps {
             snap.push(&format!("shard{}", s.shard), s.metrics);
-            snap.push(&format!("shard{}.window", s.shard), s.window);
         }
         snap.push("total", total);
         snap
@@ -702,16 +697,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         shards.push(
             std::thread::Builder::new()
                 .name(format!("ntp-serve-shard-{shard_id}"))
-                .spawn(move || {
-                    shard_loop(
-                        shard_id as u32,
-                        rx,
-                        shared,
-                        start,
-                        warm_sessions,
-                        snapshot_dir,
-                    )
-                })
+                .spawn(move || shard_loop(shard_id as u32, rx, shared, warm_sessions, snapshot_dir))
                 .map_err(|e| format!("serve: cannot spawn shard worker: {e}"))?,
         );
     }
@@ -870,8 +856,10 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str, counters: &Coun
     let _ = wire::write_frame(&mut stream, &body);
 }
 
-/// Wire-request kinds a shard processes, in metric-name order.
-const FRAME_KINDS: [&str; 6] = ["hello", "predict", "update", "batch", "stats", "migrate"];
+/// Wire-request kinds a shard processes, in metric-name order: each
+/// shard section counts kind `k` as `frames.<k>` and times it in
+/// `latency_us.<k>`.
+pub const FRAME_KINDS: [&str; 6] = ["hello", "predict", "update", "batch", "stats", "migrate"];
 
 fn frame_kind(req: &Request) -> usize {
     match req {
@@ -885,13 +873,11 @@ fn frame_kind(req: &Request) -> usize {
     }
 }
 
-/// A shard's private metrics: the cumulative registry, its dense
-/// handles, and the rolling window behind live rates. All recording is
-/// plain integer adds through pre-resolved ids — the ≤5% telemetry
-/// budget documented in OBSERVABILITY.md.
+/// A shard's private metrics: the cumulative registry and its dense
+/// handles. All recording is plain integer adds through pre-resolved
+/// ids — the ≤5% telemetry budget documented in OBSERVABILITY.md.
 struct ShardMetrics {
     registry: MetricsRegistry,
-    window: RollingWindow,
     /// Exact busy and idle totals behind `time.busy_us`/`time.idle_us`,
     /// which are these divided down, so no interval loses its
     /// sub-microsecond part.
@@ -945,7 +931,6 @@ impl ShardMetrics {
         let h_kind = FRAME_KINDS.map(|k| r.histogram(&format!("latency_us.{k}")));
         ShardMetrics {
             registry: r,
-            window: RollingWindow::new(WINDOW_EPOCHS),
             busy_ns: 0,
             idle_ns: 0,
             c_sessions,
@@ -970,9 +955,8 @@ impl ShardMetrics {
         }
     }
 
-    /// Accounts one processed request: frame type, outcome, latency, and
-    /// the rolling-window bucket for the epoch it landed in.
-    fn record(&mut self, req: &Request, resp: &Response, started: Instant, epoch: u64) {
+    /// Accounts one processed request: frame type, outcome and latency.
+    fn record(&mut self, req: &Request, resp: &Response, started: Instant) {
         let kind = frame_kind(req);
         self.registry.inc(self.c_frames[kind]);
         let (predictions, correct) = match resp {
@@ -1010,13 +994,6 @@ impl ShardMetrics {
         let latency = started.elapsed().as_micros() as u64;
         self.registry.observe(self.h_all, latency);
         self.registry.observe(self.h_kind[kind], latency);
-        let bucket = self.window.bucket_mut(epoch);
-        let f = bucket.counter("frames");
-        bucket.add(f, 1);
-        if predictions > 0 {
-            let p = bucket.counter("predictions");
-            bucket.add(p, predictions);
-        }
     }
 
     /// Adds one busy interval (a drain, from wake-up to queue empty).
@@ -1034,22 +1011,13 @@ impl ShardMetrics {
     }
 
     /// Builds this shard's snapshot: the cumulative registry with the
-    /// connection-side depth/busy folded in, plus the merged rolling
-    /// window annotated with how many epochs it covers (for rate math).
-    fn snapshot(&mut self, shard: u32, shared: &ShardShared, epoch: u64) -> ShardSnapshot {
-        self.window.advance_to(epoch);
+    /// connection-side depth/busy folded in.
+    fn snapshot(&self, shard: u32, shared: &ShardShared) -> ShardSnapshot {
         let mut metrics = self.registry.clone();
         metrics.set_counter(self.c_busy, shared.busy.load(Ordering::Relaxed));
         let depth = shared.depth.load(Ordering::Relaxed).max(0) as f64;
         metrics.set(self.g_queue, depth);
-        let mut window = self.window.merged();
-        let covered = window.counter("epochs");
-        window.set_counter(covered, (epoch + 1).min(WINDOW_EPOCHS as u64));
-        ShardSnapshot {
-            shard,
-            metrics,
-            window,
-        }
+        ShardSnapshot { shard, metrics }
     }
 }
 
@@ -1057,7 +1025,6 @@ impl ShardMetrics {
 pub(crate) struct ShardSnapshot {
     shard: u32,
     metrics: MetricsRegistry,
-    window: MetricsRegistry,
 }
 
 /// Most jobs one blocking `recv` may opportunistically drain. Bounds the
@@ -1082,7 +1049,6 @@ fn shard_loop(
     shard_id: u32,
     rx: Receiver<Job>,
     shared: Arc<[ShardShared]>,
-    start: Instant,
     warm: Vec<(u64, Session)>,
     snapshot_dir: Option<PathBuf>,
 ) -> ShardSummary {
@@ -1137,18 +1103,16 @@ fn shard_loop(
                     let mut replies = Vec::with_capacity(entries.len());
                     for (seq, req) in entries {
                         let begun = Instant::now();
-                        let epoch = begun.duration_since(start).as_secs();
                         requests += 1;
                         let resp = apply(shard_id, &mut sessions, &req);
-                        m.record(&req, &resp, begun, epoch);
+                        m.record(&req, &resp, begun);
                         m.registry.set(m.g_live, sessions.len() as f64);
                         replies.push((seq, resp));
                     }
                     reply.send(replies);
                 }
                 Job::Snapshot { reply } => {
-                    let epoch = start.elapsed().as_secs();
-                    let _ = reply.send(m.snapshot(shard_id, own, epoch));
+                    let _ = reply.send(m.snapshot(shard_id, own));
                 }
                 Job::Persist { dir, reply } => {
                     let _ = reply.send(persist_sessions(shard_id, &sessions, &dir));
@@ -1478,6 +1442,7 @@ fn read_http_request_path(stream: &mut TcpStream) -> Option<HttpHead> {
 fn stats_loop(hub: Arc<Hub>, interval: Duration) {
     let poll = interval.min(Duration::from_millis(100));
     let mut next = Instant::now() + interval;
+    let mut prev = Snapshot::new();
     loop {
         std::thread::sleep(poll);
         if hub.drain.is_set() {
@@ -1487,45 +1452,65 @@ fn stats_loop(hub: Arc<Hub>, interval: Duration) {
             continue;
         }
         next += interval;
-        eprintln!("[serve] {}", summary_line(&hub.collect(), hub.start));
+        let snap = hub.collect();
+        eprintln!("[serve] {}", summary_line(&prev, &snap));
+        prev = snap;
     }
 }
 
+/// The per-second rate of a cumulative count between two snapshots of
+/// one process: Δcount ÷ Δ`uptime_s`, the uptime gauge read from
+/// section `clock` (`server` for `ntp serve`, `router` for
+/// `ntp route`). A first poll passes an empty [`Snapshot`] as `prev`,
+/// every count 0 at uptime 0, and so reads the lifetime mean. 0.0 when
+/// the uptime did not advance.
+pub fn rate(prev: &Snapshot, cur: &Snapshot, clock: &str, count: impl Fn(&Snapshot) -> u64) -> f64 {
+    let uptime = |s: &Snapshot| {
+        s.get(clock)
+            .and_then(|m| m.gauge_by_name("uptime_s"))
+            .unwrap_or(0.0)
+    };
+    let dt = uptime(cur) - uptime(prev);
+    if dt > 0.0 {
+        count(cur).saturating_sub(count(prev)) as f64 / dt
+    } else {
+        0.0
+    }
+}
+
+/// Every frame a snapshot section counted, summed over [`FRAME_KINDS`]
+/// (0 when the section is absent).
+pub fn frame_count(snap: &Snapshot, section: &str) -> u64 {
+    snap.get(section).map_or(0, |m| {
+        FRAME_KINDS
+            .iter()
+            .filter_map(|k| m.counter_by_name(&format!("frames.{k}")))
+            .sum()
+    })
+}
+
 /// One human-scannable line from a snapshot: uptime, lifetime totals,
-/// and the rolling-window QPS.
-pub(crate) fn summary_line(snap: &Snapshot, start: Instant) -> String {
+/// and the QPS since `prev`, the previous line's snapshot.
+pub(crate) fn summary_line(prev: &Snapshot, snap: &Snapshot) -> String {
     let zero = MetricsRegistry::new();
     let total = snap.get("total").unwrap_or(&zero);
     let counter = |name: &str| total.counter_by_name(name).unwrap_or(0);
-    let frames: u64 = FRAME_KINDS
-        .iter()
-        .map(|k| counter(&format!("frames.{k}")))
-        .sum();
     let errors =
         counter("errors.unknown_session") + counter("errors.bad_config") + counter("errors.other");
-    let mut window_frames = 0u64;
-    let mut epochs = 1u64;
-    let mut queue = 0.0f64;
-    for (name, m) in snap.sections() {
-        if name.ends_with(".window") {
-            window_frames += m.counter_by_name("frames").unwrap_or(0);
-            epochs = epochs.max(m.counter_by_name("epochs").unwrap_or(1));
-        } else if name.starts_with("shard") {
-            queue += m.gauge_by_name("queue.depth").unwrap_or(0.0).max(0.0);
-        }
-    }
-    let conns = snap
-        .get("server")
-        .and_then(|s| s.counter_by_name("conns.accepted"))
-        .unwrap_or(0);
+    let queue: f64 = snap
+        .sections()
+        .filter(|(name, _)| name.starts_with("shard"))
+        .map(|(_, m)| m.gauge_by_name("queue.depth").unwrap_or(0.0).max(0.0))
+        .sum();
+    let server = snap.get("server").unwrap_or(&zero);
     format!(
         "up {}s: {} conns, {} sessions, {} frames, {} predictions, {:.1} qps, queue {}, busy {}, errors {}",
-        start.elapsed().as_secs(),
-        conns,
+        server.gauge_by_name("uptime_s").unwrap_or(0.0) as u64,
+        server.counter_by_name("conns.accepted").unwrap_or(0),
         counter("sessions.opened"),
-        frames,
+        frame_count(snap, "total"),
         counter("predictions"),
-        window_frames as f64 / epochs as f64,
+        rate(prev, snap, "server", |s| frame_count(s, "total")),
         queue as u64,
         counter("busy.rejections"),
         errors,
@@ -1834,9 +1819,9 @@ mod tests {
             Request::Stats { session: 2 },
             Request::Stats { session: 99 }, // unknown session
         ];
-        for (k, req) in reqs.iter().enumerate() {
+        for req in &reqs {
             let resp = apply(0, &mut sessions, req);
-            m.record(req, &resp, t0, k as u64);
+            m.record(req, &resp, t0);
         }
         let r = &m.registry;
         assert_eq!(r.counter_by_name("frames.hello"), Some(1));
@@ -1852,18 +1837,13 @@ mod tests {
             "every frame lands in the all-frames histogram"
         );
         assert_eq!(r.histogram_by_name("latency_us.stats").unwrap().count(), 2);
-        // The rolling window saw one frame per epoch 0..=4.
-        let w = m.window.merged();
-        assert_eq!(w.counter_by_name("frames"), Some(5));
-        assert_eq!(w.counter_by_name("predictions"), Some(6));
         // A snapshot folds in the connection-side shared state.
         let shared = ShardShared::default();
         shared.busy.store(7, Ordering::Relaxed);
         shared.depth.store(3, Ordering::Relaxed);
-        let snap = m.snapshot(0, &shared, 4);
+        let snap = m.snapshot(0, &shared);
         assert_eq!(snap.metrics.counter_by_name("busy.rejections"), Some(7));
         assert_eq!(snap.metrics.gauge_by_name("queue.depth"), Some(3.0));
-        assert_eq!(snap.window.counter_by_name("epochs"), Some(5));
     }
 
     /// Busy and idle time accumulate in nanoseconds: a thousand
@@ -1880,6 +1860,35 @@ mod tests {
         assert_eq!(m.registry.counter_by_name("time.idle_us"), Some(1_500));
     }
 
+    /// A server snapshot at `uptime_s` whose `total` section counts
+    /// `updates` update frames.
+    fn polled(uptime_s: f64, updates: u64) -> Snapshot {
+        let mut server = MetricsRegistry::new();
+        let up = server.gauge("uptime_s");
+        server.set(up, uptime_s);
+        let mut total = MetricsRegistry::new();
+        let c = total.counter("frames.update");
+        total.add(c, updates);
+        let mut snap = Snapshot::new();
+        snap.push("server", server);
+        snap.push("total", total);
+        snap
+    }
+
+    #[test]
+    fn rate_is_the_counter_delta_over_the_uptime_delta() {
+        let total = |s: &Snapshot| frame_count(s, "total");
+        let first = polled(4.0, 1_000);
+        // Against an empty snapshot (uptime 0), the first poll reads the
+        // lifetime mean.
+        assert_eq!(rate(&Snapshot::new(), &first, "server", total), 250.0);
+        // A later poll reads only what happened since the previous one.
+        let second = polled(6.0, 1_100);
+        assert_eq!(rate(&first, &second, "server", total), 50.0);
+        // No uptime elapsed: 0, not NaN or infinity.
+        assert_eq!(rate(&second, &polled(6.0, 1_200), "server", total), 0.0);
+    }
+
     #[test]
     fn summary_line_reads_totals_and_rates() {
         let mut m = ShardMetrics::new();
@@ -1891,17 +1900,20 @@ mod tests {
             depth: 3,
         };
         let resp = apply(0, &mut sessions, &hello);
-        m.record(&hello, &resp, t0, 0);
+        m.record(&hello, &resp, t0);
         let shared = ShardShared::default();
-        let shard = m.snapshot(0, &shared, 0);
+        let shard = m.snapshot(0, &shared);
+        let mut server = MetricsRegistry::new();
+        let up = server.gauge("uptime_s");
+        server.set(up, 2.5);
         let mut snap = Snapshot::new();
-        snap.push("server", MetricsRegistry::new());
+        snap.push("server", server);
         snap.push("shard0", shard.metrics.clone());
-        snap.push("shard0.window", shard.window);
         snap.push("total", shard.metrics);
-        let line = summary_line(&snap, t0);
+        let line = summary_line(&Snapshot::new(), &snap);
+        assert!(line.starts_with("up 2s:"), "{line}");
         assert!(line.contains("1 sessions"), "{line}");
         assert!(line.contains("1 frames"), "{line}");
-        assert!(line.contains("qps"), "{line}");
+        assert!(line.contains("0.4 qps"), "{line}");
     }
 }

@@ -10,8 +10,9 @@
 
 use ntp_serve::{
     config::ServeConfig, run_open_loop, serve, wire, Client, ErrorCode, OpenLoopConfig,
-    OpenLoopReport, Request, Response, SessionSpec,
+    OpenLoopReport, Request, Response, SessionSpec, FRAME_KINDS,
 };
+use ntp_telemetry::{Snapshot, ToJson};
 use ntp_trace::{TraceId, TraceRecord};
 use std::io::Write;
 use std::net::TcpStream;
@@ -317,13 +318,23 @@ fn shutdown_drains_in_flight_sessions() {
     assert!(summary.requests > 1 + records.len() as u64 / 250);
 }
 
-/// Reads a counter out of a parsed metrics snapshot section.
-fn counter(snap: &ntp_telemetry::Json, section: &str, name: &str) -> u64 {
+/// Reads a counter out of a metrics snapshot section.
+fn counter(snap: &Snapshot, section: &str, name: &str) -> u64 {
     snap.get(section)
-        .and_then(|s| s.get("counters"))
-        .and_then(|c| c.get(name))
-        .and_then(|v| v.as_u64())
+        .and_then(|s| s.counter_by_name(name))
         .unwrap_or_else(|| panic!("missing counter {section}.{name}"))
+}
+
+/// Decodes a raw `Metrics` reply, checking that the typed snapshot
+/// renders back to exactly the bytes the server sent.
+fn decode_exactly(json: &str) -> Snapshot {
+    let snap: Snapshot = json.parse().expect("metrics reply decodes");
+    assert_eq!(
+        snap.to_json().render(),
+        json,
+        "decode is the render's inverse"
+    );
+    snap
 }
 
 /// The `Metrics` frame reports exactly the work the load generator did:
@@ -346,8 +357,7 @@ fn metrics_frame_counts_served_work_exactly() {
     assert!(report.all_match(), "oracle must agree before counting");
 
     let mut client = Client::connect(&addr).expect("connect");
-    let json = client.metrics_json().expect("metrics frame");
-    let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
+    let snap = client.metrics().expect("metrics frame");
 
     assert_eq!(counter(&snap, "total", "predictions"), report.applied);
     assert_eq!(
@@ -374,23 +384,55 @@ fn metrics_frame_counts_served_work_exactly() {
     }
     for k in 0..workers {
         let section = format!("shard{k}");
-        let frames: u64 = ["hello", "predict", "update", "batch", "stats"]
+        let frames: u64 = FRAME_KINDS
             .iter()
             .map(|f| counter(&snap, &section, &format!("frames.{f}")))
             .sum();
         let observed = snap
             .get(section.as_str())
-            .and_then(|s| s.get("histograms"))
-            .and_then(|h| h.get("latency_us.all"))
-            .and_then(|h| h.get("count"))
-            .and_then(|v| v.as_u64())
-            .expect("latency histogram present");
+            .and_then(|s| s.histogram_by_name("latency_us.all"))
+            .expect("latency histogram present")
+            .count();
         assert_eq!(observed, frames, "shard{k} latency count == frames");
     }
 
     client.shutdown_server().expect("shutdown");
     let summary = handle.join();
     assert_eq!(summary.sessions, 4);
+}
+
+/// Two snapshots bracket an open-loop run on a server that has already
+/// done other work: the difference of the cumulative counters is
+/// exactly the run's applied updates.
+#[test]
+fn metrics_deltas_count_an_open_loop_run_exactly() {
+    let handle = serve(cfg_on("127.0.0.1:0", 2)).expect("bind");
+    let addr = handle.local_addr().to_string();
+
+    // Earlier work, on a session the load generator does not use.
+    let mut client = Client::connect(&addr).expect("connect");
+    client.hello(100, 12, 3).expect("hello");
+    let rec = TraceRecord::new(TraceId::new(0x0040_0000, 0, 0), 8, 0, false, false);
+    for _ in 0..7 {
+        client.update(100, &rec).expect("update");
+    }
+    let before = client.metrics().expect("metrics before the run");
+    assert_eq!(counter(&before, "total", "frames.update"), 7);
+
+    let specs: Vec<SessionSpec> = (0..4)
+        .map(|i| SessionSpec {
+            name: format!("synth{i}"),
+            records: synthetic_stream(0x51DE_CA55 * (i as u64 + 1), 2_000),
+        })
+        .collect();
+    let report = open_loop_below_capacity(&addr, 2, &specs);
+    let after = client.metrics().expect("metrics after the run");
+    let delta = |name: &str| counter(&after, "total", name) - counter(&before, "total", name);
+    assert_eq!(delta("frames.update"), report.applied);
+    assert_eq!(delta("predictions"), report.applied);
+
+    client.shutdown_server().expect("shutdown");
+    assert_eq!(handle.join().sessions, 5);
 }
 
 /// A checksum-flipped `Metrics` request draws a `BadFrame` reply and the
@@ -412,7 +454,7 @@ fn corrupt_metrics_request_is_refused_and_the_connection_survives() {
     write_raw(&mut stream, &wire::encode_request(&Request::Metrics));
     match read_reply(&mut stream) {
         Response::Metrics { json } => {
-            let snap = ntp_telemetry::json::parse(&json).expect("snapshot parses");
+            let snap = decode_exactly(&json);
             assert!(snap.get("total").is_some(), "total section present");
             assert_eq!(
                 counter(&snap, "server", "protocol.errors"),
@@ -469,7 +511,7 @@ fn metrics_sidecar_serves_text_and_json_over_http() {
     let http = scrape("/metrics.json");
     assert!(http.starts_with("HTTP/1.0 200 OK\r\n"), "{http}");
     let body = http.split("\r\n\r\n").nth(1).expect("has a body");
-    let snap = ntp_telemetry::json::parse(body).expect("body parses as JSON");
+    let snap: Snapshot = body.parse().expect("body decodes as a snapshot");
     assert_eq!(counter(&snap, "total", "predictions"), 1);
     assert_eq!(
         counter(&snap, "shard1", "sessions.opened"),
@@ -635,8 +677,7 @@ fn batched_drain_matches_oracle(workers: usize) {
         assert_eq!(served, offline, "session {i} diverged at {workers} workers");
     }
 
-    let snap =
-        ntp_telemetry::json::parse(&client.metrics_json().expect("metrics")).expect("parses");
+    let snap = client.metrics().expect("metrics");
     let scraped: u64 = (0..workers)
         .map(|k| counter(&snap, &format!("shard{k}"), "drain.batched"))
         .sum();
@@ -910,8 +951,7 @@ fn pipelined_bursts_reply_in_order_and_coalesce() {
     drop(stream);
 
     let mut client = Client::connect(addr).expect("connect");
-    let snap =
-        ntp_telemetry::json::parse(&client.metrics_json().expect("metrics")).expect("parses");
+    let snap = client.metrics().expect("metrics");
     assert!(
         counter(&snap, "shard0", "drain.coalesced") > 0,
         "40-frame bursts into one session must coalesce"
@@ -1039,7 +1079,7 @@ fn interleaved_burst_replies_in_order(workers: usize) {
                     },
                 ) => {}
                 (Expect::Metrics { updates }, Response::Metrics { json }) => {
-                    let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
+                    let snap = decode_exactly(&json);
                     assert_eq!(
                         counter(&snap, "total", "frames.update"),
                         *updates,
@@ -1056,7 +1096,7 @@ fn interleaved_burst_replies_in_order(workers: usize) {
     let Response::Metrics { json } = read_reply(&mut stream) else {
         panic!("expected Metrics");
     };
-    let snap = ntp_telemetry::json::parse(&json).expect("metrics JSON parses");
+    let snap = decode_exactly(&json);
     assert_eq!(counter(&snap, "total", "frames.update"), updates);
     if workers == 1 {
         assert!(
@@ -1134,8 +1174,7 @@ fn idle_connection_is_reaped_while_another_stays_busy() {
     assert!(updates > 0, "the busy peer kept the loop busy");
 
     let mut client = Client::connect(addr).expect("connect");
-    let snap =
-        ntp_telemetry::json::parse(&client.metrics_json().expect("metrics")).expect("parses");
+    let snap = client.metrics().expect("metrics");
     assert!(counter(&snap, "server", "conn.read_timeouts") >= 1);
     client.shutdown_server().expect("shutdown");
     let summary = handle.join();

@@ -172,6 +172,57 @@ impl Histogram {
             .filter(|(_, n)| **n > 0)
             .map(|(k, n)| (bucket_bottom(k), bucket_top(k), *n))
     }
+
+    /// Rebuilds a histogram from its [`ToJson`] form: `count`, `sum`,
+    /// `min`, `max` and `buckets` are read back, so `mean` and the
+    /// quantiles come out exact. The buckets must be pow-2 buckets, in
+    /// ascending order, whose counts sum to `count`.
+    pub(crate) fn from_json(j: &Json) -> Result<Histogram, String> {
+        let field = |key: &str| {
+            j.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("`{key}` is not a u64"))
+        };
+        let mut h = Histogram {
+            count: field("count")?,
+            sum: field("sum")?,
+            max: field("max")?,
+            ..Histogram::new()
+        };
+        if h.count > 0 {
+            h.min = field("min")?;
+        }
+        let Some(Json::Array(buckets)) = j.get("buckets") else {
+            return Err("`buckets` is not an array".into());
+        };
+        let (mut seen, mut next) = (0u64, 0);
+        for b in buckets {
+            let triple = match b {
+                Json::Array(v) => v.iter().map(Json::as_u64).collect::<Option<Vec<_>>>(),
+                _ => None,
+            };
+            let Some(&[lo, hi, n]) = triple.as_deref() else {
+                return Err(format!("bucket {b} is not [lo, hi, n]"));
+            };
+            let k = bucket_of(lo);
+            if (bucket_bottom(k), bucket_top(k)) != (lo, hi) {
+                return Err(format!("[{lo}, {hi}] is not a pow-2 bucket"));
+            }
+            if k < next {
+                return Err(format!("bucket [{lo}, {hi}] repeated or out of order"));
+            }
+            h.buckets[k] = n;
+            seen = seen.checked_add(n).ok_or("bucket counts overflow a u64")?;
+            next = k + 1;
+        }
+        if seen != h.count {
+            return Err(format!(
+                "buckets hold {seen} samples, `count` says {}",
+                h.count
+            ));
+        }
+        Ok(h)
+    }
 }
 
 /// Lowest value in bucket `k`.

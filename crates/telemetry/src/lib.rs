@@ -10,11 +10,10 @@
 //!   aggregates);
 //! * [`Histogram`] — pow-2 bucketed distributions (trace length,
 //!   misprediction streaks, fetch bandwidth, serving latency tails);
-//! * [`RollingWindow`] — a fixed ring of per-epoch registry buckets for
-//!   live rates (QPS over the last N seconds), deterministic under
-//!   injected epochs;
 //! * [`Snapshot`] — named registry sections serialized as JSON or as a
-//!   flat `name value` text exposition (the scrape endpoint's format);
+//!   flat `name value` text exposition (the scrape endpoint's format),
+//!   and read back from JSON by [`Snapshot::from_json`], so no consumer
+//!   walks the JSON layout itself;
 //! * [`PhaseTimes`] / [`ScopeTimer`] — per-phase wall-clock profiling
 //!   (simulate / trace-build / replay / train) and
 //!   [`per_second`] throughput gauges;
@@ -58,7 +57,6 @@ mod hist;
 mod manifest;
 mod metrics;
 mod report;
-mod rolling;
 mod snapshot;
 mod timer;
 
@@ -67,7 +65,6 @@ pub use json::Json;
 pub use manifest::RunManifest;
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::Report;
-pub use rolling::RollingWindow;
 pub use snapshot::Snapshot;
 pub use timer::{per_second, timed, PhaseTimes, ReplayThroughput, ScopeTimer};
 

@@ -178,6 +178,28 @@ impl MetricsRegistry {
             .map(|(n, h)| (n.as_str(), h))
     }
 
+    /// Rebuilds a registry from its [`ToJson`] form: the `counters`,
+    /// `gauges` and `histograms` objects, in order. A `null` gauge (how
+    /// a non-finite value renders) reads back as NaN.
+    pub(crate) fn from_json(j: &Json) -> Result<MetricsRegistry, String> {
+        let (counter_names, counters) = named(j, "counters", |v| {
+            v.as_u64().ok_or_else(|| format!("{v} is not a u64"))
+        })?;
+        let (gauge_names, gauges) = named(j, "gauges", |v| match v {
+            Json::Null => Ok(f64::NAN),
+            _ => v.as_f64().ok_or_else(|| format!("{v} is not a number")),
+        })?;
+        let (hist_names, hists) = named(j, "histograms", Histogram::from_json)?;
+        Ok(MetricsRegistry {
+            counter_names,
+            counters,
+            gauge_names,
+            gauges,
+            hist_names,
+            hists,
+        })
+    }
+
     /// Merges another registry into this one: counters and histogram
     /// samples add; gauges take the other's value when its name is shared
     /// (last writer wins) and are appended otherwise. Metric identity is by
@@ -196,6 +218,28 @@ impl MetricsRegistry {
             self.hists[id.0].merge(h);
         }
     }
+}
+
+/// Decodes the `{name: value, …}` object under `kind`, keeping member
+/// order; a repeated name is an error, as no registry can hold one.
+fn named<T>(
+    j: &Json,
+    kind: &str,
+    value: impl Fn(&Json) -> Result<T, String>,
+) -> Result<(Vec<String>, Vec<T>), String> {
+    let Some(Json::Object(members)) = j.get(kind) else {
+        return Err(format!("no `{kind}` object"));
+    };
+    let mut names: Vec<String> = Vec::with_capacity(members.len());
+    let mut values = Vec::with_capacity(members.len());
+    for (name, v) in members {
+        if names.contains(name) {
+            return Err(format!("{kind} `{name}` repeated"));
+        }
+        values.push(value(v).map_err(|e| format!("{kind} `{name}`: {e}"))?);
+        names.push(name.clone());
+    }
+    Ok((names, values))
 }
 
 impl ToJson for MetricsRegistry {

@@ -10,9 +10,15 @@
 //! * [`Snapshot::to_text`]: a flat `name value` exposition, one metric
 //!   per line with section-qualified names, so `curl`/`grep`/`awk` can
 //!   scrape the sidecar endpoint without a JSON parser.
+//!
+//! [`Snapshot::from_json`] is the checked inverse of the JSON form (and
+//! [`str::parse`] its text-level shorthand), so a consumer reads a
+//! `Metrics` reply through [`MetricsRegistry`]'s by-name accessors
+//! instead of walking the JSON layout.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::{MetricsRegistry, ToJson};
+use std::str::FromStr;
 
 /// An ordered collection of named [`MetricsRegistry`] sections.
 ///
@@ -26,7 +32,11 @@ use crate::{MetricsRegistry, ToJson};
 /// let mut snap = Snapshot::new();
 /// snap.push("shard0", shard);
 /// assert!(snap.to_text().contains("shard0.frames.predict 41"));
-/// assert!(snap.to_json().render().starts_with(r#"{"shard0":"#));
+/// let text = snap.to_json().render();
+/// assert!(text.starts_with(r#"{"shard0":"#));
+/// let back: Snapshot = text.parse()?;
+/// assert_eq!(back.get("shard0").unwrap().counter_by_name("frames.predict"), Some(41));
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
@@ -66,6 +76,32 @@ impl Snapshot {
     /// True when no sections have been pushed.
     pub fn is_empty(&self) -> bool {
         self.sections.is_empty()
+    }
+
+    /// Rebuilds a snapshot from its [`ToJson`] form, sections in order.
+    /// Every rendered snapshot decodes and renders back to the same
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Anything else is an error naming the first offending section and
+    /// metric: a top level that is not an object, a section without
+    /// `counters`, `gauges` or `histograms`, a counter that is not a
+    /// `u64`, a gauge neither a number nor `null`, or buckets that are
+    /// not ascending pow-2 buckets summing to `count`.
+    pub fn from_json(j: &Json) -> Result<Snapshot, String> {
+        let Json::Object(sections) = j else {
+            return Err("a metrics snapshot is a JSON object".into());
+        };
+        let sections = sections
+            .iter()
+            .map(|(name, m)| {
+                MetricsRegistry::from_json(m)
+                    .map(|m| (name.clone(), m))
+                    .map_err(|e| format!("section `{name}`: {e}"))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Snapshot { sections })
     }
 
     /// Flat `name value` text exposition: one line per metric, names
@@ -120,6 +156,16 @@ impl ToJson for Snapshot {
     }
 }
 
+impl FromStr for Snapshot {
+    type Err = String;
+
+    /// Parses JSON text — a `Metrics` reply, a `/metrics.json` body —
+    /// and decodes it with [`Snapshot::from_json`].
+    fn from_str(text: &str) -> Result<Snapshot, String> {
+        Snapshot::from_json(&json::parse(text).map_err(|e| e.to_string())?)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +215,38 @@ mod tests {
         // Every line is exactly `name value`.
         for l in text.lines() {
             assert_eq!(l.split(' ').count(), 2, "malformed line: {l}");
+        }
+    }
+
+    /// Every malformed input is an `Err` naming what is wrong, never a
+    /// panic. Each case breaks one thing in an otherwise valid snapshot.
+    #[test]
+    fn from_json_rejects_malformed_input() {
+        let hist = r#"{"count":2,"sum":5,"min":1,"max":4,"buckets":[[1,1,1],[4,7,1]]}"#;
+        let snap = |c: &str, h: &str| {
+            format!(
+                r#"{{"s":{{"counters":{{"c":{c}}},"gauges":{{"g":null}},"histograms":{{"h":{h}}}}}}}"#
+            )
+        };
+        let valid: Snapshot = snap("1", hist).parse().expect("valid");
+        assert!(valid.get("s").unwrap().gauge_by_name("g").unwrap().is_nan());
+        let no_counters = r#"{"s":{"gauges":{},"histograms":{}}}"#;
+        for (needle, text) in [
+            ("JSON parse error", "not json".to_string()),
+            ("object", "[1,2]".to_string()),
+            ("no `counters`", no_counters.to_string()),
+            ("not a u64", snap("-1", hist)),
+            ("not a u64", snap("1.5", hist)),
+            ("not a u64", snap(r#""1""#, hist)),
+            ("pow-2", snap("1", &hist.replace("[4,7,1]", "[4,8,1]"))),
+            (
+                "samples",
+                snap("1", &hist.replace(r#""count":2"#, r#""count":3"#)),
+            ),
+            ("repeated", snap("1", &hist.replace("[4,7,1]", "[1,1,1]"))),
+        ] {
+            let err = text.parse::<Snapshot>().expect_err(&text);
+            assert!(err.contains(needle), "`{text}`: `{err}` lacks `{needle}`");
         }
     }
 

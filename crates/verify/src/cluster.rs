@@ -56,13 +56,6 @@ fn scratch_dir(seed: u64, case: usize, k: usize) -> PathBuf {
     dir
 }
 
-fn route_counter(json: &str, name: &str) -> u64 {
-    ntp_telemetry::json::parse(json)
-        .ok()
-        .and_then(|j| j.get("router")?.get("counters")?.get(name)?.as_u64())
-        .unwrap_or(0)
-}
-
 /// Differential oracle: served-through-the-router must equal the local
 /// replay per prediction, across one live migration and one graceful
 /// failover per case. See the module docs for the full shape.
@@ -155,7 +148,14 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
                 target.request_shutdown();
                 joiner = Some(std::thread::spawn(move || target.join()));
                 let deadline = Instant::now() + Duration::from_secs(30);
-                while route_counter(&router.metrics_json(), "route.failovers") < 1 {
+                let failovers = || {
+                    router
+                        .metrics_snapshot()
+                        .get("router")
+                        .and_then(|r| r.counter_by_name("route.failovers"))
+                        .unwrap_or(0)
+                };
+                while failovers() < 1 {
                     assert!(
                         Instant::now() < deadline,
                         "verify: router never failed over the draining backend"

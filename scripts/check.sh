@@ -250,6 +250,11 @@ echo "scraped counters equal the loadgen totals ($applied predictions and update
 "$ntp_bin" top --addr "$addr" --once >"$out_srv/top.txt"
 grep -q '^total' "$out_srv/top.txt" \
     || { echo "ntp top table missing the total row"; cat "$out_srv/top.txt"; exit 1; }
+# A first poll's QPS is the rate since start (counter deltas against an
+# empty snapshot at uptime 0), so after a second of load it is positive.
+awk '$1 == "total" && $2 ~ /^[0-9]+\.[0-9]$/ && $2 > 0 { ok = 1 } END { exit !ok }' \
+    "$out_srv/top.txt" \
+    || { echo "ntp top total row lacks a positive, finite QPS"; cat "$out_srv/top.txt"; exit 1; }
 # `ntp top --shutdown` drains the server after the final poll.
 "$ntp_bin" top --addr "$addr" --once --json --shutdown >"$out_srv/top1.json"
 wait "$serve_pid" || { echo "ntp serve exited nonzero"; exit 1; }
@@ -263,14 +268,13 @@ echo "graceful shutdown drained all sessions with per-shard attribution"
 
 say "serving determinism: stripped top snapshots identical across replays"
 # Re-run the identical replay against a fresh server: after stripping
-# wall-clock-derived sections (server uptime, rolling windows, latency
-# histograms, busy/idle time — see OBSERVABILITY.md), the `ntp top
+# wall-clock-derived sections (server uptime, latency histograms,
+# busy/idle time — see OBSERVABILITY.md), the `ntp top
 # --once --json` snapshot must be byte-identical.
 serve_replay 2
 "$ntp_bin" top --addr "$addr" --once --json --shutdown >"$out_srv/top2.json"
 wait "$serve_pid" || { echo "ntp serve exited nonzero on replay 2"; exit 1; }
 strip_top='del(.server)
-    | with_entries(select(.key | endswith(".window") | not))
     | map_values(del(.gauges, .histograms)
         | .counters |= del(."time.busy_us", ."time.idle_us", ."busy.rejections", ."drain.batched", ."drain.coalesced"))'
 if ! diff <(jq "$strip_top" "$out_srv/top1.json") \

@@ -10,6 +10,7 @@ use ntp::baselines::{MultiGAg, SequentialTracePredictor, TraceGshare};
 use ntp::core::{Counter, CounterSpec, Dolc, PathHistory, ReturnHistoryStack, RhsConfig};
 use ntp::isa::{decode, encode, ControlKind, Instr, Reg};
 use ntp::sim::{ControlEvent, Step};
+use ntp::telemetry::{json, MetricsRegistry, Snapshot, ToJson};
 use ntp::trace::{ControlMix, HashedId, Trace, TraceBuilder, TraceConfig, TraceId};
 use ntp::verify::XorShift64;
 
@@ -504,6 +505,70 @@ fn baselines_fold_traces_like_the_per_control_model() {
             assert_eq!(gag.stats(), &gag_model.stats, "MultiGAg, {}", at());
             assert_eq!(mix, mix_model, "ControlMix, {}", at());
         }
+    }
+}
+
+/// A random metrics snapshot: 0–4 sections, names drawn from a pool so
+/// that some repeat (the renderer keeps both), each with counters,
+/// gauges and histograms drawn over the edges of their value ranges.
+fn arb_snapshot(rng: &mut XorShift64) -> Snapshot {
+    let mut snap = Snapshot::new();
+    for _ in 0..rng.range(0, 4) {
+        let mut m = MetricsRegistry::new();
+        for k in 0..rng.range(0, 4) {
+            let c = m.counter(&format!("counter.{k}"));
+            let v = match rng.below(3) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64() >> rng.below(64),
+            };
+            m.add(c, v);
+        }
+        for k in 0..rng.range(0, 4) {
+            let g = m.gauge(&format!("gauge.{k}"));
+            let v = match rng.below(6) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -(rng.below(1_000) as f64),
+                4 => rng.next_u64() as f64 / 7.0,
+                // Any bit pattern: subnormals, extremes, negative zero.
+                _ => f64::from_bits(rng.next_u64()),
+            };
+            m.set(g, v);
+        }
+        for k in 0..rng.range(0, 3) {
+            let h = m.histogram(&format!("hist.{k}"));
+            match rng.below(4) {
+                0 => {}
+                1 => m.observe(h, rng.next_u64()),
+                2 => {
+                    m.observe(h, 0);
+                    m.observe(h, u64::MAX);
+                }
+                _ => {
+                    for _ in 0..rng.range(2, 200) {
+                        m.observe(h, rng.next_u64() >> rng.below(64));
+                    }
+                }
+            }
+        }
+        let name = ["server", "shard0", "total"][rng.below(3) as usize];
+        snap.push(name, m);
+    }
+    snap
+}
+
+/// `Snapshot::from_json` is the exact inverse of the JSON rendering:
+/// every rendered snapshot decodes, and renders back byte for byte.
+#[test]
+fn metrics_snapshot_json_roundtrip() {
+    for case in 0..CASES {
+        let text = arb_snapshot(&mut case_rng(case)).to_json().render();
+        let parsed = json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}: {text}"));
+        let back =
+            Snapshot::from_json(&parsed).unwrap_or_else(|e| panic!("case {case}: {e}: {text}"));
+        assert_eq!(back.to_json().render(), text, "case {case}");
     }
 }
 
