@@ -816,37 +816,41 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 std::thread::sleep(Duration::from_millis(100));
             });
     }
-    let summary = handle.join();
+    let last = handle.join();
+    let counter = |sec: &str, name: &str| counter_of(&last, sec, name);
     println!(
         "[serve] drained: {} sessions, {} requests, {} conns accepted, \
          {} refused, {} busy replies, {} protocol errors, {} resyncs, \
          {} read timeouts, {} sockopt errors, {} partial reads",
-        summary.sessions,
-        summary.requests,
-        summary.accepted,
-        summary.refused,
-        summary.busy,
-        summary.protocol_errors,
-        summary.resyncs,
-        summary.read_timeouts,
-        summary.sockopt_errors,
-        summary.partial_reads
+        counter("total", "sessions.opened"),
+        ntp_serve::frame_count(&last, "total"),
+        counter("server", "conns.accepted"),
+        counter("server", "conns.refused"),
+        counter("server", "busy.replies"),
+        counter("server", "protocol.errors"),
+        counter("server", "resyncs"),
+        counter("server", "conn.read_timeouts"),
+        counter("server", "conn.sockopt_errors"),
+        counter("server", "conn.partial_reads")
     );
-    for s in &summary.per_shard {
+    for k in 0.. {
+        let sec = format!("shard{k}");
+        if last.get(&sec).is_none() {
+            break;
+        }
         println!(
-            "[serve]   shard {}: {} sessions, {} requests, {} predictions \
+            "[serve]   shard {k}: {} sessions, {} requests, {} predictions \
              ({} correct), {} errors, {} batched, {} coalesced, {} warmed, \
              {} snapshotted",
-            s.shard,
-            s.sessions,
-            s.requests,
-            s.predictions,
-            s.correct,
-            s.errors,
-            s.batched,
-            s.coalesced,
-            s.warmed,
-            s.snapshotted
+            counter(&sec, "sessions.opened"),
+            ntp_serve::frame_count(&last, &sec),
+            counter(&sec, "predictions"),
+            counter(&sec, "predictions.correct"),
+            ntp_serve::error_count(&last, &sec),
+            counter(&sec, "drain.batched"),
+            counter(&sec, "drain.coalesced"),
+            counter(&sec, "sessions.warmed"),
+            counter(&sec, "sessions.snapshotted")
         );
     }
     Ok(())
@@ -942,17 +946,18 @@ fn cmd_route(args: &Args) -> Result<(), String> {
         handle.local_addr(),
         if n == 1 { "" } else { "s" }
     );
-    let summary = handle.join();
+    let last = handle.join();
+    let counter = |name: &str| counter_of(&last, "router", name);
     println!(
         "[route] drained: {} sessions, {} forwarded, {} migrations, \
          {} failovers, {} errors, {} sessions lost, {} restored",
-        summary.sessions,
-        summary.forwarded,
-        summary.migrations,
-        summary.failovers,
-        summary.errors,
-        summary.sessions_lost,
-        summary.sessions_restored
+        counter("route.sessions"),
+        counter("route.forwarded"),
+        counter("route.migrations"),
+        counter("route.failovers"),
+        counter("route.errors"),
+        counter("route.sessions_lost"),
+        counter("route.sessions_restored")
     );
     Ok(())
 }
@@ -1037,11 +1042,6 @@ fn print_top(addr: &str, prev: &Snapshot, snap: &Snapshot) {
             .map_or(0, quantile)
     };
     let qps = |sec: &str| ntp_serve::rate(prev, snap, "server", |s| ntp_serve::frame_count(s, sec));
-    let errors = |sec: &str| -> u64 {
-        counter(sec, "errors.unknown_session")
-            + counter(sec, "errors.bad_config")
-            + counter(sec, "errors.other")
-    };
 
     println!(
         "ntp top — {addr}  up {:.0}s  conns {} (refused {})  busy {}  \
@@ -1081,7 +1081,7 @@ fn print_top(addr: &str, prev: &Snapshot, snap: &Snapshot) {
             latency(sec, Histogram::p99),
             latency(sec, Histogram::p999),
             queue,
-            errors(sec),
+            ntp_serve::error_count(snap, sec),
         );
     };
     for shard in 0.. {

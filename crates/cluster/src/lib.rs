@@ -32,6 +32,6 @@ pub mod router;
 
 pub use ring::HashRing;
 pub use router::{
-    start, BackendSpec, MigrateTrigger, RouterConfig, RouterHandle, RouterSummary,
-    DEFAULT_BACKEND_MAX_FRAME, DEFAULT_PROBE_INTERVAL, DEFAULT_VNODES,
+    start, BackendSpec, MigrateTrigger, RouterConfig, RouterHandle, DEFAULT_BACKEND_MAX_FRAME,
+    DEFAULT_PROBE_INTERVAL, DEFAULT_VNODES,
 };

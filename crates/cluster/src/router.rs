@@ -1119,25 +1119,6 @@ fn reports_draining(snap: &Snapshot) -> bool {
 
 // ---- handle ------------------------------------------------------------
 
-/// Final router accounting, returned by [`RouterHandle::join`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RouterSummary {
-    /// Sessions still placed at shutdown.
-    pub sessions: u64,
-    /// Frames forwarded to backends.
-    pub forwarded: u64,
-    /// Completed live migrations.
-    pub migrations: u64,
-    /// Completed failovers (graceful or hard).
-    pub failovers: u64,
-    /// Forwarding/relay errors surfaced to clients.
-    pub errors: u64,
-    /// Sessions that lost state (cold restart or unrecoverable).
-    pub sessions_lost: u64,
-    /// Sessions restored from snapshots during failovers.
-    pub sessions_restored: u64,
-}
-
 /// A running router; drop-in for a `ServerHandle` where the lifecycle
 /// matters: `start(cfg)` → … → client `Shutdown` (or
 /// [`RouterHandle::request_shutdown`]) → [`RouterHandle::join`].
@@ -1178,8 +1159,10 @@ impl RouterHandle {
         self.core.begin_drain();
     }
 
-    /// Waits for the drain to complete and returns the accounting.
-    pub fn join(mut self) -> RouterSummary {
+    /// Waits for the drain to complete and returns the final
+    /// [`RouterHandle::metrics_snapshot`], taken after the last
+    /// connection has closed and the probe thread has exited.
+    pub fn join(mut self) -> Snapshot {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -1189,16 +1172,7 @@ impl RouterHandle {
         if let Some(h) = self.probe.take() {
             let _ = h.join();
         }
-        let c = &self.core.counters;
-        RouterSummary {
-            sessions: self.core.sessions.lock().expect("sessions lock").len() as u64,
-            forwarded: c.forwarded.load(Ordering::Relaxed),
-            migrations: c.migrations.load(Ordering::Relaxed),
-            failovers: c.failovers.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-            sessions_lost: c.sessions_lost.load(Ordering::Relaxed),
-            sessions_restored: c.sessions_restored.load(Ordering::Relaxed),
-        }
+        self.core.metrics_snapshot()
     }
 }
 

@@ -70,13 +70,15 @@ fn backend(snapshot_dir: Option<PathBuf>) -> ntp_serve::ServerHandle {
     .expect("backend binds")
 }
 
-fn poll_counter(client: &mut Client, section: &str, name: &str) -> u64 {
-    client
-        .metrics()
-        .expect("router metrics")
-        .get(section)
+/// A counter of one snapshot section, 0 when either is absent.
+fn counter(snap: &Snapshot, section: &str, name: &str) -> u64 {
+    snap.get(section)
         .and_then(|s| s.counter_by_name(name))
         .unwrap_or(0)
+}
+
+fn poll_counter(client: &mut Client, section: &str, name: &str) -> u64 {
+    counter(&client.metrics().expect("router metrics"), section, name)
 }
 
 /// The headline test: four lockstep sessions stream through the router
@@ -165,9 +167,9 @@ fn migration_and_failover_stay_in_lockstep_with_the_oracle() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let drained_summary = joiner.join().expect("drained backend joins");
+    let drained_last = joiner.join().expect("drained backend joins");
     assert!(
-        drained_summary.sessions >= 1,
+        counter(&drained_last, "total", "sessions.opened") >= 1,
         "the drained backend served no sessions"
     );
 
@@ -214,20 +216,24 @@ fn migration_and_failover_stay_in_lockstep_with_the_oracle() {
     // drains, then the router itself.
     client.shutdown_server().expect("shutdown through router");
     drop(client);
-    let summary = router.join();
-    assert_eq!(summary.sessions, SESSIONS);
-    assert_eq!(summary.migrations, 1, "exactly one live migration");
-    assert_eq!(summary.failovers, 1, "exactly one failover");
-    assert_eq!(summary.errors, 0, "no forwarding errors: {summary:?}");
-    assert_eq!(summary.sessions_lost, 0, "graceful failover loses nothing");
+    let last = router.join();
+    let route = |name: &str| counter(&last, "router", name);
+    assert_eq!(route("route.sessions"), SESSIONS);
+    assert_eq!(route("route.migrations"), 1, "exactly one live migration");
+    assert_eq!(route("route.failovers"), 1, "exactly one failover");
+    assert_eq!(route("route.errors"), 0, "no forwarding errors");
+    assert_eq!(
+        route("route.sessions_lost"),
+        0,
+        "graceful failover loses nothing"
+    );
     assert!(
-        summary.sessions_restored >= 1,
+        route("route.sessions_restored") >= 1,
         "failover restored backend 0's sessions from its drain snapshots"
     );
-    assert!(summary.forwarded >= SESSIONS * (LEN as u64 + 2));
+    assert!(route("route.forwarded") >= SESSIONS * (LEN as u64 + 2));
     let survivor = handles[1 - to as usize].take().expect("survivor");
-    let survivor_summary = survivor.join();
-    assert!(survivor_summary.sessions >= 1);
+    assert!(counter(&survivor.join(), "total", "sessions.opened") >= 1);
     for dir in [dir0, dir1] {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -295,13 +301,13 @@ fn dead_backend_is_hard_failed_over_and_traffic_continues() {
 
     client.shutdown_server().expect("shutdown");
     drop(client);
-    let summary = router.join();
-    assert_eq!(summary.failovers, 1);
-    assert_eq!(summary.sessions, 3);
+    let last = router.join();
+    assert_eq!(counter(&last, "router", "route.failovers"), 1);
+    assert_eq!(counter(&last, "router", "route.sessions"), 3);
     assert_eq!(
-        summary.sessions_lost, 0,
+        counter(&last, "router", "route.sessions_lost"),
+        0,
         "no sessions existed when the dead backend was dropped"
     );
-    let b0_summary = b0.join();
-    assert_eq!(b0_summary.sessions, 3);
+    assert_eq!(counter(&b0.join(), "total", "sessions.opened"), 3);
 }

@@ -17,6 +17,15 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Default read/write timeout.
 pub const DEFAULT_RW_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Busy retries of one request before giving up.
+const BUSY_RETRIES: u32 = 200;
+
+/// Pause between busy retries.
+pub(crate) const BUSY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Total wall-clock budget across all busy retries of one request.
+pub(crate) const BUSY_DEADLINE: Duration = Duration::from_secs(5);
+
 /// How a client call failed.
 #[derive(Debug)]
 pub enum ClientError {
@@ -38,8 +47,8 @@ pub enum ClientError {
         /// Server-provided detail.
         message: String,
     },
-    /// The shard queue stayed full through every retry, or the retries
-    /// ran past the total wall-clock budget ([`Client::busy_deadline`]).
+    /// The shard queue stayed full through every retry (200), or the
+    /// retries ran past their total wall-clock budget (5 s).
     Busy {
         /// How long the client kept retrying before giving up.
         elapsed: Duration,
@@ -84,11 +93,10 @@ fn is_timeout(e: &std::io::Error) -> bool {
 ///
 /// One request is in flight at a time (the protocol is strictly
 /// request/reply per connection). Methods that hit backpressure
-/// ([`Response::Busy`]) retry with a short linear backoff, giving up
-/// with [`ClientError::Busy`] after [`Client::busy_retries`] attempts
-/// *or* once [`Client::busy_deadline`] of wall-clock time has passed —
-/// whichever comes first, so a slow server cannot stretch a bounded
-/// retry count into an unbounded wait.
+/// ([`Response::Busy`]) retry every 2 ms, giving up with
+/// [`ClientError::Busy`] after 200 retries *or* once 5 s of wall-clock
+/// time has passed — whichever comes first, so a slow server cannot
+/// stretch a bounded retry count into an unbounded wait.
 pub struct Client {
     stream: TcpStream,
     max_frame: u32,
@@ -96,12 +104,6 @@ pub struct Client {
     /// place, then written with a single syscall — no per-request
     /// allocation, no separate header/body/checksum writes.
     scratch: Vec<u8>,
-    /// Busy retries before giving up.
-    pub busy_retries: u32,
-    /// Pause between busy retries.
-    pub busy_backoff: Duration,
-    /// Total wall-clock budget across all busy retries of one request.
-    pub busy_deadline: Duration,
 }
 
 impl Client {
@@ -156,9 +158,6 @@ impl Client {
             stream,
             max_frame: CLIENT_MAX_FRAME,
             scratch: Vec::with_capacity(256),
-            busy_retries: 200,
-            busy_backoff: Duration::from_millis(2),
-            busy_deadline: Duration::from_secs(5),
         })
     }
 
@@ -197,22 +196,20 @@ impl Client {
     }
 
     /// [`Client::request`] with busy retries; returns the first
-    /// non-`Busy` reply. Gives up after [`Client::busy_retries`]
-    /// attempts or [`Client::busy_deadline`] of elapsed time.
+    /// non-`Busy` reply. Gives up after [`BUSY_RETRIES`] retries or
+    /// [`BUSY_DEADLINE`] of elapsed time.
     fn request_patient(&mut self, req: &Request) -> Result<Response, ClientError> {
         let started = Instant::now();
-        for attempt in 0..=self.busy_retries {
+        for attempt in 0..=BUSY_RETRIES {
             match self.request(req)? {
                 Response::Busy => {
                     // Stop before a sleep that would overrun the budget;
                     // the per-request transport time counts too, so a
                     // server answering `Busy` slowly still hits the cap.
-                    if attempt == self.busy_retries
-                        || started.elapsed() + self.busy_backoff > self.busy_deadline
-                    {
+                    if attempt == BUSY_RETRIES || started.elapsed() + BUSY_BACKOFF > BUSY_DEADLINE {
                         break;
                     }
-                    std::thread::sleep(self.busy_backoff);
+                    std::thread::sleep(BUSY_BACKOFF);
                 }
                 resp => return Ok(resp),
             }
@@ -252,24 +249,6 @@ impl Client {
         })? {
             Response::Updated { correct } => Ok(correct),
             resp => Err(unexpected("Updated", resp)),
-        }
-    }
-
-    /// Applies a whole chunk; returns `(predictions, correct)`.
-    pub fn batch(
-        &mut self,
-        session: u64,
-        records: &[TraceRecord],
-    ) -> Result<(u64, u64), ClientError> {
-        match self.request_patient(&Request::Batch {
-            session,
-            records: records.to_vec(),
-        })? {
-            Response::BatchDone {
-                predictions,
-                correct,
-            } => Ok((predictions, correct)),
-            resp => Err(unexpected("BatchDone", resp)),
         }
     }
 

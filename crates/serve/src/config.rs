@@ -16,7 +16,7 @@ pub const DEFAULT_MAX_CONNS: usize = 64;
 /// Default per-shard request-queue depth (beyond it, `Busy` replies).
 pub const DEFAULT_QUEUE_DEPTH: usize = 128;
 
-/// Default frame-body size limit (1 MiB ≈ 131k records per batch).
+/// Default frame-body size limit (1 MiB).
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 
 /// Everything a [`crate::server::serve`] call needs.

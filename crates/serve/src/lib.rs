@@ -8,9 +8,9 @@
 //! [`ntp_core::evaluate`] oracle.**
 //!
 //! * [`wire`] — the length-framed, FNV-1a-64-checksummed binary
-//!   protocol (`Hello`/`Predict`/`Update`/`Batch`/`Stats`/`Shutdown`/
-//!   `Metrics`/`Migrate` frames), sharing its hash with the `.ntc`
-//!   codec via [`ntp_hash`]. Protocol version 2 adds the
+//!   protocol (`Hello`/`Predict`/`Update`/`Stats`/`Shutdown`/`Metrics`/
+//!   `Migrate` frames), sharing its hash with the `.ntc` codec via
+//!   [`ntp_hash`]. Protocol version 2 adds the
 //!   `Migrate`/`MigrateOk` pair — a checksummed single-session snapshot
 //!   in flight — which the `ntp-cluster` router uses to move live
 //!   sessions between backends;
@@ -20,7 +20,8 @@
 //!   single worker (`session % workers`), so every predictor stays
 //!   single-threaded and lock-free; bounded per-shard queues reply
 //!   `Busy` under load, connection/frame/idle-timeout limits bound
-//!   resource use, and shutdown drains in-flight sessions.
+//!   resource use, and shutdown drains in-flight sessions;
+//!   [`ServerHandle::join`] returns the final metrics snapshot.
 //!   Each shard also owns a private, cumulative metrics registry — the
 //!   live observability plane behind the `Metrics` frame (read back as a
 //!   typed [`ntp_telemetry::Snapshot`] by [`Client::metrics`]), the
@@ -65,8 +66,8 @@
 //! }
 //! assert!(client.update(1, &rec)?, "a self-loop is learned immediately");
 //! client.shutdown_server()?;
-//! let summary = handle.join();
-//! assert_eq!(summary.sessions, 1);
+//! let last = handle.join();
+//! assert_eq!(last.get("total").and_then(|t| t.counter_by_name("sessions.opened")), Some(1));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -84,7 +85,7 @@ pub use client::{Client, ClientError};
 pub use config::ServeConfig;
 pub use loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport, SessionOutcome, SessionSpec};
 pub use server::{
-    frame_count, install_sigterm_drain, rate, serve, sigterm_pending, ServerHandle, ServerSummary,
-    ShardSummary, ShutdownTrigger, DRAIN_MARKER, FRAME_KINDS,
+    error_count, frame_count, install_sigterm_drain, rate, serve, sigterm_pending, ServerHandle,
+    ShutdownTrigger, DRAIN_MARKER, FRAME_KINDS,
 };
 pub use wire::{ErrorCode, Request, Response, PROTOCOL_VERSION};

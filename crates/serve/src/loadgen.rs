@@ -15,7 +15,7 @@
 //! a pure function of `(seed, zipf, rate, duration)`: two runs offer
 //! byte-identical request sequences.
 
-use crate::client::{Client, ClientError};
+use crate::client::{Client, ClientError, BUSY_BACKOFF, BUSY_DEADLINE};
 use crate::wire::{self, Request, Response};
 use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
 use ntp_telemetry::{Histogram, Json, ToJson};
@@ -322,7 +322,8 @@ pub fn run_open_loop(
     let conns = cfg.conns.clamp(1, sessions.len());
 
     // Connect and open every session up front (below the storm: one
-    // lockstep Hello at a time, short busy retry).
+    // lockstep Hello at a time, `Busy` retried with the client's pause
+    // and budget).
     let mut streams: Vec<TcpStream> = Vec::with_capacity(conns);
     for _ in 0..conns {
         let s = TcpStream::connect(&cfg.addr)?;
@@ -335,7 +336,7 @@ pub fn run_open_loop(
     let mut scratch = Vec::with_capacity(256);
     for (i, _) in sessions.iter().enumerate() {
         let stream = &mut streams[i % conns];
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let started = Instant::now();
         loop {
             wire::frame_request(
                 &mut scratch,
@@ -351,12 +352,12 @@ pub fn run_open_loop(
                     shards[i] = shard;
                     break;
                 }
-                Response::Busy if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(2))
+                Response::Busy if started.elapsed() < BUSY_DEADLINE => {
+                    std::thread::sleep(BUSY_BACKOFF)
                 }
                 Response::Busy => {
                     return Err(ClientError::Busy {
-                        elapsed: Duration::from_secs(5),
+                        elapsed: started.elapsed(),
                     })
                 }
                 Response::Error { code, message } => {

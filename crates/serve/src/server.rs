@@ -52,9 +52,16 @@
 //! drain flag: the acceptor and the metrics sidecar stop taking
 //! connections, established connections keep being served until their
 //! clients close (or time out), shard queues drain to empty, and
-//! [`ServerHandle::join`] returns a [`ServerSummary`] — including
+//! [`ServerHandle::join`] returns the final metrics [`Snapshot`] — with
 //! per-shard attribution — once every thread has exited. In-flight
 //! sessions are never cut off mid-request.
+//!
+//! Serving established connections through a drain is deliberate, idle
+//! ones included. A cluster router reads `draining` over a persistent,
+//! mostly idle probe connection, and settles the frames in flight on
+//! its data connections before it closes them. Closing idle connections
+//! at drain would count as probe failures, and two of those turn a
+//! graceful failover into a hard one.
 
 use crate::config::ServeConfig;
 use crate::event::ConnRouter;
@@ -152,74 +159,6 @@ struct Session {
     stats: PredictorStats,
 }
 
-/// Per-shard accounting, returned when the shard drains and exits.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardSummary {
-    /// Which shard (worker index) this row describes.
-    pub shard: u32,
-    /// Sessions created on this shard.
-    pub sessions: u64,
-    /// Requests processed (every frame routed here, including refused).
-    pub requests: u64,
-    /// Predictions scored (`Update` + `Batch` records).
-    pub predictions: u64,
-    /// Correct predictions among them.
-    pub correct: u64,
-    /// Requests refused with a typed error (unknown session, bad config).
-    pub errors: u64,
-    /// Requests that drained through a batched sweep: the shard found two
-    /// or more routed requests queued and prefetched every target
-    /// session's table lines before resolving any of them (see
-    /// `NextTracePredictor::prefetch_tables`). Load-dependent — only a
-    /// busy queue batches — so this is a volatile counter, not a
-    /// determinism gate.
-    pub batched: u64,
-    /// Requests that arrived pre-coalesced: an event loop decoded two or
-    /// more frames for this shard, of any sessions, in one read burst
-    /// and enqueued them as a single `Job::Run`. Load- and
-    /// timing-dependent, volatile like `batched`.
-    pub coalesced: u64,
-    /// Sessions restored from a warm-start snapshot at startup.
-    pub warmed: u64,
-    /// Sessions written to this shard's drain snapshot (`shard<k>.nts`),
-    /// when a snapshot directory was configured and the write succeeded.
-    pub snapshotted: u64,
-}
-
-/// Whole-server accounting, available after [`ServerHandle::join`].
-#[derive(Clone, Debug, Default)]
-pub struct ServerSummary {
-    /// Connections accepted and served.
-    pub accepted: u64,
-    /// Connections refused at the `max_conns` limit.
-    pub refused: u64,
-    /// `Busy` backpressure replies sent (full shard queue).
-    pub busy: u64,
-    /// Frames refused at the wire layer (checksum, size, decode).
-    pub protocol_errors: u64,
-    /// Oversized frames survived by resyncing the stream.
-    pub resyncs: u64,
-    /// Connections dropped because, with nothing in flight, they made no
-    /// I/O progress for `read_timeout` — as opposed to a clean EOF or a
-    /// transport error.
-    pub read_timeouts: u64,
-    /// Socket-option calls that failed: `set_nodelay` at accept,
-    /// `set_nonblocking` when a loop adopts the socket, and the timeouts
-    /// set on refused and metrics-sidecar sockets.
-    pub sockopt_errors: u64,
-    /// Socket reads that ended on an incomplete frame, i.e. the frame
-    /// had to be reassembled across reads. Purely informational: partial
-    /// delivery is normal TCP behaviour.
-    pub partial_reads: u64,
-    /// Sessions created across all shards.
-    pub sessions: u64,
-    /// Requests processed across all shards.
-    pub requests: u64,
-    /// Per-shard attribution, shard 0 first — the drain path carries
-    /// each worker's own counts through, it does not flatten them.
-    pub per_shard: Vec<ShardSummary>,
-}
-
 #[derive(Default)]
 pub(crate) struct Counters {
     pub accepted: AtomicU64,
@@ -315,7 +254,23 @@ impl Hub {
     /// Blocks until every live shard answers (snapshots ride the request
     /// queue); a shard that has already exited is skipped.
     pub(crate) fn collect(&self) -> Snapshot {
-        let mut snap = Snapshot::new();
+        let server = self.server_section();
+        let mut shards = Vec::with_capacity(self.senders.len());
+        for tx in self.senders.iter() {
+            let (reply, rx) = mpsc::channel();
+            if tx.send(Job::Snapshot { reply }).is_err() {
+                continue; // Shard already drained and exited.
+            }
+            if let Ok(s) = rx.recv_timeout(Duration::from_secs(5)) {
+                shards.push(s);
+            }
+        }
+        assemble(server, shards)
+    }
+
+    /// The `server` section: the connection-side atomics, the per-loop
+    /// frames-per-wakeup histograms and the uptime.
+    fn server_section(&self) -> MetricsRegistry {
         let mut server = MetricsRegistry::new();
         for (name, v) in [
             (
@@ -369,27 +324,7 @@ impl Hub {
         }
         let up = server.gauge("uptime_s");
         server.set(up, self.start.elapsed().as_secs_f64());
-        snap.push("server", server);
-
-        let mut shard_snaps = Vec::with_capacity(self.senders.len());
-        for tx in self.senders.iter() {
-            let (reply, rx) = mpsc::channel();
-            if tx.send(Job::Snapshot { reply }).is_err() {
-                continue; // Shard already drained and exited.
-            }
-            if let Ok(s) = rx.recv_timeout(Duration::from_secs(5)) {
-                shard_snaps.push(s);
-            }
-        }
-        let mut total = MetricsRegistry::new();
-        for s in &shard_snaps {
-            total.merge(&s.metrics);
-        }
-        for s in shard_snaps {
-            snap.push(&format!("shard{}", s.shard), s.metrics);
-        }
-        snap.push("total", total);
-        snap
+        server
     }
 
     /// Asks every live shard to persist its sessions to
@@ -420,6 +355,22 @@ impl Hub {
     }
 }
 
+/// A server snapshot's layout: the `server` section, one `shard<k>`
+/// section per shard, then `total`, the shards merged.
+fn assemble(server: MetricsRegistry, shards: Vec<ShardSnapshot>) -> Snapshot {
+    let mut snap = Snapshot::new();
+    snap.push("server", server);
+    let mut total = MetricsRegistry::new();
+    for s in &shards {
+        total.merge(&s.metrics);
+    }
+    for s in shards {
+        snap.push(&format!("shard{}", s.shard), s.metrics);
+    }
+    snap.push("total", total);
+    snap
+}
+
 /// A running server. Dropping the handle without calling
 /// [`ServerHandle::join`] detaches the threads (the process keeps
 /// serving); the intended lifecycle is `serve(cfg)` → … →
@@ -428,7 +379,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     snapshot_dir: Option<PathBuf>,
-    counters: Arc<Counters>,
     drain: Arc<DrainSignal>,
     hub: Option<Arc<Hub>>,
     accept: Option<JoinHandle<()>>,
@@ -436,7 +386,7 @@ pub struct ServerHandle {
     metrics_accept: Option<JoinHandle<()>>,
     stats: Option<JoinHandle<()>>,
     snapshots: Option<JoinHandle<()>>,
-    shards: Vec<JoinHandle<ShardSummary>>,
+    shards: Vec<JoinHandle<ShardSnapshot>>,
 }
 
 /// A cloneable drain trigger detached from the [`ServerHandle`]: signal
@@ -490,10 +440,14 @@ impl ServerHandle {
 
     /// Waits for the drain to complete — acceptor exited, every
     /// connection closed, every shard queue empty — and returns the
-    /// final accounting. Call after [`ServerHandle::request_shutdown`]
-    /// (or once a client has sent `Shutdown`); joining a server nobody
-    /// shuts down blocks forever, like the listener it wraps.
-    pub fn join(mut self) -> ServerSummary {
+    /// final metrics snapshot: the `server`, `shard<k>` and `total`
+    /// sections of a `Metrics` reply, taken once every thread has
+    /// stopped. Call after [`ServerHandle::request_shutdown`] (or once a
+    /// client has sent `Shutdown`); joining a server nobody shuts down
+    /// blocks forever, like the listener it wraps. An established
+    /// connection holds the drain open until its client closes it or it
+    /// idles past `read_timeout` (see the module's `# Shutdown`).
+    pub fn join(mut self) -> Snapshot {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -517,25 +471,18 @@ impl ServerHandle {
         if let Some(h) = self.snapshots.take() {
             let _ = h.join();
         }
-        self.hub.take();
-        let mut summary = ServerSummary {
-            accepted: self.counters.accepted.load(Ordering::Relaxed),
-            refused: self.counters.refused.load(Ordering::Relaxed),
-            busy: self.counters.busy.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            resyncs: self.counters.resyncs.load(Ordering::Relaxed),
-            read_timeouts: self.counters.read_timeouts.load(Ordering::Relaxed),
-            sockopt_errors: self.counters.sockopt_errors.load(Ordering::Relaxed),
-            partial_reads: self.counters.partial_reads.load(Ordering::Relaxed),
-            ..ServerSummary::default()
-        };
-        for h in self.shards.drain(..) {
-            if let Ok(s) = h.join() {
-                summary.sessions += s.sessions;
-                summary.requests += s.requests;
-                summary.per_shard.push(s);
-            }
-        }
+        // Every thread that counts a connection-side metric has exited,
+        // so the `server` section is final.
+        let server = self
+            .hub
+            .take()
+            .expect("hub lives until join()")
+            .server_section();
+        let shards: Vec<ShardSnapshot> = self
+            .shards
+            .drain(..)
+            .filter_map(|h| h.join().ok())
+            .collect();
         // Every shard has exited, so every drain-time `shard<k>.nts` is
         // on disk and final. The marker file lets a cluster router tell
         // those authoritative snapshots apart from a mid-run periodic
@@ -546,7 +493,7 @@ impl ServerHandle {
                 eprintln!("[serve] cannot write drain marker in {dir:?}: {e}");
             }
         }
-        summary
+        assemble(server, shards)
     }
 }
 
@@ -705,7 +652,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     let hub = Arc::new(Hub {
         senders: senders.into(),
         shared,
-        counters: Arc::clone(&counters),
+        counters,
         drain: Arc::clone(&drain),
         loops: Arc::clone(&loops),
         start,
@@ -773,7 +720,6 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         addr,
         metrics_addr,
         snapshot_dir: cfg.snapshot_dir.clone(),
-        counters,
         drain,
         hub: Some(hub),
         accept: Some(accept),
@@ -859,16 +805,15 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str, counters: &Coun
 /// Wire-request kinds a shard processes, in metric-name order: each
 /// shard section counts kind `k` as `frames.<k>` and times it in
 /// `latency_us.<k>`.
-pub const FRAME_KINDS: [&str; 6] = ["hello", "predict", "update", "batch", "stats", "migrate"];
+pub const FRAME_KINDS: [&str; 5] = ["hello", "predict", "update", "stats", "migrate"];
 
 fn frame_kind(req: &Request) -> usize {
     match req {
         Request::Hello { .. } => 0,
         Request::Predict { .. } => 1,
         Request::Update { .. } => 2,
-        Request::Batch { .. } => 3,
-        Request::Stats { .. } => 4,
-        Request::Migrate { .. } => 5,
+        Request::Stats { .. } => 3,
+        Request::Migrate { .. } => 4,
         Request::Shutdown | Request::Metrics => unreachable!("never routed to a shard"),
     }
 }
@@ -885,6 +830,7 @@ struct ShardMetrics {
     idle_ns: u64,
     c_sessions: CounterId,
     c_warmed: CounterId,
+    c_snapshotted: CounterId,
     c_frames: [CounterId; FRAME_KINDS.len()],
     c_predictions: CounterId,
     c_correct: CounterId,
@@ -912,6 +858,7 @@ impl ShardMetrics {
         let mut r = MetricsRegistry::new();
         let c_sessions = r.counter("sessions.opened");
         let c_warmed = r.counter("sessions.warmed");
+        let c_snapshotted = r.counter("sessions.snapshotted");
         let c_frames = FRAME_KINDS.map(|k| r.counter(&format!("frames.{k}")));
         let c_predictions = r.counter("predictions");
         let c_correct = r.counter("predictions.correct");
@@ -935,6 +882,7 @@ impl ShardMetrics {
             idle_ns: 0,
             c_sessions,
             c_warmed,
+            c_snapshotted,
             c_frames,
             c_predictions,
             c_correct,
@@ -959,27 +907,19 @@ impl ShardMetrics {
     fn record(&mut self, req: &Request, resp: &Response, started: Instant) {
         let kind = frame_kind(req);
         self.registry.inc(self.c_frames[kind]);
-        let (predictions, correct) = match resp {
-            Response::Updated { correct } => (1, u64::from(*correct)),
-            Response::BatchDone {
-                predictions,
-                correct,
-            } => (*predictions, *correct),
-            _ => (0, 0),
-        };
-        if predictions > 0 {
-            self.registry.add(self.c_predictions, predictions);
-            self.registry.add(self.c_correct, correct);
-        }
         match resp {
+            Response::Updated { correct } => {
+                self.registry.inc(self.c_predictions);
+                self.registry.add(self.c_correct, u64::from(*correct));
+            }
             Response::HelloOk { .. } => self.registry.inc(self.c_sessions),
             Response::MigrateOk { snapshot, .. } => {
                 if snapshot.is_some() {
                     self.registry.inc(self.c_migrate_out);
                 } else {
                     // An install creates a session on this shard just as
-                    // a Hello does; without this the shard's drain
-                    // summary undercounts what it actually served.
+                    // a Hello does; without this `sessions.opened`
+                    // undercounts what the shard actually served.
                     self.registry.inc(self.c_migrate_in);
                     self.registry.inc(self.c_sessions);
                 }
@@ -1021,7 +961,8 @@ impl ShardMetrics {
     }
 }
 
-/// One shard's answer to a `Job::Snapshot`.
+/// One shard's answer to a `Job::Snapshot`, and its final state when it
+/// exits.
 pub(crate) struct ShardSnapshot {
     shard: u32,
     metrics: MetricsRegistry,
@@ -1033,7 +974,8 @@ pub(crate) struct ShardSnapshot {
 const MAX_DRAIN: usize = 64;
 
 /// One shard: owns its sessions and its metrics, processes its queue to
-/// empty, exits when every sender is gone.
+/// empty, exits when every sender is gone, and returns its final
+/// snapshot.
 ///
 /// Each wake-up drains the queue opportunistically (up to [`MAX_DRAIN`]
 /// jobs). When the drain picks up two or more routed requests — inside
@@ -1051,14 +993,12 @@ fn shard_loop(
     shared: Arc<[ShardShared]>,
     warm: Vec<(u64, Session)>,
     snapshot_dir: Option<PathBuf>,
-) -> ShardSummary {
+) -> ShardSnapshot {
     let own = &shared[shard_id as usize];
-    let warmed = warm.len() as u64;
-    let mut sessions: HashMap<u64, Session> = warm.into_iter().collect();
     let mut m = ShardMetrics::new();
-    m.registry.add(m.c_warmed, warmed);
+    m.registry.add(m.c_warmed, warm.len() as u64);
+    let mut sessions: HashMap<u64, Session> = warm.into_iter().collect();
     m.registry.set(m.g_live, sessions.len() as f64);
-    let mut requests = 0u64;
     let mut idle_from = Instant::now();
     let mut drained: Vec<Job> = Vec::with_capacity(MAX_DRAIN);
     while let Ok(first) = rx.recv() {
@@ -1103,7 +1043,6 @@ fn shard_loop(
                     let mut replies = Vec::with_capacity(entries.len());
                     for (seq, req) in entries {
                         let begun = Instant::now();
-                        requests += 1;
                         let resp = apply(shard_id, &mut sessions, &req);
                         m.record(&req, &resp, begun);
                         m.registry.set(m.g_live, sessions.len() as f64);
@@ -1125,27 +1064,13 @@ fn shard_loop(
     // Graceful drain: persist this shard's learned state so the next
     // start can `--warm` from it. Written even when empty — a stale
     // snapshot from a previous run must not outlive this drain.
-    let mut snapshotted = 0u64;
     if let Some(dir) = &snapshot_dir {
         match persist_sessions(shard_id, &sessions, dir) {
-            Ok(n) => snapshotted = n,
+            Ok(n) => m.registry.add(m.c_snapshotted, n),
             Err(e) => eprintln!("[serve] shard {shard_id}: drain snapshot failed: {e}"),
         }
     }
-    ShardSummary {
-        shard: shard_id,
-        sessions: m.registry.counter_value(m.c_sessions),
-        requests,
-        predictions: m.registry.counter_value(m.c_predictions),
-        correct: m.registry.counter_value(m.c_correct),
-        errors: m.registry.counter_value(m.c_err_unknown)
-            + m.registry.counter_value(m.c_err_badcfg)
-            + m.registry.counter_value(m.c_err_other),
-        batched: m.registry.counter_value(m.c_batched),
-        coalesced: m.registry.counter_value(m.c_coalesced),
-        warmed,
-        snapshotted,
-    }
+    m.snapshot(shard_id, own)
 }
 
 /// Writes one shard's sessions to `<dir>/shard<k>.nts` (atomic
@@ -1225,21 +1150,6 @@ fn apply(shard_id: u32, sessions: &mut HashMap<u64, Session>, req: &Request) -> 
             s.predictor.update(record);
             Response::Updated {
                 correct: pred.is_correct(record.id()),
-            }
-        }),
-        Request::Batch { session, records } => with_session(sessions, *session, |s| {
-            let mut correct = 0u64;
-            for record in records {
-                let pred = s.predictor.predict();
-                s.stats.score(&pred, record);
-                if pred.is_correct(record.id()) {
-                    correct += 1;
-                }
-                s.predictor.update(record);
-            }
-            Response::BatchDone {
-                predictions: records.len() as u64,
-                correct,
             }
         }),
         Request::Stats { session } => with_session(sessions, *session, |s| Response::StatsOk {
@@ -1489,14 +1399,27 @@ pub fn frame_count(snap: &Snapshot, section: &str) -> u64 {
     })
 }
 
+/// Every typed refusal a snapshot section counted, summed over its
+/// `errors.*` counters (0 when the section is absent).
+pub fn error_count(snap: &Snapshot, section: &str) -> u64 {
+    snap.get(section).map_or(0, |m| {
+        [
+            "errors.unknown_session",
+            "errors.bad_config",
+            "errors.other",
+        ]
+        .iter()
+        .filter_map(|name| m.counter_by_name(name))
+        .sum()
+    })
+}
+
 /// One human-scannable line from a snapshot: uptime, lifetime totals,
 /// and the QPS since `prev`, the previous line's snapshot.
 pub(crate) fn summary_line(prev: &Snapshot, snap: &Snapshot) -> String {
     let zero = MetricsRegistry::new();
     let total = snap.get("total").unwrap_or(&zero);
     let counter = |name: &str| total.counter_by_name(name).unwrap_or(0);
-    let errors =
-        counter("errors.unknown_session") + counter("errors.bad_config") + counter("errors.other");
     let queue: f64 = snap
         .sections()
         .filter(|(name, _)| name.starts_with("shard"))
@@ -1513,7 +1436,7 @@ pub(crate) fn summary_line(prev: &Snapshot, snap: &Snapshot) -> String {
         rate(prev, snap, "server", |s| frame_count(s, "total")),
         queue as u64,
         counter("busy.rejections"),
-        errors,
+        error_count(snap, "total"),
     )
 }
 
@@ -1569,6 +1492,24 @@ mod tests {
         TraceRecord::new(TraceId::new(pc, 0, 0), 8, 0, false, false)
     }
 
+    /// Applies one `Update` per record to `session`, returning how many
+    /// replies said correct.
+    fn apply_updates(
+        sessions: &mut HashMap<u64, Session>,
+        session: u64,
+        records: &[TraceRecord],
+    ) -> u64 {
+        records
+            .iter()
+            .map(
+                |&record| match apply(0, sessions, &Request::Update { session, record }) {
+                    Response::Updated { correct } => u64::from(correct),
+                    other => panic!("update should apply: {other:?}"),
+                },
+            )
+            .sum()
+    }
+
     #[test]
     fn apply_routes_the_session_lifecycle() {
         let mut sessions = HashMap::new();
@@ -1581,7 +1522,7 @@ mod tests {
                 ..
             }
         ));
-        // Hello, then a batch, then stats matching the offline oracle.
+        // Hello, then updates, then stats matching the offline oracle.
         let hello = Request::Hello {
             session: 1,
             bits: 12,
@@ -1606,21 +1547,7 @@ mod tests {
         );
         let records: Vec<TraceRecord> =
             (0..60).map(|k| rec(0x0040_0000 + (k % 3) * 0x40)).collect();
-        let Response::BatchDone {
-            predictions,
-            correct,
-        } = apply(
-            0,
-            &mut sessions,
-            &Request::Batch {
-                session: 1,
-                records: records.clone(),
-            },
-        )
-        else {
-            panic!("batch should complete");
-        };
-        assert_eq!(predictions, 60);
+        let correct = apply_updates(&mut sessions, 1, &records);
         let Response::StatsOk { stats } = apply(0, &mut sessions, &Request::Stats { session: 1 })
         else {
             panic!("stats should answer");
@@ -1646,14 +1573,7 @@ mod tests {
         );
         let records: Vec<TraceRecord> =
             (0..80).map(|k| rec(0x0040_0000 + (k % 4) * 0x40)).collect();
-        apply(
-            0,
-            &mut src,
-            &Request::Batch {
-                session: 7,
-                records: records.clone(),
-            },
-        );
+        apply_updates(&mut src, 7, &records);
 
         // Extract: the session leaves the source map with its bytes.
         let out = apply(
@@ -1755,14 +1675,7 @@ mod tests {
         // The moved session continues in lockstep with the offline
         // oracle: same accumulated stats, same future predictions.
         let more: Vec<TraceRecord> = (0..40).map(|k| rec(0x0040_0000 + (k % 4) * 0x40)).collect();
-        apply(
-            1,
-            &mut dst,
-            &Request::Batch {
-                session: 7,
-                records: more.clone(),
-            },
-        );
+        apply_updates(&mut dst, 7, &more);
         let Response::StatsOk { stats } = apply(1, &mut dst, &Request::Stats { session: 7 }) else {
             panic!("stats should answer");
         };
@@ -1802,38 +1715,43 @@ mod tests {
         let mut sessions = HashMap::new();
         let mut m = ShardMetrics::new();
         let t0 = Instant::now();
-        let reqs: Vec<Request> = vec![
-            Request::Hello {
-                session: 2,
-                bits: 12,
-                depth: 3,
-            },
-            Request::Update {
-                session: 2,
-                record: rec(0x0040_0000),
-            },
-            Request::Batch {
-                session: 2,
-                records: vec![rec(0x0040_0000); 5],
-            },
-            Request::Stats { session: 2 },
-            Request::Stats { session: 99 }, // unknown session
-        ];
+        let mut reqs: Vec<Request> = vec![Request::Hello {
+            session: 2,
+            bits: 12,
+            depth: 3,
+        }];
+        reqs.extend((0..6).map(|_| Request::Update {
+            session: 2,
+            record: rec(0x0040_0000),
+        }));
+        reqs.push(Request::Predict { session: 2 });
+        reqs.push(Request::Stats { session: 2 });
+        reqs.push(Request::Stats { session: 99 }); // unknown session
         for req in &reqs {
             let resp = apply(0, &mut sessions, req);
             m.record(req, &resp, t0);
         }
         let r = &m.registry;
         assert_eq!(r.counter_by_name("frames.hello"), Some(1));
-        assert_eq!(r.counter_by_name("frames.update"), Some(1));
-        assert_eq!(r.counter_by_name("frames.batch"), Some(1));
+        assert_eq!(r.counter_by_name("frames.update"), Some(6));
+        assert_eq!(r.counter_by_name("frames.predict"), Some(1));
         assert_eq!(r.counter_by_name("frames.stats"), Some(2));
-        assert_eq!(r.counter_by_name("predictions"), Some(6));
+        assert_eq!(
+            r.counter_by_name("predictions"),
+            Some(6),
+            "Predict scores nothing"
+        );
+        let mut oracle = NextTracePredictor::new(PredictorConfig::paper(12, 3));
+        let expect = ntp_core::evaluate(&mut oracle, &[rec(0x0040_0000); 6]);
+        assert_eq!(
+            r.counter_by_name("predictions.correct"),
+            Some(expect.correct)
+        );
         assert_eq!(r.counter_by_name("sessions.opened"), Some(1));
         assert_eq!(r.counter_by_name("errors.unknown_session"), Some(1));
         assert_eq!(
             r.histogram_by_name("latency_us.all").unwrap().count(),
-            5,
+            10,
             "every frame lands in the all-frames histogram"
         );
         assert_eq!(r.histogram_by_name("latency_us.stats").unwrap().count(), 2);

@@ -16,9 +16,11 @@
 //! always consumes exactly `4 + len + 8` bytes), so the server can reply
 //! with an [`Response::Error`] and keep the connection alive.
 //!
-//! Request kinds: `Hello`, `Predict`, `Update`, `Batch`, `Stats`,
-//! `Shutdown`. Response kinds mirror them, plus `Busy` (explicit
-//! backpressure when a shard queue is full) and `Error`.
+//! Request kinds: `Hello`, `Predict`, `Update`, `Stats`, `Shutdown`,
+//! `Metrics`, `Migrate`. Response kinds mirror them, plus `Busy`
+//! (explicit backpressure when a shard queue is full) and `Error`. A
+//! retired kind byte decodes exactly like one never assigned: the
+//! request draws a `BadRequest` reply, and the response is refused.
 
 use ntp_core::{PredictorStats, Source, Target};
 use ntp_hash::fnv64;
@@ -30,6 +32,9 @@ use std::io::{Read, Write};
 /// client fails loudly at session setup, not with silently misdecoded
 /// frames later. Version 2 adds the `Migrate`/`MigrateOk` pair — a
 /// purely additive extension, so version-1 clients keep working.
+/// Retiring a kind (`Batch`, 0x04) does not bump it either: a client
+/// that still sends one gets a typed `BadRequest` for that frame, never
+/// a misdecoded one.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Oldest protocol version this build still accepts in `Hello`.
@@ -71,13 +76,6 @@ pub enum Request {
         /// The trace that actually executed.
         record: TraceRecord,
     },
-    /// [`Request::Update`] applied to a whole chunk in one frame.
-    Batch {
-        /// Session identifier.
-        session: u64,
-        /// The trace records, applied in order.
-        records: Vec<TraceRecord>,
-    },
     /// Reads the session's accumulated [`PredictorStats`].
     Stats {
         /// Session identifier.
@@ -117,7 +115,6 @@ impl Request {
             Request::Hello { session, .. }
             | Request::Predict { session }
             | Request::Update { session, .. }
-            | Request::Batch { session, .. }
             | Request::Stats { session }
             | Request::Migrate { session, .. } => Some(*session),
             Request::Shutdown | Request::Metrics => None,
@@ -214,13 +211,6 @@ pub enum Response {
     Updated {
         /// Whether the pre-update prediction named the actual trace.
         correct: bool,
-    },
-    /// A batch applied.
-    BatchDone {
-        /// Predictions scored in this batch (= records sent).
-        predictions: u64,
-        /// Correct predictions in this batch.
-        correct: u64,
     },
     /// The session's accumulated statistics.
     StatsOk {
@@ -550,7 +540,6 @@ fn discard(r: &mut impl Read, n: u64) -> std::io::Result<()> {
 const K_HELLO: u8 = 0x01;
 const K_PREDICT: u8 = 0x02;
 const K_UPDATE: u8 = 0x03;
-const K_BATCH: u8 = 0x04;
 const K_STATS: u8 = 0x05;
 const K_SHUTDOWN: u8 = 0x06;
 const K_METRICS: u8 = 0x07;
@@ -558,7 +547,6 @@ const K_MIGRATE: u8 = 0x08;
 const K_HELLO_OK: u8 = 0x81;
 const K_PREDICTED: u8 = 0x82;
 const K_UPDATED: u8 = 0x83;
-const K_BATCH_DONE: u8 = 0x84;
 const K_STATS_OK: u8 = 0x85;
 const K_BUSY: u8 = 0x86;
 const K_BYE: u8 = 0x87;
@@ -682,15 +670,6 @@ fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
             out.extend_from_slice(&session.to_le_bytes());
             put_record(out, record);
         }
-        Request::Batch { session, records } => {
-            out.reserve(13 + records.len() * 8);
-            out.push(K_BATCH);
-            out.extend_from_slice(&session.to_le_bytes());
-            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for r in records {
-                put_record(out, r);
-            }
-        }
         Request::Stats { session } => {
             out.push(K_STATS);
             out.extend_from_slice(&session.to_le_bytes());
@@ -755,21 +734,6 @@ pub fn decode_request(body: &[u8]) -> Result<Request, String> {
             session: c.u64()?,
             record: get_record(&mut c)?,
         },
-        K_BATCH => {
-            let session = c.u64()?;
-            let count = c.u32()? as usize;
-            if c.bytes.len() != count * 8 {
-                return Err(format!(
-                    "batch count {count} disagrees with payload ({} bytes left)",
-                    c.bytes.len()
-                ));
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(get_record(&mut c)?);
-            }
-            Request::Batch { session, records }
-        }
         K_STATS => Request::Stats { session: c.u64()? },
         K_SHUTDOWN => Request::Shutdown,
         K_METRICS => Request::Metrics,
@@ -841,14 +805,6 @@ fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             out.push(K_UPDATED);
             out.push(u8::from(*correct));
         }
-        Response::BatchDone {
-            predictions,
-            correct,
-        } => {
-            out.push(K_BATCH_DONE);
-            out.extend_from_slice(&predictions.to_le_bytes());
-            out.extend_from_slice(&correct.to_le_bytes());
-        }
         Response::StatsOk { stats } => {
             out.push(K_STATS_OK);
             for v in stats.to_array() {
@@ -914,10 +870,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, String> {
                 1 => true,
                 other => return Err(format!("bad bool {other}")),
             },
-        },
-        K_BATCH_DONE => Response::BatchDone {
-            predictions: c.u64()?,
-            correct: c.u64()?,
         },
         K_STATS_OK => {
             let mut a = [0u64; ntp_core::PREDICTOR_STATS_FIELDS];
@@ -988,10 +940,6 @@ mod tests {
             session: 3,
             record: rec(0x0040_0000, 0b101, 3),
         });
-        roundtrip_req(Request::Batch {
-            session: 9,
-            records: (0..100).map(|k| rec(0x0040_0000 + k * 64, 1, 2)).collect(),
-        });
         roundtrip_req(Request::Stats { session: 0 });
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::Metrics);
@@ -1028,10 +976,6 @@ mod tests {
             source: Source::Secondary,
         });
         roundtrip_resp(Response::Updated { correct: true });
-        roundtrip_resp(Response::BatchDone {
-            predictions: 1000,
-            correct: 997,
-        });
         roundtrip_resp(Response::StatsOk {
             stats: PredictorStats {
                 predictions: 10,
@@ -1179,9 +1123,17 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        // Unknown kind.
+        // Unknown kind, and the retired `Batch` (0x04) and `BatchDone`
+        // (0x84) kinds with well-formed old payloads.
         assert!(decode_request(&[0x7F]).is_err());
         assert!(decode_response(&[0x00]).is_err());
+        let mut batch = [&[0x04][..], &9u64.to_le_bytes(), &1u32.to_le_bytes()].concat();
+        put_record(&mut batch, &rec(0x0040_0000, 0, 0));
+        let batch_err = decode_request(&batch).unwrap_err();
+        assert_eq!(batch_err, "unknown request kind 0x04");
+        let done = [&[0x84][..], &1000u64.to_le_bytes(), &997u64.to_le_bytes()].concat();
+        let done_err = decode_response(&done).unwrap_err();
+        assert_eq!(done_err, "unknown response kind 0x84");
         // Trailing bytes.
         let mut body = encode_request(&Request::Predict { session: 1 });
         body.push(0);
@@ -1200,13 +1152,6 @@ mod tests {
         });
         upd2[1 + 8 + 4] = 0b1111; // branch_bits with branch_count 0
         assert!(decode_request(&upd2).is_err());
-        // Batch count disagreeing with payload.
-        let mut batch = encode_request(&Request::Batch {
-            session: 1,
-            records: vec![rec(0x0040_0000, 0, 0)],
-        });
-        batch[9] = 2; // count field (LE low byte)
-        assert!(decode_request(&batch).unwrap_err().contains("batch count"));
         // Hello with a future protocol version.
         let mut hello = encode_request(&Request::Hello {
             session: 1,

@@ -9,8 +9,8 @@
 //! server — survive to serve the next well-formed request.
 
 use ntp_serve::{
-    config::ServeConfig, run_open_loop, serve, wire, Client, ErrorCode, OpenLoopConfig,
-    OpenLoopReport, Request, Response, SessionSpec, FRAME_KINDS,
+    config::ServeConfig, error_count, frame_count, run_open_loop, serve, wire, Client, ErrorCode,
+    OpenLoopConfig, OpenLoopReport, Request, Response, SessionSpec, FRAME_KINDS,
 };
 use ntp_telemetry::{Snapshot, ToJson};
 use ntp_trace::{TraceId, TraceRecord};
@@ -121,8 +121,8 @@ fn served_matches_oracle(workers: usize) {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.sessions, 6);
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.opened"), 6);
 }
 
 /// Writes one raw frame (length | body | checksum) with an arbitrary body.
@@ -151,9 +151,10 @@ fn read_reply(stream: &mut TcpStream) -> Response {
     wire::decode_response(&body).expect("reply decodes")
 }
 
-/// A malformed body (unknown kind), a checksum-flipped frame, and an
-/// oversized frame each draw a typed error reply — and the **same
-/// connection** then completes a full healthy session.
+/// A malformed body (unknown kind), a well-formed body of the retired
+/// `Batch` kind, a checksum-flipped frame, and an oversized frame each
+/// draw a typed error reply — and the **same connection** then completes
+/// a full healthy session.
 #[test]
 fn hostile_frames_get_error_replies_and_the_connection_survives() {
     let handle = serve(ServeConfig {
@@ -181,6 +182,22 @@ fn hostile_frames_get_error_replies_and_the_connection_survives() {
     write_raw(&mut stream, &[0x01, 9]);
     match read_reply(&mut stream) {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest error, got {other:?}"),
+    }
+
+    // 2b. A well-formed body of the retired `Batch` kind (0x04: session,
+    //     record count, one 8-byte record) is an unknown kind.
+    let mut batch = vec![0x04];
+    batch.extend_from_slice(&42u64.to_le_bytes());
+    batch.extend_from_slice(&1u32.to_le_bytes());
+    batch.extend_from_slice(&0x0040_0000u32.to_le_bytes());
+    batch.extend_from_slice(&[0, 0, 8, 0]);
+    write_raw(&mut stream, &batch);
+    match read_reply(&mut stream) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert_eq!(message, "unknown request kind 0x04");
+        }
         other => panic!("expected BadRequest error, got {other:?}"),
     }
 
@@ -236,12 +253,13 @@ fn hostile_frames_get_error_replies_and_the_connection_survives() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    let summary = handle.join();
+    let last = handle.join();
     assert_eq!(
-        summary.protocol_errors, 4,
-        "all four hostile frames counted"
+        counter(&last, "server", "protocol.errors"),
+        5,
+        "all five hostile frames counted"
     );
-    assert_eq!(summary.sessions, 1);
+    assert_eq!(counter(&last, "total", "sessions.opened"), 1);
 }
 
 /// Requests against a session that never said Hello are refused with
@@ -275,29 +293,62 @@ fn session_lifecycle_errors_are_typed() {
     handle.join();
 }
 
-/// Shutdown drains in-flight work: batches already accepted by a shard
-/// queue are fully applied before the server exits, and the final
-/// summary accounts for every request.
+/// Shutdown drains in-flight work: one write carries 2 000 `Update`
+/// frames, a `Stats` and the `Shutdown`, so updates are still in flight
+/// when the drain begins. Every one is applied and answered in order
+/// before the server exits, and the final snapshot accounts for every
+/// request.
 #[test]
 fn shutdown_drains_in_flight_sessions() {
+    use ntp_core::{evaluate, NextTracePredictor, PredictorConfig, TracePredictor};
+
     let handle = serve(cfg_on("127.0.0.1:0", 2)).expect("bind");
     let addr = handle.local_addr();
 
     let records = synthetic_stream(0xDEAD_BEEF, 2_000);
-    let mut client = Client::connect(addr).expect("connect");
-    client.hello(5, 12, 5).expect("hello");
-    let (mut predictions, mut correct) = (0u64, 0u64);
-    for chunk in records.chunks(250) {
-        let (p, c) = client.batch(5, chunk).expect("batch");
-        predictions += p;
-        correct += c;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_raw(
+        &mut stream,
+        &wire::encode_request(&Request::Hello {
+            session: 5,
+            bits: 12,
+            depth: 5,
+        }),
+    );
+    assert!(matches!(read_reply(&mut stream), Response::HelloOk { .. }));
+
+    // One session's 2 000 frames reach its shard as at most 32 jobs of at
+    // most 64 requests each, well inside the 128-job queue: no `Busy`.
+    let (mut buf, mut frame) = (Vec::new(), Vec::new());
+    let updates = records
+        .iter()
+        .map(|&record| Request::Update { session: 5, record });
+    for req in updates.chain([Request::Stats { session: 5 }, Request::Shutdown]) {
+        wire::frame_request(&mut frame, &req);
+        buf.extend_from_slice(&frame);
     }
-    // Ask for shutdown while the session's stats are still queryable on
-    // the same connection: drain must answer this before exiting.
-    let stats = client.stats(5).expect("stats");
-    assert_eq!(stats.predictions, predictions);
-    assert_eq!(stats.correct, correct);
-    client.shutdown_server().expect("shutdown");
+    stream.write_all(&buf).expect("one write");
+    stream.flush().expect("flush");
+
+    let mut oracle = NextTracePredictor::new(PredictorConfig::paper(12, 5));
+    for (k, rec) in records.iter().enumerate() {
+        let want = oracle.predict().is_correct(rec.id());
+        oracle.update(rec);
+        match read_reply(&mut stream) {
+            Response::Updated { correct } => assert_eq!(correct, want, "update {k}"),
+            Response::Busy => panic!("update {k} was shed during the drain"),
+            other => panic!("update {k}: expected Updated, got {other:?}"),
+        }
+    }
+    let stats = evaluate(
+        &mut NextTracePredictor::new(PredictorConfig::paper(12, 5)),
+        &records,
+    );
+    assert_eq!(read_reply(&mut stream), Response::StatsOk { stats });
+    assert_eq!(read_reply(&mut stream), Response::Bye);
 
     // New connections after the drain began are refused or fail to
     // connect; either way the server exits. (A connect error means the
@@ -312,10 +363,10 @@ fn shutdown_drains_in_flight_sessions() {
         }
     }
 
-    let summary = handle.join();
-    assert_eq!(summary.sessions, 1);
-    // hello + ceil(2000/250) batches + stats + shutdown.
-    assert!(summary.requests > 1 + records.len() as u64 / 250);
+    drop(stream);
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.opened"), 1);
+    assert_eq!(counter(&last, "total", "frames.update"), 2_000);
 }
 
 /// Reads a counter out of a metrics snapshot section.
@@ -397,8 +448,8 @@ fn metrics_frame_counts_served_work_exactly() {
     }
 
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.sessions, 4);
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.opened"), 4);
 }
 
 /// Two snapshots bracket an open-loop run on a server that has already
@@ -432,7 +483,7 @@ fn metrics_deltas_count_an_open_loop_run_exactly() {
     assert_eq!(delta("predictions"), report.applied);
 
     client.shutdown_server().expect("shutdown");
-    assert_eq!(handle.join().sessions, 5);
+    assert_eq!(counter(&handle.join(), "total", "sessions.opened"), 5);
 }
 
 /// A checksum-flipped `Metrics` request draws a `BadFrame` reply and the
@@ -543,12 +594,12 @@ fn metrics_sidecar_serves_text_and_json_over_http() {
     );
 
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.sessions, 1);
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.opened"), 1);
 }
 
 /// The drain path carries per-shard attribution through to the final
-/// summary instead of flattening it.
+/// snapshot instead of flattening it.
 #[test]
 fn drain_reports_per_shard_attribution() {
     let handle = serve(cfg_on("127.0.0.1:0", 2)).expect("bind");
@@ -567,21 +618,60 @@ fn drain_reports_per_shard_attribution() {
     let _ = client.stats(7); // unknown session → a typed error on shard 1
     client.shutdown_server().expect("shutdown");
 
-    let summary = handle.join();
-    assert_eq!(summary.per_shard.len(), 2);
-    let s0 = &summary.per_shard[0];
-    let s1 = &summary.per_shard[1];
-    assert_eq!((s0.shard, s1.shard), (0, 1));
-    assert_eq!((s0.sessions, s1.sessions), (1, 1));
-    assert_eq!((s0.predictions, s1.predictions), (3, 5));
-    assert_eq!((s0.errors, s1.errors), (0, 1));
-    assert!(s0.correct <= 3 && s1.correct <= 5);
+    let last = handle.join();
+    assert!(last.get("shard2").is_none(), "one section per worker");
+    let both = |name: &str| {
+        (
+            counter(&last, "shard0", name),
+            counter(&last, "shard1", name),
+        )
+    };
+    assert_eq!(both("sessions.opened"), (1, 1));
+    assert_eq!(both("predictions"), (3, 5));
+    let errors = (error_count(&last, "shard0"), error_count(&last, "shard1"));
+    assert_eq!(errors, (0, 1));
+    let (c0, c1) = both("predictions.correct");
+    assert!(c0 <= 3 && c1 <= 5);
     assert_eq!(
-        summary.requests,
-        summary.per_shard.iter().map(|s| s.requests).sum::<u64>(),
+        frame_count(&last, "total"),
+        frame_count(&last, "shard0") + frame_count(&last, "shard1"),
         "whole-server totals are the per-shard sums"
     );
-    assert_eq!(summary.sessions, 2);
+    assert_eq!(counter(&last, "total", "sessions.opened"), 2);
+}
+
+/// A draining server keeps serving established connections, idle ones
+/// included: a cluster router reads `draining` over a persistent probe
+/// connection and settles in-flight frames before closing its data
+/// connections (see the server's `# Shutdown` docs). Once the last
+/// connection closes, `join` returns promptly.
+#[test]
+fn draining_server_keeps_serving_established_connections() {
+    let handle = serve(cfg_on("127.0.0.1:0", 2)).expect("bind");
+    let addr = handle.local_addr();
+    let mut a = Client::connect(addr).expect("connect A");
+    a.hello(9, 12, 3).expect("hello on A");
+    Client::connect(addr)
+        .expect("connect B")
+        .shutdown_server()
+        .expect("shutdown on B");
+
+    let snap = a.metrics().expect("metrics on A while draining");
+    assert_eq!(counter(&snap, "server", "draining"), 1);
+    let rec = TraceRecord::new(TraceId::new(0x0040_0000, 0, 0), 8, 0, false, false);
+    a.update(9, &rec).expect("update on A while draining");
+    let stats = a.stats(9).expect("stats on A while draining");
+    assert_eq!(stats.predictions, 1);
+
+    drop(a);
+    let closed = Instant::now();
+    let last = handle.join();
+    assert!(
+        closed.elapsed() < Duration::from_secs(2),
+        "join took {:?} after the last connection closed",
+        closed.elapsed()
+    );
+    assert_eq!(counter(&last, "total", "frames.update"), 1);
 }
 
 /// The batched shard drain at one worker: eight sessions race their
@@ -687,14 +777,12 @@ fn batched_drain_matches_oracle(workers: usize) {
         assert!(scraped > 0, "single-shard drain never batched");
     }
 
+    // An open connection holds the drain until it idles past
+    // `read_timeout` (30 s): close the session connections first.
+    drop(conns);
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.sessions, SESSIONS as u64);
-    assert_eq!(
-        summary.per_shard.iter().map(|s| s.batched).sum::<u64>(),
-        scraped,
-        "drain summary and scraped counter disagree"
-    );
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.opened"), SESSIONS as u64);
 }
 
 /// Graceful drain persists every session to per-shard `.nts` snapshots;
@@ -724,13 +812,16 @@ fn warm_start_resumes_drained_sessions_exactly() {
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     for (i, stream) in first.iter().enumerate() {
         client.hello(i as u64, 12, 3).expect("hello");
-        client.batch(i as u64, stream).expect("batch");
+        for rec in stream {
+            client.update(i as u64, rec).expect("update");
+        }
     }
     let stats0 = client.stats(0).expect("stats 0");
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
+    let last = handle.join();
     assert_eq!(
-        summary.per_shard.iter().map(|s| s.snapshotted).sum::<u64>(),
+        counter(&last, "shard0", "sessions.snapshotted")
+            + counter(&last, "shard1", "sessions.snapshotted"),
         2,
         "both sessions persisted at drain"
     );
@@ -763,7 +854,9 @@ fn warm_start_resumes_drained_sessions_exactly() {
     // Continuing session 1 must match an offline oracle that replays the
     // phase-1 and phase-2 streams back to back on one predictor.
     let more = synthetic_stream(0xBADC_0FFE, 800);
-    client.batch(1, &more).expect("batch after warm start");
+    for rec in &more {
+        client.update(1, rec).expect("update after warm start");
+    }
     let served = client.stats(1).expect("stats 1");
     let mut oracle = NextTracePredictor::new(PredictorConfig::paper(12, 3));
     let mut offline = evaluate(&mut oracle, &first[1]);
@@ -775,14 +868,18 @@ fn warm_start_resumes_drained_sessions_exactly() {
 
     let snap = handle.metrics_snapshot();
     assert_eq!(
-        snap.get("shard0")
-            .and_then(|s| s.counter_by_name("sessions.warmed")),
-        Some(2),
+        counter(&snap, "shard0", "sessions.warmed"),
+        2,
         "warm restores are counted per shard"
     );
+    assert_eq!(
+        counter(&snap, "shard0", "sessions.snapshotted"),
+        0,
+        "nothing is snapshotted before the drain"
+    );
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.per_shard[0].warmed, 2);
+    let last = handle.join();
+    assert_eq!(counter(&last, "shard0", "sessions.warmed"), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -881,13 +978,17 @@ fn dribbled_frames_reassemble_byte_identically() {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.protocol_errors, 0, "dribbling is not an error");
+    let last = handle.join();
+    assert_eq!(
+        counter(&last, "server", "protocol.errors"),
+        0,
+        "dribbling is not an error"
+    );
     assert!(
-        summary.partial_reads > 0,
+        counter(&last, "server", "conn.partial_reads") > 0,
         "dribbled frames must exercise the reassembly path"
     );
-    assert_eq!(summary.sessions, 1);
+    assert_eq!(counter(&last, "total", "sessions.opened"), 1);
 }
 
 /// Pipelining: a client that fires a whole burst of same-session frames
@@ -957,9 +1058,9 @@ fn pipelined_bursts_reply_in_order_and_coalesce() {
         "40-frame bursts into one session must coalesce"
     );
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.protocol_errors, 0);
-    assert!(summary.per_shard[0].coalesced > 0);
+    let last = handle.join();
+    assert_eq!(counter(&last, "server", "protocol.errors"), 0);
+    assert!(counter(&last, "shard0", "drain.coalesced") > 0);
 }
 
 /// Interleaved sessions in one burst, with 1 server worker.
@@ -984,6 +1085,11 @@ enum Expect {
         session: usize,
         correct: bool,
     },
+    /// The served prediction must name this target, from this table.
+    Predicted {
+        target: Option<ntp_core::Target>,
+        source: ntp_core::Source,
+    },
     BadFrame,
     /// A metrics snapshot counting exactly this many applied updates.
     Metrics {
@@ -992,12 +1098,14 @@ enum Expect {
 }
 
 /// Bursts whose sessions cycle 0–4, so no two consecutive frames share a
-/// session, each carrying a checksum-flipped frame and a `Metrics` frame
-/// mid-burst, all in one write: every reply comes back in request order
-/// and matches its session's lockstep oracle, the corrupt frame gets its
-/// typed error in its own slot without costing the connection, and the
-/// `Metrics` reply counts exactly the updates sent ahead of it. On one
-/// worker the frames of a burst reach the shard as multi-entry jobs.
+/// session, each carrying a checksum-flipped frame, two `Predict` frames
+/// and a `Metrics` frame mid-burst, all in one write: every reply comes
+/// back in request order and matches its session's lockstep oracle (a
+/// `Predicted` reply's target and source included), the corrupt frame
+/// gets its typed error in its own slot without costing the connection,
+/// and the `Metrics` reply counts exactly the updates sent ahead of it.
+/// On one worker the frames of a burst reach the shard as multi-entry
+/// jobs.
 #[cfg(target_os = "linux")]
 fn interleaved_burst_replies_in_order(workers: usize) {
     use ntp_core::{NextTracePredictor, PredictorConfig, TracePredictor};
@@ -1005,6 +1113,7 @@ fn interleaved_burst_replies_in_order(workers: usize) {
     const BURST: usize = 40;
     const CORRUPT_AT: usize = 13;
     const METRICS_AT: usize = 27;
+    const PREDICT_AT: [usize; 2] = [6, 34];
 
     let handle = serve(cfg_on("127.0.0.1:0", workers)).expect("bind");
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
@@ -1045,6 +1154,19 @@ fn interleaved_burst_replies_in_order(workers: usize) {
                 wire::frame_request(&mut frame, &Request::Metrics);
                 buf.extend_from_slice(&frame);
                 expect.push(Expect::Metrics { updates });
+            } else if PREDICT_AT.contains(&k) {
+                let pred = oracles[session].predict();
+                wire::frame_request(
+                    &mut frame,
+                    &Request::Predict {
+                        session: session as u64,
+                    },
+                );
+                buf.extend_from_slice(&frame);
+                expect.push(Expect::Predicted {
+                    target: pred.target,
+                    source: pred.source,
+                });
             } else {
                 let rec = records[session].next().expect("stream long enough");
                 let correct = oracles[session].predict().is_correct(rec.id());
@@ -1069,6 +1191,19 @@ fn interleaved_burst_replies_in_order(workers: usize) {
                     assert_eq!(
                         got, *correct,
                         "burst {burst} reply {k} (session {session}) out of order or wrong"
+                    )
+                }
+                (
+                    Expect::Predicted { target, source },
+                    Response::Predicted {
+                        target: t,
+                        source: s,
+                    },
+                ) => {
+                    assert_eq!(
+                        (t, s),
+                        (*target, *source),
+                        "burst {burst} reply {k}: served prediction differs from the oracle's"
                     )
                 }
                 (
@@ -1098,6 +1233,10 @@ fn interleaved_burst_replies_in_order(workers: usize) {
     };
     let snap = decode_exactly(&json);
     assert_eq!(counter(&snap, "total", "frames.update"), updates);
+    assert_eq!(
+        counter(&snap, "total", "frames.predict"),
+        6 * PREDICT_AT.len() as u64
+    );
     if workers == 1 {
         assert!(
             counter(&snap, "shard0", "drain.coalesced") > 0,
@@ -1110,8 +1249,8 @@ fn interleaved_burst_replies_in_order(workers: usize) {
         .expect("connect")
         .shutdown_server()
         .expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.protocol_errors, 6);
+    let last = handle.join();
+    assert_eq!(counter(&last, "server", "protocol.errors"), 6);
 }
 
 /// A silent connection is dropped once it has been idle past
@@ -1177,8 +1316,8 @@ fn idle_connection_is_reaped_while_another_stays_busy() {
     let snap = client.metrics().expect("metrics");
     assert!(counter(&snap, "server", "conn.read_timeouts") >= 1);
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert!(summary.read_timeouts >= 1);
+    let last = handle.join();
+    assert!(counter(&last, "server", "conn.read_timeouts") >= 1);
 }
 
 /// Open-loop determinism: two runs with the same seed, rate, zipf and
@@ -1260,7 +1399,7 @@ fn corrupt_warm_snapshot_falls_back_to_cold_start() {
     }
     client.hello(0, 12, 3).expect("cold server still serves");
     client.shutdown_server().expect("shutdown");
-    let summary = handle.join();
-    assert_eq!(summary.per_shard.iter().map(|s| s.warmed).sum::<u64>(), 0);
+    let last = handle.join();
+    assert_eq!(counter(&last, "total", "sessions.warmed"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

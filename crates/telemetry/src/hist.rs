@@ -124,8 +124,9 @@ impl Histogram {
 
     /// An upper bound on the `q`-quantile (0.0..=1.0): the inclusive top of
     /// the first bucket at which the cumulative count reaches
-    /// `ceil(q * count)`. Exact to within the pow-2 bucket resolution.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
+    /// `ceil(q * count)`. Exact to within the pow-2 bucket resolution; 0
+    /// when empty.
+    pub(crate) fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -140,28 +141,21 @@ impl Histogram {
         self.max
     }
 
-    /// The `q`-quantile (0.0..=1.0), as an upper bound exact to the
-    /// pow-2 bucket resolution — an alias of
-    /// [`Histogram::quantile_upper_bound`] with the ergonomic name the
-    /// latency reports use. 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.quantile_upper_bound(q)
-    }
-
-    /// Median upper bound (`quantile(0.5)`).
+    /// Median upper bound, exact to the pow-2 bucket resolution; 0 when
+    /// empty.
     pub fn p50(&self) -> u64 {
-        self.quantile(0.5)
+        self.quantile_upper_bound(0.5)
     }
 
-    /// 99th-percentile upper bound (`quantile(0.99)`).
+    /// 99th-percentile upper bound.
     pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
+        self.quantile_upper_bound(0.99)
     }
 
-    /// 99.9th-percentile upper bound (`quantile(0.999)`) — the overload
-    /// tail the serving reports lead with.
+    /// 99.9th-percentile upper bound — the overload tail the serving
+    /// reports lead with.
     pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
+        self.quantile_upper_bound(0.999)
     }
 
     /// Iterates non-empty buckets as `(lo, hi_inclusive, count)`.
@@ -321,7 +315,7 @@ mod tests {
     #[test]
     fn quantile_accessors_on_empty_histogram() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile_upper_bound(0.5), 0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
         assert_eq!(h.p999(), 0);
@@ -341,7 +335,7 @@ mod tests {
         h.record(1 << 30);
         assert_eq!(h.p99(), 15, "p99 bounded by the fast bucket [8,16)");
         assert_eq!(h.p999(), 8191, "p99.9 bounded by the slow bucket");
-        assert_eq!(h.quantile(1.0), 1 << 30);
+        assert_eq!(h.quantile_upper_bound(1.0), 1 << 30);
         let json = crate::ToJson::to_json(&h).render();
         assert!(json.contains(r#""p999":8191"#), "p999 serialized: {json}");
     }
@@ -353,10 +347,10 @@ mod tests {
             h.record(5); // all samples in [4,8)
         }
         // Every quantile lands in the one occupied bucket, clamped to max.
-        assert_eq!(h.quantile(0.0), 5);
+        assert_eq!(h.quantile_upper_bound(0.0), 5);
         assert_eq!(h.p50(), 5);
         assert_eq!(h.p99(), 5);
-        assert_eq!(h.quantile(1.0), 5);
+        assert_eq!(h.quantile_upper_bound(1.0), 5);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct HistogramId(usize);
 /// m.add(fetches, 3);
 /// m.set(ipc, 5.4);
 /// m.observe(lens, 16);
-/// assert_eq!(m.counter_value(fetches), 3);
+/// assert_eq!(m.counter_by_name("engine.fetches"), Some(3));
 /// assert!(m.to_json().render().contains("engine.ipc"));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -115,16 +115,6 @@ impl MetricsRegistry {
     /// still merging additively across registries.
     pub fn set_counter(&mut self, id: CounterId, v: u64) {
         self.counters[id.0] = v;
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
-    /// Read access to a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.hists[id.0]
     }
 
     /// Folds an externally maintained histogram into one of this
@@ -286,7 +276,6 @@ mod tests {
         assert_eq!(a, b);
         m.inc(a);
         m.add(b, 2);
-        assert_eq!(m.counter_value(a), 3);
         assert_eq!(m.counter_by_name("x"), Some(3));
         assert_eq!(m.counter_by_name("y"), None);
     }
@@ -309,8 +298,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter_by_name("shared"), Some(12));
         assert_eq!(a.counter_by_name("only_b"), Some(1));
-        let h = a.histogram("h");
-        assert_eq!(a.histogram_ref(h).count(), 1);
+        assert_eq!(a.histogram_by_name("h").map(Histogram::count), Some(1));
         assert_eq!(a.gauge_by_name("g"), Some(1.5));
     }
 

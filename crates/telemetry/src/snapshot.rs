@@ -68,16 +68,6 @@ impl Snapshot {
         self.sections.iter().map(|(n, m)| (n.as_str(), m))
     }
 
-    /// Number of sections.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// True when no sections have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
-
     /// Rebuilds a snapshot from its [`ToJson`] form, sections in order.
     /// Every rendered snapshot decodes and renders back to the same
     /// bytes.
@@ -192,7 +182,7 @@ mod tests {
         let s1 = json.find("shard1").unwrap();
         let s0 = json.find("shard0").unwrap();
         assert!(s1 < s0, "insertion order preserved: {json}");
-        assert_eq!(snap.len(), 2);
+        assert_eq!(snap.sections().count(), 2);
         assert_eq!(
             snap.get("shard0")
                 .unwrap()

@@ -6,7 +6,10 @@
 //! ports, per-case snapshot directories) behind an `ntp_cluster`
 //! router, then replays generated streams for several sessions in
 //! lockstep: every `Update` reply's `correct` bit must equal what the
-//! local predictor says for that exact record. Mid-stream the case
+//! local predictor says for that exact record. Before a seeded quarter
+//! of the `Update`s, and for every session at the first step after each
+//! disruption, a `Predict` frame reads the served prediction, whose
+//! target and source must equal the local predictor's. Mid-stream the case
 //! forces one **live migration** (the session the ring placed on one
 //! backend moves to the other) and one **graceful failover** (the
 //! backend now hosting the migrated session drains, as under SIGTERM,
@@ -128,6 +131,9 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
         let migrate_to = 1 - ring.route(ids[0]);
         let migrate_at = rng.range(10, stream_len as u64 / 2) as usize;
         let failover_at = rng.range(migrate_at as u64 + 1, stream_len as u64 - 1) as usize;
+        // Which steps also read the served prediction: forked after every
+        // draw above, so the case's shape does not depend on it.
+        let mut probes = rng.fork(0);
         let mut drained = {
             let mut slots: Vec<_> = backends.into_iter().map(Some).collect();
             move |k: usize| slots[k].take().expect("backend drained once")
@@ -166,13 +172,34 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
             for s in 0..sessions {
                 let r = &streams[s][i];
                 let pred = locals[s].predict();
+                let mut detail = None;
+                // The first step after a disruption reads every session's
+                // moved or restored state before updating it.
+                if probes.chance(1, 4) || i == migrate_at || i == failover_at {
+                    let (target, source) =
+                        client.predict(ids[s]).expect("predict through the router");
+                    comparisons += 1;
+                    if (target, source) != (pred.target, pred.source) {
+                        detail = Some(format!(
+                            "served predicted {target:?} from {source:?}, local replay \
+                             predicted {:?} from {:?}",
+                            pred.target, pred.source
+                        ));
+                    }
+                }
                 let before = local_stats[s].correct;
                 local_stats[s].score(&pred, r);
                 locals[s].update(r);
                 let local_correct = local_stats[s].correct > before;
                 let served_correct = client.update(ids[s], r).expect("update through the router");
                 comparisons += 1;
-                if served_correct != local_correct {
+                if detail.is_none() && served_correct != local_correct {
+                    detail = Some(format!(
+                        "served said correct={served_correct}, local replay said \
+                         correct={local_correct}"
+                    ));
+                }
+                if let Some(detail) = detail {
                     divergences.push(Divergence {
                         oracle: NAME,
                         seed,
@@ -183,10 +210,7 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
                              failover@{failover_at}",
                             ids[s]
                         ),
-                        detail: format!(
-                            "served said correct={served_correct}, local replay said \
-                             correct={local_correct}"
-                        ),
+                        detail,
                     });
                     let _ = client.shutdown_server();
                     router.join();
@@ -222,9 +246,15 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
 
         client.shutdown_server().expect("cluster shutdown");
         drop(client);
-        let summary = router.join();
+        let last = router.join();
+        let [migrations, failovers, lost] =
+            ["migrations", "failovers", "sessions_lost"].map(|name| {
+                last.get("router")
+                    .and_then(|r| r.counter_by_name(&format!("route.{name}")))
+                    .unwrap_or(0)
+            });
         comparisons += 1;
-        if summary.migrations != 1 || summary.failovers != 1 || summary.sessions_lost != 0 {
+        if [migrations, failovers, lost] != [1, 1, 0] {
             divergences.push(Divergence {
                 oracle: NAME,
                 seed,
@@ -232,9 +262,8 @@ pub fn cluster_lockstep(seed: u64, cases: usize) -> OracleOutcome {
                 index: None,
                 config: format!("{cfg:?} migrate@{migrate_at} failover@{failover_at}"),
                 detail: format!(
-                    "router accounting off: {} migrations, {} failovers, {} lost \
-                     (wanted 1/1/0)",
-                    summary.migrations, summary.failovers, summary.sessions_lost
+                    "router accounting off: {migrations} migrations, {failovers} failovers, \
+                     {lost} lost (wanted 1/1/0)"
                 ),
             });
         }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc, the tier-1 build+test, the
 # benchmark's own build+test (perfbench/), a tiny-scale experiments smoke that validates the emitted BENCH_*.json
-# reports (parse + determinism), a loopback serving smoke that
+# reports (parse + determinism), a default-scale experiments run diffed
+# against its checked-in reference, a loopback serving smoke that
 # diffs served statistics against the offline oracle (SERVING.md), and
 # a .nts snapshot gate (save/verify/warm-serve/drain round trip plus
 # corruption refusal).
@@ -109,6 +110,29 @@ for f in "$out_a"/BENCH_*.json; do
     fi
 done
 echo "all reports byte-identical after stripping volatiles"
+
+say "paper numbers: default-scale experiments stdout equals the reference"
+# The paper's numbers are diffed against scripts/experiments.default.txt,
+# not copied by hand: default scale, 2 threads, no trace cache (about
+# 12 s wall on a 2-core host). A change that moves a paper number
+# updates the reference and EXPERIMENTS.md in the same diff.
+mktmp out_ref
+env -u NTP_SCALE NTP_TRACE_CACHE=0 NTP_THREADS=2 \
+    cargo run --release -q -p ntp-bench --bin experiments >"$out_ref/stdout.txt"
+if ! diff scripts/experiments.default.txt "$out_ref/stdout.txt" >"$out_ref/diff.txt"; then
+    cat "$out_ref/diff.txt"
+    echo "tables that moved:"
+    # Each hunk ("12,14c12,15", "30d29", "40a41,42") starts at a
+    # reference line; name the last `==== ... ====` heading at or above it.
+    { grep -oE '^[0-9]+' "$out_ref/diff.txt" || true; } \
+        | awk 'NR == FNR { if ($0 ~ /^==== .* ====$/) head[FNR] = $0; next }
+               { for (k = $1; k > 0 && !(k in head); k--) {}
+                 if (k in head && !(k in seen)) { seen[k] = 1; print "  " head[k] } }' \
+            scripts/experiments.default.txt -
+    echo "default-scale experiments stdout differs from scripts/experiments.default.txt"
+    exit 1
+fi
+echo "$(wc -l <"$out_ref/stdout.txt") lines byte-identical to the reference"
 
 say "CLI report round-trip"
 cargo run --release -q -p ntp-cli -- report @compress --budget 300000 --json - \
