@@ -110,7 +110,7 @@ fn usage() -> String {
      ntp loadgen [--addr host:port] [--sessions N] [--clients N] \
      [--bits B] [--depth D] [--shutdown] [--json <path|->] \
      [--rate R] [--duration S] [--zipf Z] [--seed S]\n  \
-     ntp top [--addr host:port] [--interval S] [--once] [--json] [--cluster] [--shutdown]\n  \
+     ntp top [--addr host:port] [--interval S] [--once] [--json] [--shutdown]\n  \
      ntp workloads"
         .to_string()
 }
@@ -968,9 +968,9 @@ fn cmd_route(args: &Args) -> Result<(), String> {
 /// first is measured against an empty snapshot at uptime 0, so it reads
 /// the mean since start. With `--json` each poll prints the snapshot
 /// instead of the table; `--once` polls a single time, and
-/// `--shutdown` drains the server after the final poll. `--cluster`
-/// points it at an `ntp route` process instead, rendering the `route.*`
-/// counters and the per-backend forwarding/latency table.
+/// `--shutdown` drains the server after the final poll. Pointed at an
+/// `ntp route` process (a snapshot with a `router` section), it renders
+/// the `route.*` counters and the per-backend forwarding/latency table.
 fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args
         .flag_str("--addr")
@@ -980,19 +980,12 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| Duration::from_secs(2));
     let once = args.has("--once");
     let as_json = args.has("--json");
-    let cluster = args.has("--cluster");
 
     let mut client = ntp_serve::Client::connect(addr)
         .map_err(|e| format!("top: cannot connect to {addr}: {e}"))?;
     let mut prev = Snapshot::new();
     loop {
         let snap = client.metrics().map_err(|e| format!("top: {e}"))?;
-        if cluster && snap.get("router").is_none() {
-            return Err(format!(
-                "top: {addr} is not a router (no `router` metrics section) — \
-                 drop --cluster or point --addr at an `ntp route` process"
-            ));
-        }
         if as_json {
             println!("{}", snap.to_json().pretty());
         } else {
@@ -1000,7 +993,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
                 // Repaint in place, like top(1).
                 print!("\x1b[H\x1b[2J");
             }
-            if cluster {
+            if snap.get("router").is_some() {
                 print_cluster_top(addr, &prev, &snap);
             } else {
                 print_top(addr, &prev, &snap);
@@ -1096,7 +1089,7 @@ fn print_top(addr: &str, prev: &Snapshot, snap: &Snapshot) {
     row("total", "total", queue_sum);
 }
 
-/// Renders one router metrics snapshot as the `ntp top --cluster`
+/// Renders one router metrics snapshot as the cluster `ntp top`
 /// table: the `route.*` counters up top, one row per backend below
 /// (its QPS since `prev`, the previous poll's snapshot, then cumulative
 /// counts and latency percentiles).

@@ -7,10 +7,10 @@
 //!   consistent-hash ring ([`HashRing`]: FNV-1a-64 points, `vnodes` per
 //!   member), so any router instance given the same backend list agrees
 //!   on every placement without coordination;
-//! * **forwarding** — the length-framed wire protocol is relayed
-//!   verbatim over per-client-connection pipelined backend connections,
-//!   preserving per-session request/reply order (the invariant that
-//!   keeps served statistics in lockstep with the offline
+//! * **forwarding** — on `ntp-serve`'s event loops, each relaying the
+//!   wire protocol verbatim over its own pipelined connection to each
+//!   backend, preserving per-session request/reply order (the invariant
+//!   that keeps served statistics in lockstep with the offline
 //!   `ntp_core::evaluate` oracle);
 //! * **live migration** — protocol v2 `Migrate`/`MigrateOk` frames move
 //!   a frozen, settled session between backends as a checksummed

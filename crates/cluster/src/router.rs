@@ -2,39 +2,28 @@
 //!
 //! # Data plane
 //!
-//! Each accepted client connection gets a **forwarder/relay thread
-//! pair** joined by an in-order queue:
-//!
-//! * the *forwarder* reads client frames, answers router-level requests
-//!   (`Metrics`, `Shutdown`) itself, places session-bearing frames
-//!   through the placement table (falling back to the consistent-hash
-//!   [`HashRing`]), writes the raw frame bytes to a lazily-opened
-//!   per-connection backend connection, and pushes a ticket onto the
-//!   queue;
-//! * the *relay* pops tickets in order, reads exactly one reply frame
-//!   from the named backend connection, and writes it back to the
-//!   client verbatim (the reply is already framed and checksummed — the
-//!   router never re-encodes what it merely forwards).
-//!
-//! Because each backend connection is private to one client connection
-//! and both the queue and every TCP stream are FIFO, replies reach the
-//! client in request order — which implies per-session order, the
-//! invariant the offline-oracle lockstep checks depend on. (This is a
-//! deliberate thread-per-connection design: the serving crate's epoll
-//! frontend is private to `ntp-serve`, and the router's per-frame work —
-//! two reads, two writes — is far from the connection counts where a
-//! readiness loop pays for itself. SERVING.md § Cluster spells out the
-//! trade.)
+//! The router is a server whose shards are remote: it runs on
+//! `ntp-serve`'s acceptor and event loops ([`ntp_serve::serve_routed`])
+//! with `Core` as their [`Directory`]. A loop places each
+//! session-bearing frame through the placement table (falling back to
+//! the consistent-hash [`HashRing`]) and writes the raw frame to its own
+//! connection to that backend; each reply settles the oldest frame in
+//! flight there and goes back verbatim, slotted by the request's
+//! sequence number. Replies thus reach the client in request order —
+//! which implies per-session order, the invariant the offline-oracle
+//! lockstep checks depend on. A frozen session's frames park with the
+//! loop that read them; no thread blocks.
 //!
 //! # Control plane
 //!
-//! A session can be **migrated** live: the router freezes it (new
-//! frames block in the forwarder), waits for in-flight replies to
-//! drain, extracts it from the source backend (`Migrate` with no
-//! payload), installs the returned checksummed snapshot into the target
-//! (`Migrate` with payload), repoints the placement table, and thaws.
-//! Per-prediction statistics ride inside the snapshot, so served stats
-//! stay in lockstep with the offline oracle across the move.
+//! A session can be **migrated** live: the router freezes it (its new
+//! frames park in the loops), waits for in-flight replies to drain,
+//! extracts it from the source backend (`Migrate` with no payload),
+//! installs the returned checksummed snapshot into the target (`Migrate`
+//! with payload), repoints the placement table, and thaws, which wakes
+//! every loop to send the parked frames. Per-prediction statistics ride
+//! inside the snapshot, so served stats stay in lockstep with the
+//! offline oracle across the move.
 //!
 //! A probe thread polls each backend's `Metrics` frame. A backend
 //! reporting `draining: 1` (e.g. SIGTERM) is **failed over
@@ -51,17 +40,15 @@
 
 use crate::ring::HashRing;
 use ntp_serve::client::Client;
-use ntp_serve::wire::{self, ErrorCode, Request, Response, WireError};
-use ntp_serve::DRAIN_MARKER;
+use ntp_serve::{Directory, LoopWaker, ServeConfig, ServerHandle, Settled, DRAIN_MARKER};
 use ntp_telemetry::{CounterId, HistogramId, MetricsRegistry, Snapshot, ToJson};
 use ntp_tracefile::{encode_session_wire, read_snapshot_file, SessionSnapshot, SNAPSHOT_EXT};
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,10 +58,15 @@ pub const DEFAULT_VNODES: usize = 64;
 /// Default backend health-probe period.
 pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Default cap on reply frames read from a backend (8 MiB): `MigrateOk`
-/// carries a whole serialized session, which outgrows the 1 MiB
-/// client default long before the paper-point configs do.
+/// Cap on reply frames a control client reads from a backend (8 MiB):
+/// `MigrateOk` carries a whole serialized session, which outgrows the
+/// 1 MiB client default long before the paper-point configs do.
 pub const DEFAULT_BACKEND_MAX_FRAME: u32 = 8 << 20;
+
+/// Connect timeout of a probe and of a loop's data connection — the one
+/// blocking call a router loop makes, so what a blackholed backend costs
+/// the loop per attempt until the probe fails it over.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One backend as configured: where it listens and where (if anywhere)
 /// it writes its `shard<k>.nts` snapshots — the directory failover
@@ -118,12 +110,7 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Backend health-probe period.
     pub probe_interval: Duration,
-    /// Largest accepted client frame body, in bytes.
-    pub max_frame: u32,
-    /// Largest accepted backend *reply* body (must fit a migrated
-    /// session snapshot).
-    pub backend_max_frame: u32,
-    /// Concurrent client-connection limit.
+    /// Concurrent client-connection limit (checked by `ServeConfig::validate`).
     pub max_conns: usize,
     /// Optional scripted migration.
     pub migrate_trigger: Option<MigrateTrigger>,
@@ -137,14 +124,12 @@ impl RouterConfig {
             backends,
             vnodes: DEFAULT_VNODES,
             probe_interval: DEFAULT_PROBE_INTERVAL,
-            max_frame: ntp_serve::config::DEFAULT_MAX_FRAME,
-            backend_max_frame: DEFAULT_BACKEND_MAX_FRAME,
             max_conns: 64,
             migrate_trigger: None,
         }
     }
 
-    /// Rejects nonsensical configurations with a one-line diagnostic.
+    /// Rejects nonsensical router settings with a one-line diagnostic.
     pub fn validate(&self) -> Result<(), String> {
         if self.backends.is_empty() {
             return Err("route: at least one backend is required".into());
@@ -152,20 +137,8 @@ impl RouterConfig {
         if self.vnodes == 0 {
             return Err("route: vnodes must be >= 1".into());
         }
-        if self.max_conns == 0 {
-            return Err("route: max_conns must be >= 1".into());
-        }
         if self.probe_interval.is_zero() {
             return Err("route: probe_interval must be > 0".into());
-        }
-        for cap in [self.max_frame, self.backend_max_frame] {
-            if !(wire::MIN_FRAME_CAP..=wire::HARD_FRAME_CAP).contains(&cap) {
-                return Err(format!(
-                    "route: frame cap {cap} outside [{}, {}]",
-                    wire::MIN_FRAME_CAP,
-                    wire::HARD_FRAME_CAP
-                ));
-            }
         }
         if let Some(t) = &self.migrate_trigger {
             match t.to {
@@ -195,15 +168,14 @@ impl RouterConfig {
 struct SessionState {
     /// Owning backend index.
     backend: u32,
-    /// Frames forwarded but not yet relayed back.
+    /// Frames placed but not yet settled.
     outstanding: u32,
-    /// Frozen by a migration or failover: forwarders wait instead of
-    /// forwarding.
+    /// Frozen by a migration or failover: the loops park its frames.
     frozen: bool,
     /// `(bits, depth)` from the last `Hello`, for cold restarts when a
     /// failover finds no snapshot.
     hello: Option<(u32, u32)>,
-    /// Frames forwarded so far (drives [`MigrateTrigger`]).
+    /// Frames placed so far (drives [`MigrateTrigger`]).
     frames: u64,
 }
 
@@ -216,8 +188,6 @@ struct RouteCounters {
     errors: AtomicU64,
     sessions_lost: AtomicU64,
     sessions_restored: AtomicU64,
-    accepted: AtomicU64,
-    refused: AtomicU64,
 }
 
 /// Per-backend cumulative metrics.
@@ -243,10 +213,12 @@ impl BackendMetrics {
     }
 }
 
-/// The shared router core every thread hangs off.
+/// The router's directory and control plane, shared by the event loops,
+/// the probe and migration threads and the handle.
 struct Core {
     cfg: RouterConfig,
-    addr: SocketAddr,
+    /// This core, for the thread a scripted migration runs on.
+    me: Weak<Core>,
     ring: Mutex<HashRing>,
     /// The placement table; guarded with `settled` so freeze/thaw and
     /// outstanding-drain waits share one notification channel.
@@ -254,85 +226,24 @@ struct Core {
     settled: Condvar,
     /// Per-backend liveness; flipped off exactly once per failover.
     alive: Vec<AtomicBool>,
-    /// Registered router→backend data connections, per client
-    /// connection: failover shuts these down so a draining backend's
-    /// connection count reaches zero (its drain completes only then).
-    conns: Mutex<HashMap<u64, Vec<Option<TcpStream>>>>,
-    next_conn_id: AtomicU64,
-    active_conns: AtomicUsize,
+    /// Every loop's data connection, with its backend: failover shuts
+    /// these down so a draining backend's connection count reaches zero
+    /// (its drain completes only then) and a dead one's frames in flight
+    /// fail at once. An entry dies with its loop's connection.
+    data_conns: Mutex<Vec<(u32, Weak<TcpStream>)>>,
+    /// Wakes the loops at a thaw, to send the frames they parked.
+    loops: OnceLock<LoopWaker>,
+    /// Set once the router drains; the probe exits on it.
     drain: AtomicBool,
     counters: RouteCounters,
     metrics: Mutex<Vec<BackendMetrics>>,
     trigger_fired: AtomicBool,
-    start: Instant,
-}
-
-/// What the forwarder hands its relay, strictly in reply order.
-enum RelayItem {
-    /// A router-answered reply (metrics, errors, `Bye`).
-    Direct(Response),
-    /// The relay's read half of a freshly opened backend connection
-    /// (always queued before the first ticket that needs it).
-    BackendConn { backend: u32, stream: TcpStream },
-    /// One forwarded frame: read one reply from `backend`, pass it on.
-    Forwarded {
-        backend: u32,
-        session: u64,
-        t0: Instant,
-    },
 }
 
 impl Core {
-    /// Places one session-bearing frame: blocks while the session is
-    /// frozen, assigns unknown sessions through the ring, bumps the
-    /// in-flight count, and returns `(backend, frames_so_far)`.
-    fn place(&self, session: u64, hello: Option<(u32, u32)>) -> (u32, u64) {
-        let mut map = self.sessions.lock().expect("sessions lock");
-        loop {
-            match map.get_mut(&session) {
-                Some(st) if st.frozen => {
-                    map = self.settled.wait(map).expect("sessions lock");
-                }
-                Some(st) => {
-                    st.outstanding += 1;
-                    st.frames += 1;
-                    if hello.is_some() {
-                        st.hello = hello;
-                    }
-                    return (st.backend, st.frames);
-                }
-                None => {
-                    let backend = self.ring.lock().expect("ring lock").route(session);
-                    map.insert(
-                        session,
-                        SessionState {
-                            backend,
-                            outstanding: 1,
-                            frozen: false,
-                            hello,
-                            frames: 1,
-                        },
-                    );
-                    return (backend, 1);
-                }
-            }
-        }
-    }
-
-    /// Marks one in-flight frame of `session` settled (relayed back or
-    /// failed) and wakes every waiter.
-    fn unplace(&self, session: u64) {
-        let mut map = self.sessions.lock().expect("sessions lock");
-        if let Some(st) = map.get_mut(&session) {
-            st.outstanding = st.outstanding.saturating_sub(1);
-        }
-        self.settled.notify_all();
-    }
-
     /// Waits until none of `ids` has an in-flight frame. False on
     /// timeout (an in-flight reply that never settles — a wedged
-    /// backend connection times out through its socket deadline, which
-    /// feeds back here as an error-settled frame).
+    /// backend is failed over hard, which fails its frames in flight).
     fn wait_settled(&self, ids: &[u64], timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut map = self.sessions.lock().expect("sessions lock");
@@ -355,7 +266,8 @@ impl Core {
         }
     }
 
-    /// Thaws `ids` (whatever subset still exists) and wakes waiters.
+    /// Thaws `ids` (whatever subset still exists), wakes waiters, and
+    /// wakes every loop to send the frames it parked.
     fn thaw(&self, ids: &[u64]) {
         let mut map = self.sessions.lock().expect("sessions lock");
         for id in ids {
@@ -364,28 +276,33 @@ impl Core {
             }
         }
         self.settled.notify_all();
+        if let Some(loops) = self.loops.get() {
+            loops.wake_all();
+        }
     }
 
-    /// Opens a data connection to backend `k` (long deadlines: these
-    /// carry pipelined traffic, not probes).
-    fn connect_backend(&self, k: u32) -> std::io::Result<TcpStream> {
-        if !self.alive[k as usize].load(Ordering::SeqCst) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                format!("backend {k} is down"),
-            ));
+    /// Runs a due scripted migration on its own thread. `to: None`
+    /// resolves against where the session lives *now*: always a real
+    /// move.
+    fn spawn_migration(&self, t: MigrateTrigger) {
+        let Some(core) = self.me.upgrade() else {
+            return;
+        };
+        let spawned = std::thread::Builder::new()
+            .name("ntp-route-migrate".into())
+            .spawn(move || {
+                let to = t.to.unwrap_or_else(|| {
+                    let map = core.sessions.lock().expect("sessions lock");
+                    let from = map.get(&t.session).map_or(0, |st| st.backend);
+                    (from + 1) % core.cfg.backends.len() as u32
+                });
+                if let Err(e) = core.migrate_session(t.session, to) {
+                    eprintln!("[route] scripted migration failed: {e}");
+                }
+            });
+        if spawned.is_err() {
+            self.trigger_fired.store(false, Ordering::SeqCst); // The next frame retries.
         }
-        use std::net::ToSocketAddrs;
-        let spec = &self.cfg.backends[k as usize];
-        let addr =
-            spec.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address")
-            })?;
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
     }
 
     /// A short-lived control client to backend `k` (migrations,
@@ -399,84 +316,19 @@ impl Core {
             Duration::from_secs(15),
         )
         .map_err(|e| format!("backend {k} ({}): {e}", spec.addr))?;
-        client.set_max_frame(self.cfg.backend_max_frame);
+        client.set_max_frame(DEFAULT_BACKEND_MAX_FRAME);
         Ok(client)
     }
 
-    /// Shuts down every registered router→backend connection to `k`
-    /// (both directions, so blocked relays unblock too).
+    /// Shuts down every loop's data connection to `k` (both directions:
+    /// each loop reads EOF and fails whatever is still in flight there).
     fn close_backend_conns(&self, k: u32) {
-        let mut conns = self.conns.lock().expect("conns lock");
-        for per_backend in conns.values_mut() {
-            if let Some(stream) = per_backend[k as usize].take() {
+        let conns = self.data_conns.lock().expect("data conns lock");
+        for (_, conn) in conns.iter().filter(|(b, _)| *b == k) {
+            if let Some(stream) = conn.upgrade() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
-    }
-
-    /// Records one relayed reply in backend `k`'s metrics.
-    fn record(&self, k: u32, latency: Duration, is_error: bool) {
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        let bm = &mut metrics[k as usize];
-        bm.reg.inc(bm.c_forwarded);
-        if is_error {
-            bm.reg.inc(bm.c_errors);
-        }
-        bm.reg.observe(bm.h_latency, us);
-    }
-
-    /// The router's merged metrics snapshot, shaped like a server's: a
-    /// `router` section and one `backend<k>` section per backend, so
-    /// `ntp top --cluster` and the scrape tooling read one schema.
-    fn metrics_snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::new();
-        let mut router = MetricsRegistry::new();
-        let c = &self.counters;
-        for (name, v) in [
-            (
-                "route.sessions",
-                self.sessions.lock().expect("sessions lock").len() as u64,
-            ),
-            ("route.forwarded", c.forwarded.load(Ordering::Relaxed)),
-            ("route.migrations", c.migrations.load(Ordering::Relaxed)),
-            ("route.failovers", c.failovers.load(Ordering::Relaxed)),
-            ("route.errors", c.errors.load(Ordering::Relaxed)),
-            (
-                "route.sessions_lost",
-                c.sessions_lost.load(Ordering::Relaxed),
-            ),
-            (
-                "route.sessions_restored",
-                c.sessions_restored.load(Ordering::Relaxed),
-            ),
-            ("conns.accepted", c.accepted.load(Ordering::Relaxed)),
-            ("conns.refused", c.refused.load(Ordering::Relaxed)),
-            ("draining", u64::from(self.drain.load(Ordering::SeqCst))),
-        ] {
-            let id = router.counter(name);
-            router.set_counter(id, v);
-        }
-        let up = router.gauge("uptime_s");
-        router.set(up, self.start.elapsed().as_secs_f64());
-        snap.push("router", router);
-
-        let metrics = self.metrics.lock().expect("metrics lock");
-        for (k, bm) in metrics.iter().enumerate() {
-            let mut reg = bm.reg.clone();
-            let alive = reg.counter("alive");
-            reg.set_counter(alive, u64::from(self.alive[k].load(Ordering::SeqCst)));
-            snap.push(&format!("backend{k}"), reg);
-        }
-        snap
-    }
-
-    /// Starts the router drain and pokes the acceptor awake.
-    fn begin_drain(&self) {
-        if self.drain.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
     // ---- migration ----------------------------------------------------
@@ -519,20 +371,19 @@ impl Core {
             ));
         }
         let moved = self.extract_install(session, from, to);
-        {
-            let mut map = self.sessions.lock().expect("sessions lock");
-            if let Some(st) = map.get_mut(&session) {
-                if moved.is_ok() {
-                    st.backend = to;
-                }
-                st.frozen = false;
-            }
-            self.settled.notify_all();
-        }
         if moved.is_ok() {
+            if let Some(st) = self
+                .sessions
+                .lock()
+                .expect("sessions lock")
+                .get_mut(&session)
+            {
+                st.backend = to;
+            }
             self.counters.migrations.fetch_add(1, Ordering::Relaxed);
             eprintln!("[route] migrated session {session}: backend {from} -> {to}");
         }
+        self.thaw(&[session]);
         moved
     }
 
@@ -561,7 +412,6 @@ impl Core {
                         .lock()
                         .expect("sessions lock")
                         .remove(&session);
-                    self.settled.notify_all();
                     Err(format!(
                         "{e}; re-install on backend {from} also failed ({e2}): session lost"
                     ))
@@ -580,15 +430,13 @@ impl Core {
         if !self.alive[k as usize].swap(false, Ordering::SeqCst) {
             return; // Already failed over.
         }
-        eprintln!(
-            "[route] backend {k} ({}) {}; failing over",
-            self.cfg.backends[k as usize].addr,
-            if graceful {
-                "is draining"
-            } else {
-                "is not answering"
-            }
-        );
+        let state = if graceful {
+            "is draining"
+        } else {
+            "is not answering"
+        };
+        let addr = &self.cfg.backends[k as usize].addr;
+        eprintln!("[route] backend {k} ({addr}) {state}; failing over");
         // Freeze every session the backend owns. Sessions already
         // frozen by a concurrent migration are left to that migration's
         // error handling.
@@ -602,21 +450,18 @@ impl Core {
                 })
                 .collect()
         };
+        // A draining backend still serves established connections: let
+        // its in-flight replies arrive, then close our connections so its
+        // drain can complete. A dead one's are closed first, which fails
+        // (and so settles) whatever the loops still have in flight there.
+        if !graceful {
+            self.close_backend_conns(k);
+        }
+        if !self.wait_settled(&frozen, Duration::from_secs(30)) {
+            eprintln!("[route] backend {k}: in-flight frames did not settle within 30s");
+        }
         if graceful {
-            // Let in-flight replies drain first (the draining backend
-            // still serves established connections), then close our
-            // connections so its drain can complete.
-            if !self.wait_settled(&frozen, Duration::from_secs(30)) {
-                eprintln!("[route] backend {k}: in-flight frames did not settle within 30s");
-            }
             self.close_backend_conns(k);
-        } else {
-            // Dead backend: closing first is what unblocks the relays,
-            // whose error paths settle the in-flight counts.
-            self.close_backend_conns(k);
-            if !self.wait_settled(&frozen, Duration::from_secs(30)) {
-                eprintln!("[route] backend {k}: in-flight frames did not settle within 30s");
-            }
         }
         self.ring.lock().expect("ring lock").remove(k);
 
@@ -673,14 +518,11 @@ impl Core {
                 }
             }
         }
-        self.counters
-            .sessions_restored
-            .fetch_add(restored, Ordering::Relaxed);
-        self.counters
-            .sessions_lost
-            .fetch_add(lost, Ordering::Relaxed);
+        let c = &self.counters;
+        c.sessions_restored.fetch_add(restored, Ordering::Relaxed);
+        c.sessions_lost.fetch_add(lost, Ordering::Relaxed);
         self.thaw(&frozen);
-        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+        c.failovers.fetch_add(1, Ordering::Relaxed);
         eprintln!(
             "[route] failover of backend {k} complete: {restored} session(s) restored, {lost} lost or reset"
         );
@@ -735,309 +577,142 @@ impl Core {
     }
 }
 
-// ---- connection threads ------------------------------------------------
-
-/// The forwarder half of one client connection.
-fn forwarder_loop(core: &Arc<Core>, mut client: TcpStream) {
-    let conn_id = core.next_conn_id.fetch_add(1, Ordering::SeqCst);
-    let n = core.cfg.backends.len();
-    core.conns
-        .lock()
-        .expect("conns lock")
-        .insert(conn_id, (0..n).map(|_| None).collect());
-    let (tx, rx) = mpsc::channel::<RelayItem>();
-    let relay = {
-        let core = Arc::clone(core);
-        let writer = match client.try_clone() {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("[route] cannot split client connection: {e}");
-                core.conns.lock().expect("conns lock").remove(&conn_id);
-                return;
+impl Directory for Core {
+    /// `None` while the session is frozen; otherwise assigns an unknown
+    /// session through the ring, counts the frame in flight, and fires
+    /// the scripted migration once it is due.
+    fn place(&self, session: u64, hello: Option<(u32, u32)>) -> Option<u32> {
+        let (backend, frames) = {
+            let mut map = self.sessions.lock().expect("sessions lock");
+            let st = map.entry(session).or_insert_with(|| SessionState {
+                backend: self.ring.lock().expect("ring lock").route(session),
+                outstanding: 0,
+                frozen: false,
+                hello: None,
+                frames: 0,
+            });
+            if st.frozen {
+                return None;
             }
+            st.outstanding += 1;
+            st.frames += 1;
+            if hello.is_some() {
+                st.hello = hello;
+            }
+            (st.backend, st.frames)
         };
-        std::thread::Builder::new()
-            .name("ntp-route-relay".into())
-            .spawn(move || relay_loop(&core, writer, rx))
-    };
-    let Ok(relay) = relay else {
-        core.conns.lock().expect("conns lock").remove(&conn_id);
-        return;
-    };
-
-    let mut backends: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    loop {
-        let body = match wire::read_frame(&mut client, core.cfg.max_frame) {
-            Ok(body) => body,
-            Err(WireError::Io(_)) => break, // EOF, timeout, reset: done.
-            Err(e) => {
-                let sent = tx.send(RelayItem::Direct(e.refusal())).is_ok();
-                // Cannot resync past a huge declared length.
-                let poisoned = matches!(
-                    e,
-                    WireError::Oversized {
-                        recoverable: false,
-                        ..
-                    }
-                );
-                if poisoned || !sent {
-                    break;
-                }
-                continue;
-            }
-        };
-        let req = match wire::decode_request(&body) {
-            Ok(req) => req,
-            Err(msg) => {
-                if tx
-                    .send(RelayItem::Direct(Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: msg,
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
-        };
-
-        let hello = match &req {
-            Request::Shutdown => {
-                // Cluster-wide shutdown: every live backend drains, then
-                // the router itself. Backends finish their drains once
-                // the surviving client connections (and their backend
-                // connections) close.
-                for k in 0..n as u32 {
-                    if !core.alive[k as usize].load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    match core.control_client(k).and_then(|mut c| {
-                        c.shutdown_server().map_err(|e| format!("backend {k}: {e}"))
-                    }) {
-                        Ok(()) => {}
-                        Err(e) => eprintln!("[route] shutdown forward failed: {e}"),
-                    }
-                }
-                let _ = tx.send(RelayItem::Direct(Response::Bye));
-                core.begin_drain();
-                break;
-            }
-            Request::Metrics => {
-                if tx
-                    .send(RelayItem::Direct(Response::Metrics {
-                        json: core.metrics_snapshot().to_json().render(),
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
-            Request::Migrate { .. } => {
-                // Client-driven migration would desynchronize the
-                // placement table; the router owns session movement.
-                if tx
-                    .send(RelayItem::Direct(Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: "session migration is router-managed; \
-                                  use `ntp route --migrate` or the router API"
-                            .into(),
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
-            Request::Hello { bits, depth, .. } => Some((*bits, *depth)),
-            _ => None,
-        };
-        let session = req.session().expect("routed requests name a session");
-        let (backend, frames) = core.place(session, hello);
-
-        // Lazily open (and register) this connection's pipe to the
-        // chosen backend; tell the relay about its read half first so
-        // the queue order guarantees the relay knows the stream before
-        // the first ticket referencing it.
-        if backends[backend as usize].is_none() {
-            match core.connect_backend(backend).and_then(|s| {
-                let reader = s.try_clone()?;
-                let registered = s.try_clone()?;
-                Ok((s, reader, registered))
-            }) {
-                Ok((stream, reader, registered)) => {
-                    if let Some(slots) = core.conns.lock().expect("conns lock").get_mut(&conn_id) {
-                        slots[backend as usize] = Some(registered);
-                    }
-                    if tx
-                        .send(RelayItem::BackendConn {
-                            backend,
-                            stream: reader,
-                        })
-                        .is_err()
-                    {
-                        core.unplace(session);
-                        break;
-                    }
-                    backends[backend as usize] = Some(stream);
-                }
-                Err(e) => {
-                    core.unplace(session);
-                    core.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    if tx
-                        .send(RelayItem::Direct(Response::Error {
-                            code: ErrorCode::Internal,
-                            message: format!("backend {backend} unreachable: {e}"),
-                        }))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let forwarded = {
-            let stream = backends[backend as usize].as_mut().expect("just opened");
-            wire::write_frame(stream, &body)
-        };
-        match forwarded {
-            Ok(()) => {
-                core.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                if tx
-                    .send(RelayItem::Forwarded {
-                        backend,
-                        session,
-                        t0,
-                    })
-                    .is_err()
-                {
-                    core.unplace(session);
-                    break;
-                }
-            }
-            Err(e) => {
-                backends[backend as usize] = None;
-                if let Some(slots) = core.conns.lock().expect("conns lock").get_mut(&conn_id) {
-                    slots[backend as usize] = None;
-                }
-                core.unplace(session);
-                core.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if tx
-                    .send(RelayItem::Direct(Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("backend {backend} write failed: {e}"),
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        }
-
-        // Scripted migration: fire once the watched session has had
-        // enough frames forwarded (and their replies will settle — the
-        // migration path waits for that itself).
-        if let Some(t) = core.cfg.migrate_trigger {
+        if let Some(t) = self.cfg.migrate_trigger {
             if t.session == session
                 && frames >= t.after_frames
-                && !core.trigger_fired.swap(true, Ordering::SeqCst)
+                && !self.trigger_fired.swap(true, Ordering::SeqCst)
             {
-                let mover = Arc::clone(core);
-                let spawned = std::thread::Builder::new()
-                    .name("ntp-route-migrate".into())
-                    .spawn(move || {
-                        // `to: None` resolves against where the session
-                        // lives *now*: always a real move.
-                        let to = t.to.unwrap_or_else(|| {
-                            let map = mover.sessions.lock().expect("sessions lock");
-                            let from = map.get(&t.session).map_or(0, |st| st.backend);
-                            (from + 1) % mover.cfg.backends.len() as u32
-                        });
-                        if let Err(e) = mover.migrate_session(t.session, to) {
-                            eprintln!("[route] scripted migration failed: {e}");
-                        }
-                    });
-                if spawned.is_err() {
-                    core.trigger_fired.store(false, Ordering::SeqCst);
-                }
+                self.spawn_migration(t);
             }
         }
+        Some(backend)
     }
-    drop(tx); // Relay drains the queue, then exits.
-    let _ = relay.join();
-    core.conns.lock().expect("conns lock").remove(&conn_id);
-    // Dropping `backends` here closes this connection's pipes; the
-    // backends see EOF and release the connection slots.
-}
 
-/// The relay half: pops tickets in order, reads one backend reply per
-/// ticket, forwards it verbatim, and settles the in-flight count. Keeps
-/// consuming after the client dies so every forwarded frame still
-/// settles (migrations and failovers wait on those counts).
-fn relay_loop(core: &Arc<Core>, mut client: TcpStream, rx: Receiver<RelayItem>) {
-    let n = core.cfg.backends.len();
-    let mut readers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut scratch: Vec<u8> = Vec::with_capacity(256);
-    let mut client_ok = true;
-    for item in rx {
-        match item {
-            RelayItem::BackendConn { backend, stream } => {
-                readers[backend as usize] = Some(stream);
+    /// Opens a data connection to backend `k` and registers it for
+    /// [`Core::close_backend_conns`].
+    fn connect(&self, k: u32) -> io::Result<Arc<TcpStream>> {
+        let alive = || match self.alive[k as usize].load(Ordering::SeqCst) {
+            true => Ok(()),
+            false => Err(io::Error::other(format!("backend {k} is down"))),
+        };
+        alive()?;
+        let addrs = self.cfg.backends[k as usize].addr.to_socket_addrs();
+        let addr = addrs?.next().ok_or(io::ErrorKind::AddrNotAvailable)?;
+        let stream = Arc::new(TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?);
+        stream.set_nodelay(true)?;
+        let mut conns = self.data_conns.lock().expect("data conns lock");
+        // Checked again under the lock `close_backend_conns` takes: a
+        // connection opened during a failover is refused, never missed.
+        alive()?;
+        conns.retain(|(_, c)| c.strong_count() > 0);
+        conns.push((k, Arc::downgrade(&stream)));
+        Ok(stream)
+    }
+
+    /// Books one frame in the route and backend metrics, then marks it
+    /// settled and wakes every waiter (migrations and failovers wait for
+    /// their sessions' frames to settle).
+    fn settle(&self, backend: u32, session: u64, how: Settled) {
+        let (rtt, error) = match how {
+            Settled::Answered { rtt, error } => (Some(rtt), error),
+            Settled::Failed(rtt) => {
+                self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                (rtt, true)
             }
-            RelayItem::Direct(resp) => {
-                if client_ok {
-                    scratch.clear();
-                    wire::append_response_frame(&mut scratch, &resp);
-                    client_ok = client
-                        .write_all(&scratch)
-                        .and_then(|()| client.flush())
-                        .is_ok();
-                }
+            Settled::Shed => (None, false),
+        };
+        if let Some(rtt) = rtt {
+            self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+            let mut metrics = self.metrics.lock().expect("metrics lock");
+            let bm = &mut metrics[backend as usize];
+            bm.reg.inc(bm.c_forwarded);
+            if error {
+                bm.reg.inc(bm.c_errors);
             }
-            RelayItem::Forwarded {
-                backend,
-                session,
-                t0,
-            } => {
-                let reply = match readers[backend as usize].as_mut() {
-                    Some(stream) => wire::read_frame(stream, core.cfg.backend_max_frame)
-                        .map_err(|e| e.to_string()),
-                    None => Err("backend connection is gone".into()),
-                };
-                match reply {
-                    Ok(body) => {
-                        let is_error = body.first() == Some(&wire::K_ERROR);
-                        core.record(backend, t0.elapsed(), is_error);
-                        if client_ok {
-                            client_ok = wire::write_frame(&mut client, &body).is_ok();
-                        }
-                    }
-                    Err(e) => {
-                        readers[backend as usize] = None;
-                        core.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        core.record(backend, t0.elapsed(), true);
-                        if client_ok {
-                            scratch.clear();
-                            wire::append_response_frame(
-                                &mut scratch,
-                                &Response::Error {
-                                    code: ErrorCode::Internal,
-                                    message: format!("backend {backend} failed mid-request: {e}"),
-                                },
-                            );
-                            client_ok = client
-                                .write_all(&scratch)
-                                .and_then(|()| client.flush())
-                                .is_ok();
-                        }
-                    }
-                }
-                core.unplace(session);
+            let us = rtt.as_micros().min(u64::MAX as u128) as u64;
+            bm.reg.observe(bm.h_latency, us);
+        }
+        let mut map = self.sessions.lock().expect("sessions lock");
+        if let Some(st) = map.get_mut(&session) {
+            st.outstanding = st.outstanding.saturating_sub(1);
+        }
+        self.settled.notify_all();
+    }
+
+    /// Cluster-wide shutdown: every live backend drains, then the router
+    /// itself. Backends finish their drains once the router's loops,
+    /// having answered their last client, close their connections.
+    fn shutdown(&self) {
+        for k in 0..self.cfg.backends.len() as u32 {
+            if !self.alive[k as usize].load(Ordering::SeqCst) {
+                continue;
+            }
+            if let Err(e) = self
+                .control_client(k)
+                .and_then(|mut c| c.shutdown_server().map_err(|e| format!("backend {k}: {e}")))
+            {
+                eprintln!("[route] shutdown forward failed: {e}");
             }
         }
+        self.drain.store(true, Ordering::SeqCst);
+    }
+
+    /// The router's snapshot, shaped like a server's: a `router` section
+    /// (the `route.*` counters, then the loops' connection counters) and
+    /// one `backend<k>` section per backend, so `ntp top` and the scrape
+    /// tooling read one schema.
+    fn metrics(&self, conns: MetricsRegistry) -> Snapshot {
+        let mut router = MetricsRegistry::new();
+        let c = &self.counters;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let sessions = self.sessions.lock().expect("sessions lock").len() as u64;
+        for (name, v) in [
+            ("route.sessions", sessions),
+            ("route.forwarded", load(&c.forwarded)),
+            ("route.migrations", load(&c.migrations)),
+            ("route.failovers", load(&c.failovers)),
+            ("route.errors", load(&c.errors)),
+            ("route.sessions_lost", load(&c.sessions_lost)),
+            ("route.sessions_restored", load(&c.sessions_restored)),
+        ] {
+            let id = router.counter(name);
+            router.set_counter(id, v);
+        }
+        router.merge(&conns);
+        let mut snap = Snapshot::new();
+        snap.push("router", router);
+        let metrics = self.metrics.lock().expect("metrics lock");
+        for (k, bm) in metrics.iter().enumerate() {
+            let mut reg = bm.reg.clone();
+            let alive = reg.counter("alive");
+            reg.set_counter(alive, u64::from(self.alive[k].load(Ordering::SeqCst)));
+            snap.push(&format!("backend{k}"), reg);
+        }
+        snap
     }
 }
 
@@ -1066,7 +741,7 @@ fn probe_loop(core: &Arc<Core>) {
             if probes[k].is_none() {
                 match Client::connect_with_timeout(
                     core.cfg.backends[k].addr.as_str(),
-                    Duration::from_millis(500),
+                    CONNECT_TIMEOUT,
                     Duration::from_secs(2),
                 ) {
                     Ok(c) => probes[k] = Some(c),
@@ -1124,14 +799,14 @@ fn reports_draining(snap: &Snapshot) -> bool {
 /// [`RouterHandle::request_shutdown`]) → [`RouterHandle::join`].
 pub struct RouterHandle {
     core: Arc<Core>,
-    accept: Option<JoinHandle<()>>,
-    probe: Option<JoinHandle<()>>,
+    frontend: ServerHandle,
+    probe: JoinHandle<()>,
 }
 
 impl RouterHandle {
     /// The address actually bound (resolves `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.core.addr
+        self.frontend.local_addr()
     }
 
     /// Migrates a live session to backend `to` (blocking; returns once
@@ -1143,7 +818,7 @@ impl RouterHandle {
     /// The router's metrics snapshot, as a `Metrics` frame answers it
     /// (the in-process counterpart of `ServerHandle::metrics_snapshot`).
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.core.metrics_snapshot()
+        self.frontend.metrics_snapshot()
     }
 
     /// [`RouterHandle::metrics_snapshot`] rendered as the `Metrics`
@@ -1156,119 +831,66 @@ impl RouterHandle {
     /// Does **not** shut down backends — a client `Shutdown` frame does
     /// both.
     pub fn request_shutdown(&self) {
-        self.core.begin_drain();
+        self.core.drain.store(true, Ordering::SeqCst);
+        self.frontend.request_shutdown();
     }
 
     /// Waits for the drain to complete and returns the final
-    /// [`RouterHandle::metrics_snapshot`], taken after the last
-    /// connection has closed and the probe thread has exited.
-    pub fn join(mut self) -> Snapshot {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        while self.core.active_conns.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        if let Some(h) = self.probe.take() {
-            let _ = h.join();
-        }
-        self.core.metrics_snapshot()
+    /// [`RouterHandle::metrics_snapshot`], taken after the probe thread
+    /// has exited and the last connection has closed.
+    pub fn join(self) -> Snapshot {
+        let _ = self.probe.join();
+        self.frontend.join()
     }
 }
 
-/// Binds `cfg.addr` and spawns the acceptor and the probe thread.
-/// Fails with a one-line diagnostic naming the address when it cannot
-/// bind (same contract as `ntp_serve::serve`).
+/// Binds `cfg.addr`, starts the event loops (`default_event_threads()`
+/// of them) and the probe thread. Fails with a one-line diagnostic
+/// naming the address when it cannot bind (same contract as
+/// `ntp_serve::serve`, which also makes it refuse off Linux).
 pub fn start(cfg: RouterConfig) -> Result<RouterHandle, String> {
     cfg.validate()?;
-    let listener = TcpListener::bind(&cfg.addr)
-        .map_err(|e| format!("route: cannot bind {}: {e}", cfg.addr))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("route: cannot resolve bound address: {e}"))?;
+    let frontend_cfg = ServeConfig {
+        addr: cfg.addr.clone(),
+        max_conns: cfg.max_conns,
+        ..ServeConfig::default()
+    };
     let labels: Vec<String> = cfg.backends.iter().map(|b| b.addr.clone()).collect();
-    let ring = HashRing::new(&labels, cfg.vnodes);
     let n = cfg.backends.len();
-    let core = Arc::new(Core {
-        addr,
-        ring: Mutex::new(ring),
+    let core = Arc::new_cyclic(|me| Core {
+        me: me.clone(),
+        ring: Mutex::new(HashRing::new(&labels, cfg.vnodes)),
         sessions: Mutex::new(HashMap::new()),
         settled: Condvar::new(),
         alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-        conns: Mutex::new(HashMap::new()),
-        next_conn_id: AtomicU64::new(0),
-        active_conns: AtomicUsize::new(0),
+        data_conns: Mutex::new(Vec::new()),
+        loops: OnceLock::new(),
         drain: AtomicBool::new(false),
         counters: RouteCounters::default(),
         metrics: Mutex::new((0..n).map(|_| BackendMetrics::new()).collect()),
         trigger_fired: AtomicBool::new(false),
-        start: Instant::now(),
         cfg,
     });
-
-    let accept = {
-        let core = Arc::clone(&core);
-        std::thread::Builder::new()
-            .name("ntp-route-accept".into())
-            .spawn(move || accept_loop(&core, listener))
-            .map_err(|e| format!("route: cannot spawn acceptor: {e}"))?
-    };
-    let probe = {
-        let core = Arc::clone(&core);
-        std::thread::Builder::new()
-            .name("ntp-route-probe".into())
-            .spawn(move || probe_loop(&core))
-            .map_err(|e| format!("route: cannot spawn probe thread: {e}"))?
+    let frontend = ntp_serve::serve_routed(frontend_cfg, Arc::clone(&core) as Arc<dyn Directory>)
+        .map_err(|e| format!("route: {}", e.strip_prefix("serve: ").unwrap_or(&e)))?;
+    let _ = core.loops.set(frontend.loop_waker());
+    let prober = Arc::clone(&core);
+    let spawned = std::thread::Builder::new()
+        .name("ntp-route-probe".into())
+        .spawn(move || probe_loop(&prober));
+    let probe = match spawned {
+        Ok(probe) => probe,
+        Err(e) => {
+            frontend.request_shutdown();
+            frontend.join();
+            return Err(format!("route: cannot spawn probe thread: {e}"));
+        }
     };
     Ok(RouterHandle {
         core,
-        accept: Some(accept),
-        probe: Some(probe),
+        frontend,
+        probe,
     })
-}
-
-fn accept_loop(core: &Arc<Core>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if core.drain.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let slot = core.active_conns.fetch_add(1, Ordering::SeqCst);
-        if slot >= core.cfg.max_conns {
-            core.counters.refused.fetch_add(1, Ordering::Relaxed);
-            refuse(stream);
-            core.active_conns.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        core.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let core2 = Arc::clone(core);
-        let spawned = std::thread::Builder::new()
-            .name("ntp-route-conn".into())
-            .spawn(move || {
-                forwarder_loop(&core2, stream);
-                core2.active_conns.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            core.active_conns.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// One `Refused` error frame on a connection we will not serve.
-fn refuse(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut scratch = Vec::with_capacity(64);
-    wire::append_response_frame(
-        &mut scratch,
-        &Response::Error {
-            code: ErrorCode::Refused,
-            message: "router connection limit reached".into(),
-        },
-    );
-    let _ = stream.write_all(&scratch);
 }
 
 #[cfg(test)]
@@ -1294,24 +916,10 @@ mod tests {
             ),
             (
                 RouterConfig {
-                    max_conns: 0,
-                    ..base.clone()
-                },
-                "max_conns",
-            ),
-            (
-                RouterConfig {
                     probe_interval: Duration::ZERO,
                     ..base.clone()
                 },
                 "probe_interval",
-            ),
-            (
-                RouterConfig {
-                    max_frame: 1,
-                    ..base.clone()
-                },
-                "frame cap",
             ),
             (
                 RouterConfig {
@@ -1333,6 +941,18 @@ mod tests {
             assert!(err.contains(needle), "`{err}` should mention {needle}");
             assert!(!err.contains('\n'), "one-line diagnostic: {err}");
         }
+        // The connection limit is the frontend's, checked before binding.
+        let Err(err) = start(RouterConfig {
+            max_conns: 0,
+            ..base
+        }) else {
+            panic!("max_conns 0 must be rejected");
+        };
+        assert!(
+            err.starts_with("route: ") && err.contains("max_conns"),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "one-line diagnostic: {err}");
     }
 
     #[test]

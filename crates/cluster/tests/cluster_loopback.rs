@@ -13,12 +13,18 @@
 // purpose — the lockstep interleaving IS the test.
 #![allow(clippy::needless_range_loop)]
 
-use ntp_cluster::{start, BackendSpec, HashRing, RouterConfig};
-use ntp_core::{evaluate, NextTracePredictor, PredictorConfig};
+use ntp_cluster::{start, BackendSpec, HashRing, MigrateTrigger, RouterConfig, DEFAULT_VNODES};
+use ntp_core::{evaluate, NextTracePredictor, PredictorConfig, TracePredictor};
+use ntp_serve::wire::{self, ErrorCode, Request, Response};
 use ntp_serve::{config::ServeConfig, serve, Client};
 use ntp_telemetry::{Snapshot, ToJson};
 use ntp_trace::{TraceId, TraceRecord};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const BITS: u32 = 12;
@@ -240,7 +246,7 @@ fn migration_and_failover_stay_in_lockstep_with_the_oracle() {
 }
 
 fn cfg_vnodes() -> usize {
-    ntp_cluster::DEFAULT_VNODES
+    DEFAULT_VNODES
 }
 
 /// A backend that is simply *gone* (nothing listening) is hard-failed
@@ -310,4 +316,344 @@ fn dead_backend_is_hard_failed_over_and_traffic_continues() {
         "no sessions existed when the dead backend was dropped"
     );
     assert_eq!(counter(&b0.join(), "total", "sessions.opened"), 3);
+}
+
+/// Polls the router's `route.failovers` until it reads 1.
+fn wait_for_failover(client: &mut Client) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while poll_counter(client, "router", "route.failovers") < 1 {
+        assert!(Instant::now() < deadline, "router never failed over");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// The offline oracle's statistics for one stream.
+fn oracle(stream: &[TraceRecord]) -> ntp_core::PredictorStats {
+    evaluate(
+        &mut NextTracePredictor::new(PredictorConfig::paper(BITS, DEPTH as usize)),
+        stream,
+    )
+}
+
+/// A backend that reaps idle connections: the router's data connection
+/// to it dies between two bursts, and the next frame must simply open a
+/// fresh one — no frame answered `Internal`, no update lost.
+#[test]
+fn idle_backend_connection_is_reopened_without_an_error() {
+    let b = serve(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        read_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .expect("backend binds");
+    let router = start(RouterConfig::new(vec![BackendSpec {
+        addr: b.local_addr().to_string(),
+        snapshot_dir: None,
+    }]))
+    .expect("router binds");
+    let stream = synthetic_stream(0x1D1E, 100);
+    let mut client = Client::connect(router.local_addr()).expect("connect through router");
+    client.hello(1, BITS, DEPTH).expect("hello");
+    for (i, rec) in stream.iter().enumerate() {
+        if i == 50 {
+            // Long enough for the backend's idle sweep to close the
+            // router's connection to it.
+            std::thread::sleep(Duration::from_millis(1200));
+        }
+        client
+            .update(1, rec)
+            .unwrap_or_else(|e| panic!("update {i}: {e}"));
+    }
+    assert_eq!(client.stats(1).expect("stats"), oracle(&stream));
+    assert_eq!(poll_counter(&mut client, "router", "route.errors"), 0);
+    client.shutdown_server().expect("shutdown");
+    drop(client);
+    router.join();
+    b.join();
+}
+
+/// A killable TCP relay in front of one backend: every accepted
+/// connection is piped both ways to the backend by two copy threads.
+/// [`Relay::kill`] closes the listener and shuts down every relayed
+/// socket, so the backend is dead to whoever dialed the relay while it
+/// keeps running (and keeps its snapshots).
+struct Relay {
+    addr: String,
+    dead: Arc<AtomicBool>,
+    socks: Arc<Mutex<Vec<TcpStream>>>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl Relay {
+    fn start(target: SocketAddr) -> Relay {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("relay binds");
+        let addr = listener.local_addr().expect("relay address").to_string();
+        let dead = Arc::new(AtomicBool::new(false));
+        let socks = Arc::new(Mutex::new(Vec::new()));
+        let (stop, held) = (Arc::clone(&dead), Arc::clone(&socks));
+        let accept = std::thread::spawn(move || {
+            for client in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (Ok(client), Ok(backend)) = (client, TcpStream::connect(target)) else {
+                    continue;
+                };
+                let pipe = |from: &TcpStream, to: &TcpStream| {
+                    let (mut from, mut to) = (from.try_clone().unwrap(), to.try_clone().unwrap());
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(Shutdown::Write);
+                    });
+                };
+                pipe(&client, &backend);
+                pipe(&backend, &client);
+                held.lock().unwrap().extend([client, backend]);
+            }
+        });
+        Relay {
+            addr,
+            dead,
+            socks,
+            accept: Some(accept),
+        }
+    }
+
+    fn kill(&mut self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.addr); // Wakes the acceptor to exit.
+        self.accept.take().expect("killed once").join().unwrap();
+        for sock in self.socks.lock().unwrap().iter() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// A backend that dies holding sessions is failed over hard. With
+/// periodic snapshots every one of its sessions is restored exactly on
+/// the survivor; without them each is cold-restarted and counted lost.
+/// The survivor's own sessions stay exact either way.
+#[test]
+fn killed_backend_sessions_are_restored_or_counted_lost() {
+    for periodic in [true, false] {
+        hard_failover_case(periodic);
+    }
+}
+
+fn hard_failover_case(periodic: bool) {
+    let dir0 = fresh_dir("hard");
+    let b0 = serve(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        snapshot_dir: Some(dir0.clone()),
+        snapshot_interval: periodic.then(|| Duration::from_millis(100)),
+        ..ServeConfig::default()
+    })
+    .expect("backend binds");
+    let b1 = backend(None);
+    let mut relay = Relay::start(b0.local_addr());
+    let addrs = [relay.addr.clone(), b1.local_addr().to_string()];
+    let mut cfg = RouterConfig::new(vec![
+        BackendSpec {
+            addr: addrs[0].clone(),
+            snapshot_dir: Some(dir0.clone()),
+        },
+        BackendSpec {
+            addr: addrs[1].clone(),
+            snapshot_dir: None,
+        },
+    ]);
+    cfg.probe_interval = Duration::from_millis(50);
+    let router = start(cfg).expect("router binds");
+
+    // Four sessions on each backend, so both outcomes count something.
+    let ring = &HashRing::new(&addrs, DEFAULT_VNODES);
+    let on = |k: u32| (1u64..).filter(move |&s| ring.route(s) == k).take(4);
+    let ids: Vec<u64> = on(0).chain(on(1)).collect();
+    let streams: Vec<Vec<TraceRecord>> = ids
+        .iter()
+        .map(|&s| synthetic_stream(0x51ED * s, 200))
+        .collect();
+    let mut client = Client::connect(router.local_addr()).expect("connect through router");
+    for &s in &ids {
+        client.hello(s, BITS, DEPTH).expect("hello");
+    }
+    let send = |client: &mut Client, range: std::ops::Range<usize>| {
+        for i in range {
+            for (s, stream) in ids.iter().zip(&streams) {
+                client.update(*s, &stream[i]).expect("update");
+            }
+        }
+    };
+    send(&mut client, 0..100);
+    // At least two periodic snapshots follow the last update.
+    std::thread::sleep(Duration::from_millis(400));
+    relay.kill();
+    wait_for_failover(&mut client);
+    send(&mut client, 100..200);
+
+    for (j, (s, stream)) in ids.iter().zip(&streams).enumerate() {
+        let exact = client.stats(*s).expect("stats") == oracle(stream);
+        let survivor = j >= 4;
+        assert_eq!(
+            exact,
+            periodic || survivor,
+            "session {s} (periodic {periodic})"
+        );
+    }
+    client.shutdown_server().expect("shutdown through router");
+    drop(client);
+    let last = router.join();
+    let route = |name: &str| counter(&last, "router", name);
+    assert_eq!(
+        route("route.sessions_restored"),
+        if periodic { 4 } else { 0 }
+    );
+    assert_eq!(route("route.sessions_lost"), if periodic { 0 } else { 4 });
+    assert_eq!(
+        route("route.errors"),
+        0,
+        "no frame was in flight at the kill"
+    );
+    b1.join();
+    b0.request_shutdown();
+    b0.join();
+    let _ = std::fs::remove_dir_all(dir0);
+}
+
+/// One write pipelines thousands of frames over three sessions while a
+/// scripted migration freezes session 1: its later frames park in the
+/// router's loop and go out after the thaw, so every reply still equals
+/// a lockstep oracle in request order.
+#[test]
+fn frames_pipelined_across_a_scripted_migration_stay_in_order() {
+    let (b0, b1) = (backend(None), backend(None));
+    let mut cfg = RouterConfig::new(
+        [&b0, &b1]
+            .iter()
+            .map(|b| BackendSpec {
+                addr: b.local_addr().to_string(),
+                snapshot_dir: None,
+            })
+            .collect(),
+    );
+    cfg.migrate_trigger = Some(MigrateTrigger {
+        session: 1,
+        to: None,
+        after_frames: 40,
+    });
+    let router = start(cfg).expect("router binds");
+
+    const LEN: usize = 1000;
+    let streams: Vec<Vec<TraceRecord>> = (1..=3u64)
+        .map(|s| synthetic_stream(0xA11CE * s, LEN))
+        .collect();
+    let mut requests: Vec<Request> = (1..=3u64)
+        .map(|session| Request::Hello {
+            session,
+            bits: BITS,
+            depth: DEPTH,
+        })
+        .collect();
+    for i in 0..LEN {
+        for (session, stream) in (1..=3u64).zip(&streams) {
+            let record = stream[i];
+            requests.push(Request::Update { session, record });
+        }
+    }
+    let (mut bytes, mut scratch) = (Vec::new(), Vec::new());
+    for req in &requests {
+        wire::frame_request(&mut scratch, req);
+        bytes.extend_from_slice(&scratch);
+    }
+    let mut sock = TcpStream::connect(router.local_addr()).expect("connect through router");
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    sock.write_all(&bytes).expect("one pipelined write");
+
+    let cfg = PredictorConfig::paper(BITS, DEPTH as usize);
+    let mut locals: Vec<NextTracePredictor> =
+        (0..3).map(|_| NextTracePredictor::new(cfg)).collect();
+    for (k, req) in requests.iter().enumerate() {
+        let body = wire::read_frame(&mut sock, 1 << 20).expect("reply");
+        let reply = wire::decode_response(&body).expect("decodes");
+        match (req, reply) {
+            (Request::Hello { session, .. }, Response::HelloOk { session: s, .. }) => {
+                assert_eq!(*session, s, "reply {k}");
+            }
+            (Request::Update { session, record }, Response::Updated { correct }) => {
+                let local = &mut locals[*session as usize - 1];
+                let expect = local.predict().is_correct(record.id());
+                local.update(record);
+                assert_eq!(correct, expect, "reply {k} (session {session})");
+            }
+            (req, reply) => panic!("reply {k}: {reply:?} to {req:?}"),
+        }
+    }
+    drop(sock);
+    let mut client = Client::connect(router.local_addr()).expect("connect through router");
+    for (session, stream) in (1..=3u64).zip(&streams) {
+        assert_eq!(client.stats(session).expect("stats"), oracle(stream));
+    }
+    let snap = client.metrics().expect("router metrics");
+    assert_eq!(counter(&snap, "router", "route.migrations"), 1);
+    assert_eq!(counter(&snap, "router", "route.errors"), 0);
+    client.shutdown_server().expect("shutdown through router");
+    drop(client);
+    router.join();
+    b0.join();
+    b1.join();
+}
+
+/// The acceptor a server and a router share: past `max_conns`, a third
+/// connection reads exactly one `Refused` frame, counted in
+/// `conns.refused`.
+#[test]
+fn third_connection_past_max_conns_is_refused() {
+    let server = serve(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        max_conns: 2,
+        ..ServeConfig::default()
+    })
+    .expect("server binds");
+    let b = backend(None);
+    let mut cfg = RouterConfig::new(vec![BackendSpec {
+        addr: b.local_addr().to_string(),
+        snapshot_dir: None,
+    }]);
+    cfg.max_conns = 2;
+    let router = start(cfg).expect("router binds");
+    for (addr, section) in [
+        (server.local_addr(), "server"),
+        (router.local_addr(), "router"),
+    ] {
+        let mut first = Client::connect(addr).expect("first connection");
+        let _second = Client::connect(addr).expect("second connection");
+        let mut third = TcpStream::connect(addr).expect("tcp connect");
+        third
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let body = wire::read_frame(&mut third, 1 << 20).expect("one refusal frame");
+        let reply = wire::decode_response(&body).expect("decodes");
+        assert!(
+            matches!(
+                reply,
+                Response::Error {
+                    code: ErrorCode::Refused,
+                    ..
+                }
+            ),
+            "{section}: {reply:?}"
+        );
+        let snap = first.metrics().expect("metrics");
+        assert_eq!(counter(&snap, section, "conns.refused"), 1, "{section}");
+    }
+    router.request_shutdown();
+    router.join();
+    for s in [server, b] {
+        s.request_shutdown();
+        s.join();
+    }
 }

@@ -16,7 +16,9 @@
 //!   sessions between backends;
 //! * [`server`] — the TCP listener, the epoll event loops that own
 //!   every accepted connection (Linux only: elsewhere [`serve`] refuses
-//!   to start), and the fixed shard-worker pool. Sessions are owned by a
+//!   to start), and the fixed shard-worker pool. [`serve_routed`] runs
+//!   the same listener and loops for a cluster router, its backends (a
+//!   [`Directory`]) in place of the shards. Sessions are owned by a
 //!   single worker (`session % workers`), so every predictor stays
 //!   single-threaded and lock-free; bounded per-shard queues reply
 //!   `Busy` under load, connection/frame/idle-timeout limits bound
@@ -83,9 +85,10 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use config::ServeConfig;
+pub use event::{Directory, Settled};
 pub use loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport, SessionOutcome, SessionSpec};
 pub use server::{
-    error_count, frame_count, install_sigterm_drain, rate, serve, sigterm_pending, ServerHandle,
-    ShutdownTrigger, DRAIN_MARKER, FRAME_KINDS,
+    error_count, frame_count, install_sigterm_drain, rate, serve, serve_routed, sigterm_pending,
+    LoopWaker, ServerHandle, ShutdownTrigger, DRAIN_MARKER, FRAME_KINDS,
 };
 pub use wire::{ErrorCode, Request, Response, PROTOCOL_VERSION};

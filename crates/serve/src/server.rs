@@ -1,6 +1,8 @@
 //! The TCP server: accept loop, the sharded session workers, and the
 //! runtime observability plane. The event loops that own the accepted
-//! connections live in `event.rs`.
+//! connections live in `event.rs`. A cluster router runs on the same
+//! acceptor and loops ([`serve_routed`]), its backends in place of the
+//! shards.
 //!
 //! # Sharding model
 //!
@@ -64,7 +66,7 @@
 //! graceful failover into a hard one.
 
 use crate::config::ServeConfig;
-use crate::event::ConnRouter;
+use crate::event::{ConnRouter, Directory};
 use crate::poll::WakeFd;
 use crate::wire::{self, ErrorCode, Request, Response};
 use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
@@ -171,15 +173,29 @@ pub(crate) struct Counters {
     pub partial_reads: AtomicU64,
 }
 
-/// Per-event-loop observability shared with the metrics plane:
-/// productive wakeups and a histogram of frames decoded per wakeup
-/// (the multiplexing win — higher is fewer syscalls per frame). The
-/// mutex is uncontended: the owning loop records once per wakeup,
-/// metrics collection reads rarely.
-#[derive(Default)]
+/// What one event loop shares with the rest of the process: the
+/// eventfd that wakes it, and its observability — productive wakeups and
+/// a histogram of frames decoded per wakeup (the multiplexing win —
+/// higher is fewer syscalls per frame). The mutex is uncontended: the
+/// owning loop records once per wakeup, metrics collection reads rarely.
 pub(crate) struct LoopShared {
+    pub wake: Arc<WakeFd>,
     pub wakeups: AtomicU64,
     pub frames_per_wakeup: std::sync::Mutex<ntp_telemetry::Histogram>,
+}
+
+/// Wakes every event loop of one running server: a router's
+/// [`Directory`] calls [`LoopWaker::wake_all`] when it thaws sessions,
+/// so each loop retries the frames it parked behind them.
+pub struct LoopWaker(Arc<[LoopShared]>);
+
+impl LoopWaker {
+    /// Pokes every loop (deduped per loop, like a shard completion).
+    pub fn wake_all(&self) {
+        for l in self.0.iter() {
+            l.wake.wake();
+        }
+    }
 }
 
 /// Records a socket-option failure: always counted, logged only the
@@ -234,27 +250,33 @@ impl DrainSignal {
     }
 }
 
-/// The shared server core: shard queues, connection counters, the drain
-/// signal, and the snapshot-collection path every metrics consumer uses.
-/// Holding a `Hub` keeps the shard queues alive — [`ServerHandle::join`]
-/// drops every clone before joining the shard threads.
+/// The shared server core: shard queues (none for a router), connection
+/// counters, the drain signal, a router's [`Directory`], and the
+/// snapshot-collection path every metrics consumer uses. Holding a `Hub`
+/// keeps the shard queues alive — [`ServerHandle::join`] drops every
+/// clone before joining the shard threads.
 pub(crate) struct Hub {
     pub senders: Arc<[SyncSender<Job>]>,
     pub shared: Arc<[ShardShared]>,
     pub counters: Arc<Counters>,
     pub drain: Arc<DrainSignal>,
     pub loops: Arc<[LoopShared]>,
+    pub remote: Option<Arc<dyn Directory>>,
     start: Instant,
 }
 
 impl Hub {
     /// Collects the full snapshot: a `server` section from the
     /// connection-side atomics, one section per shard, and a `total`
-    /// section merging the shard cumulatives.
+    /// section merging the shard cumulatives — or, for a router, its
+    /// directory's snapshot around the connection-side section.
     /// Blocks until every live shard answers (snapshots ride the request
     /// queue); a shard that has already exited is skipped.
     pub(crate) fn collect(&self) -> Snapshot {
         let server = self.server_section();
+        if let Some(dir) = &self.remote {
+            return dir.metrics(server);
+        }
         let mut shards = Vec::with_capacity(self.senders.len());
         for tx in self.senders.iter() {
             let (reply, rx) = mpsc::channel();
@@ -270,7 +292,7 @@ impl Hub {
 
     /// The `server` section: the connection-side atomics, the per-loop
     /// frames-per-wakeup histograms and the uptime.
-    fn server_section(&self) -> MetricsRegistry {
+    pub(crate) fn server_section(&self) -> MetricsRegistry {
         let mut server = MetricsRegistry::new();
         for (name, v) in [
             (
@@ -438,6 +460,13 @@ impl ServerHandle {
         }
     }
 
+    /// A handle that wakes every event loop (see [`LoopWaker`]).
+    pub fn loop_waker(&self) -> LoopWaker {
+        LoopWaker(Arc::clone(
+            &self.hub.as_ref().expect("hub lives until join()").loops,
+        ))
+    }
+
     /// Waits for the drain to complete — acceptor exited, every
     /// connection closed, every shard queue empty — and returns the
     /// final metrics snapshot: the `server`, `shard<k>` and `total`
@@ -472,12 +501,14 @@ impl ServerHandle {
             let _ = h.join();
         }
         // Every thread that counts a connection-side metric has exited,
-        // so the `server` section is final.
-        let server = self
-            .hub
-            .take()
-            .expect("hub lives until join()")
-            .server_section();
+        // so the `server` section is final. Dropping the last hub lets
+        // the shards (a server's) drain and exit.
+        let hub = self.hub.take().expect("hub lives until join()");
+        let server = hub.server_section();
+        if let Some(dir) = &hub.remote {
+            return dir.metrics(server);
+        }
+        drop(hub);
         let shards: Vec<ShardSnapshot> = self
             .shards
             .drain(..)
@@ -565,6 +596,19 @@ fn load_warm_sessions(path: &Path, workers: usize) -> Result<Vec<Vec<(u64, Sessi
 /// the configuration is invalid. Off Linux it always fails: the event
 /// loops are built on epoll.
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
+    start(cfg, None)
+}
+
+/// Serves a cluster router: the same acceptor, connection limit, event
+/// loops and drain as [`serve`], with `dir` in place of the shard
+/// workers (see [`Directory`]). Of `cfg`, only `addr`, `max_conns`,
+/// `max_frame`, `queue_depth`, `event_threads` and `read_timeout` apply.
+/// The final snapshot [`ServerHandle::join`] returns is `dir`'s.
+pub fn serve_routed(cfg: ServeConfig, dir: Arc<dyn Directory>) -> Result<ServerHandle, String> {
+    start(cfg, Some(dir))
+}
+
+fn start(cfg: ServeConfig, remote: Option<Arc<dyn Directory>>) -> Result<ServerHandle, String> {
     if !cfg!(target_os = "linux") {
         return Err("serve: needs Linux (the event loops use epoll)".into());
     }
@@ -572,7 +616,8 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     // Warm-start before binding anything: no connection can ever observe
     // a partially restored session map. A refused snapshot is a logged
     // cold start, never a partial load (the `.nts` contract).
-    let mut warm: Vec<Vec<(u64, Session)>> = (0..cfg.workers).map(|_| Vec::new()).collect();
+    let workers = if remote.is_some() { 0 } else { cfg.workers };
+    let mut warm: Vec<Vec<(u64, Session)>> = (0..workers).map(|_| Vec::new()).collect();
     if let Some(path) = &cfg.warm_path {
         match load_warm_sessions(path, cfg.workers) {
             Ok(loaded) => warm = loaded,
@@ -618,13 +663,20 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         addr,
         metrics_addr,
     });
-    let shared: Arc<[ShardShared]> = (0..cfg.workers)
+    let shared: Arc<[ShardShared]> = (0..workers)
         .map(|_| ShardShared::default())
         .collect::<Vec<_>>()
         .into();
     let loops: Arc<[LoopShared]> = (0..cfg.event_threads)
-        .map(|_| LoopShared::default())
-        .collect::<Vec<_>>()
+        .map(|_| {
+            let wake = WakeFd::new().map_err(|e| format!("serve: cannot create loop eventfd: {e}"));
+            Ok(LoopShared {
+                wake: Arc::new(wake?),
+                wakeups: AtomicU64::new(0),
+                frames_per_wakeup: Default::default(),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?
         .into();
     let start = Instant::now();
 
@@ -632,10 +684,10 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     // (acceptor, event loops, sidecar, stats thread, handle);
     // when the last Hub drops, the shard receivers disconnect —
     // drain-then-exit for free.
-    let mut senders = Vec::with_capacity(cfg.workers);
-    let mut shards = Vec::with_capacity(cfg.workers);
+    let mut senders = Vec::with_capacity(workers);
+    let mut shards = Vec::with_capacity(workers);
     let mut warm = warm.into_iter();
-    for shard_id in 0..cfg.workers {
+    for shard_id in 0..workers {
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth);
         senders.push(tx);
         let shared = Arc::clone(&shared);
@@ -655,6 +707,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         counters,
         drain: Arc::clone(&drain),
         loops: Arc::clone(&loops),
+        remote,
         start,
     });
 

@@ -310,12 +310,15 @@ impl From<std::io::Error> for WireError {
 
 /// Writes one frame: `len | body | fnv64(body)`.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    debug_assert!(!body.is_empty(), "frames always carry at least a kind byte");
     let mut out = Vec::with_capacity(4 + body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&fnv64(body).to_le_bytes());
+    append_frame(&mut out, body);
     w.write_all(&out)
+}
+
+/// Appends one frame carrying `body` verbatim to `out`: how a router
+/// relays a request or a reply it has no reason to re-encode.
+pub(crate) fn append_frame(out: &mut Vec<u8>, body: &[u8]) {
+    append_frame_with(out, |buf| buf.extend_from_slice(body));
 }
 
 /// Appends one complete frame to `out`, encoding the body in place: a

@@ -17,9 +17,9 @@
 //! A session that survives both with every prediction bit intact — and
 //! whose final `Stats` reply equals the accumulated offline
 //! [`PredictorStats`] field for field — exercises the entire seam:
-//! wire framing, per-session reply ordering through the relay,
-//! session-snapshot encode/decode, and the router's freeze/settle
-//! protocol.
+//! wire framing, per-session reply ordering through the router's event
+//! loops, session-snapshot encode/decode, and the router's
+//! freeze/park/settle protocol.
 //!
 //! The geometry is pinned to the 12-bit paper index (depths still
 //! sweep 0..=7): the cluster seam is ordering and state movement, not
