@@ -518,19 +518,32 @@ pub fn confidence(data: &[BenchData]) -> String {
 }
 
 /// The headline comparison the abstract quotes: mean misprediction of the
-/// paper predictor vs the idealized sequential baseline.
+/// paper predictor at depth 7 vs the idealized sequential baseline, at
+/// each bounded table size and unbounded (Figure 6's depth-7 hybrid+RHS
+/// mean).
 pub fn headline(data: &[BenchData]) -> String {
     let mut s = header("Headline: paper predictor vs idealized sequential baseline");
+    // Job `k` replays table size `TABLE_BITS[k]`; the last `k` replays
+    // the unbounded model.
     let jobs: Vec<(usize, usize)> = (0..data.len())
-        .flat_map(|b| (0..TABLE_BITS.len()).map(move |k| (b, k)))
+        .flat_map(|b| (0..=TABLE_BITS.len()).map(move |k| (b, k)))
         .collect();
-    let per_bench = TABLE_BITS.len() as u64;
+    let per_bench = TABLE_BITS.len() as u64 + 1;
     let results = fan_out("headline", replayed(data, per_bench), &jobs, |&(b, k)| {
-        let mut p = NextTracePredictor::new(PredictorConfig::paper(TABLE_BITS[k], 7));
-        evaluate(&mut p, &data[b].records).mispredict_pct()
+        let records = &data[b].records;
+        match TABLE_BITS.get(k) {
+            Some(&bits) => {
+                let mut p = NextTracePredictor::new(PredictorConfig::paper(bits, 7));
+                evaluate(&mut p, records).mispredict_pct()
+            }
+            None => {
+                let mut p = UnboundedPredictor::new(UnboundedConfig::paper(7));
+                evaluate(&mut p, records).mispredict_pct()
+            }
+        }
     });
     let mut seq_mean = 0.0;
-    let mut ours = vec![0.0f64; TABLE_BITS.len()];
+    let mut ours = vec![0.0f64; TABLE_BITS.len() + 1];
     for d in data {
         seq_mean += d.seq_stats.trace_mispredict_pct();
     }
@@ -540,10 +553,11 @@ pub fn headline(data: &[BenchData]) -> String {
     let n = data.len() as f64;
     seq_mean /= n;
     s += &format!("sequential (idealized) mean: {seq_mean:.2}%\n");
-    for (k, bits) in TABLE_BITS.iter().enumerate() {
-        let m = ours[k] / n;
+    let sizes = TABLE_BITS.iter().map(|bits| format!("2^{bits}"));
+    for (size, sum) in sizes.chain(["unbounded".to_string()]).zip(ours) {
+        let m = sum / n;
         s += &format!(
-            "2^{bits} path-based predictor:  {m:.2}%  ({:+.0}% relative)\n",
+            "{size} path-based predictor:  {m:.2}%  ({:+.0}% relative)\n",
             100.0 * (m - seq_mean) / seq_mean
         );
     }

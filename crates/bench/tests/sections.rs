@@ -70,6 +70,13 @@ fn headline_reports_relative_change() {
     let h = exp::headline(&data);
     assert!(h.contains("sequential (idealized) mean"));
     assert!(h.contains("relative"));
+    // The unbounded line is Figure 6's depth-7 hybrid+RHS mean.
+    let fig6 = exp::fig6(&data);
+    let mean = fig6.rsplit("hybrid+RHS ").next().unwrap().trim_end();
+    assert!(
+        h.contains(&format!("unbounded path-based predictor:  {mean}  (")),
+        "headline lacks Figure 6's mean {mean}:\n{h}\n{fig6}"
+    );
 }
 
 #[test]

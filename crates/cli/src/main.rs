@@ -102,7 +102,6 @@ fn usage() -> String {
      ntp snapshot verify <file.nts> [--json <path|->]\n  \
      ntp serve [--addr host:port] [--workers N] [--max-conns N] \
      [--event-threads N] [--queue-depth N] \
-     [--metrics-addr host:port] [--stats-interval S] \
      [--warm <file.nts|dir>] [--snapshot-on-drain <dir>] [--snapshot-interval S]\n  \
      ntp route --backends a1,a2[,...] [--addr host:port] \
      [--snapshot-dirs d1,d2[,...]] [--vnodes N] [--probe-interval S] \
@@ -748,9 +747,10 @@ fn snapshot_verify(args: &Args) -> Result<(), String> {
 /// `ntp serve`: runs the sharded prediction service until a client sends
 /// a `Shutdown` frame (see SERVING.md). Each flag overrides one
 /// [`ntp_serve::ServeConfig`] default, and the server validates the
-/// result once before it binds. The bound addresses are printed on
+/// result once before it binds. The bound address is printed on
 /// stdout — with `--addr 127.0.0.1:0` the kernel picks the port, so
-/// scripts parse these lines to find it. `--warm` preloads sessions from
+/// scripts parse that line to find it; a running server is read with
+/// `ntp top`. `--warm` preloads sessions from
 /// a `.nts` snapshot (file or directory); `--snapshot-on-drain` writes
 /// one `shard<k>.nts` per shard at graceful shutdown, and
 /// `--snapshot-interval` additionally rewrites them every S seconds
@@ -775,12 +775,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(depth) = args.flag_value("--queue-depth")? {
         cfg.queue_depth = depth as usize;
     }
-    if let Some(maddr) = args.flag_str("--metrics-addr") {
-        cfg.metrics_addr = Some(maddr.to_string());
-    }
-    if let Some(interval) = args.flag_seconds("--stats-interval")? {
-        cfg.stats_interval = Some(interval);
-    }
     if let Some(warm) = args.flag_str("--warm") {
         cfg.warm_path = Some(PathBuf::from(warm));
     }
@@ -797,9 +791,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cfg.workers,
         cfg.max_conns
     );
-    if let Some(maddr) = handle.metrics_local_addr() {
-        println!("[serve] metrics on {maddr}");
-    }
     // SIGTERM drains the server exactly like a client `Shutdown` frame:
     // in-flight sessions finish, snapshots (if configured) land on
     // disk, and the drain marker is written — the contract the cluster

@@ -98,28 +98,6 @@ fn serve_bind_in_use_is_one_clean_error() {
     );
 }
 
-/// The metrics sidecar on a port something else already owns: the server
-/// must not come up half-configured — nonzero exit, one diagnostic line
-/// naming the *metrics* address (distinct from the serving address).
-#[test]
-fn serve_metrics_bind_in_use_is_one_clean_error() {
-    let holder = TcpListener::bind("127.0.0.1:0").expect("grab a port");
-    let maddr = holder.local_addr().unwrap().to_string();
-
-    let out = ntp(&["serve", "--addr", "127.0.0.1:0", "--metrics-addr", &maddr]);
-    assert!(!out.status.success(), "metrics bind to {maddr} must fail");
-    let line = diagnostic(&out);
-    assert!(
-        line.contains("cannot bind metrics address") && line.contains(&maddr),
-        "diagnostic should name the metrics address: {line:?}"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr).lines().count(),
-        1,
-        "exactly one diagnostic line"
-    );
-}
-
 /// `ntp route` misconfigurations die with one-line diagnostics: no
 /// backends at all, and a router port something else already owns.
 #[test]
@@ -283,6 +261,22 @@ fn loadgen_refuses_the_closed_loop_flags() {
     refused(
         &["loadgen", "--addr", &addr, "--open-loop"],
         "`--open-loop`",
+    );
+}
+
+/// A running server is read one way, through the `Metrics` frame
+/// (`ntp top`): the HTTP sidecar's `--metrics-addr` and the stderr
+/// heartbeat's `--stats-interval` are gone. `--workers 0` makes a build
+/// that still knows a flag exit on config validation instead of serving.
+#[test]
+fn serve_refuses_the_retired_metrics_flags() {
+    refused(
+        &["serve", "--workers", "0", "--metrics-addr", "127.0.0.1:0"],
+        "unknown argument `--metrics-addr`",
+    );
+    refused(
+        &["serve", "--workers", "0", "--stats-interval", "0.2"],
+        "unknown argument `--stats-interval`",
     );
 }
 

@@ -683,8 +683,8 @@ impl Directory for Core {
 
     /// The router's snapshot, shaped like a server's: a `router` section
     /// (the `route.*` counters, then the loops' connection counters) and
-    /// one `backend<k>` section per backend, so `ntp top` and the scrape
-    /// tooling read one schema.
+    /// one `backend<k>` section per backend, so `ntp top` reads a router
+    /// and a server through one schema.
     fn metrics(&self, conns: MetricsRegistry) -> Snapshot {
         let mut router = MetricsRegistry::new();
         let c = &self.counters;

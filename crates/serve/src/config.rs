@@ -3,7 +3,6 @@
 //! starts. `ntp serve` sets the knobs from its flags; the full knob table
 //! lives in `SERVING.md`.
 
-use crate::wire::{HARD_FRAME_CAP, MIN_FRAME_CAP};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -16,7 +15,8 @@ pub const DEFAULT_MAX_CONNS: usize = 64;
 /// Default per-shard request-queue depth (beyond it, `Busy` replies).
 pub const DEFAULT_QUEUE_DEPTH: usize = 128;
 
-/// Default frame-body size limit (1 MiB).
+/// Largest frame body a server accepts (1 MiB); a larger frame is
+/// discarded and refused with `Error(oversized)`.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 
 /// Everything a [`crate::server::serve`] call needs.
@@ -28,8 +28,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Concurrent-connection limit.
     pub max_conns: usize,
-    /// Largest accepted frame body, in bytes.
-    pub max_frame: u32,
     /// Bounded per-shard queue depth; a full queue yields `Busy`.
     pub queue_depth: usize,
     /// Epoll event loops that own the accepted connections (>= 1).
@@ -38,12 +36,6 @@ pub struct ServeConfig {
     /// neither read nor written a byte for this long is dropped (which
     /// also bounds how long a drain can wait on an idle peer).
     pub read_timeout: Duration,
-    /// Sidecar metrics listener address (`host:port`, `:0` for
-    /// ephemeral); `None` disables the sidecar.
-    pub metrics_addr: Option<String>,
-    /// Period of the `[serve] …` stderr summary lines; `None` disables
-    /// them.
-    pub stats_interval: Option<Duration>,
     /// `.nts` snapshot file (or directory of snapshot files) to
     /// warm-start sessions from before accepting connections; `None`
     /// starts cold.
@@ -63,12 +55,9 @@ impl Default for ServeConfig {
             addr: DEFAULT_ADDR.to_string(),
             workers: default_workers(),
             max_conns: DEFAULT_MAX_CONNS,
-            max_frame: DEFAULT_MAX_FRAME,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             event_threads: default_event_threads(),
             read_timeout: Duration::from_secs(30),
-            metrics_addr: None,
-            stats_interval: None,
             warm_path: None,
             snapshot_dir: None,
             snapshot_interval: None,
@@ -107,24 +96,6 @@ impl ServeConfig {
                 "serve: event_threads {} outside 1..=256",
                 self.event_threads
             ));
-        }
-        if self.max_frame < MIN_FRAME_CAP {
-            return Err(format!(
-                "serve: max_frame {} below the {MIN_FRAME_CAP}-byte minimum",
-                self.max_frame
-            ));
-        }
-        if self.max_frame > HARD_FRAME_CAP {
-            return Err(format!(
-                "serve: max_frame {} above the {HARD_FRAME_CAP}-byte hard cap",
-                self.max_frame
-            ));
-        }
-        if matches!(self.metrics_addr.as_deref(), Some("")) {
-            return Err("serve: metrics_addr must not be empty when set".into());
-        }
-        if matches!(self.stats_interval, Some(d) if d.is_zero()) {
-            return Err("serve: stats_interval must be > 0 when set".into());
         }
         if matches!(&self.warm_path, Some(p) if p.as_os_str().is_empty()) {
             return Err("serve: warm_path must not be empty when set".into());
@@ -190,34 +161,6 @@ mod tests {
                     ..ServeConfig::default()
                 },
                 "event_threads",
-            ),
-            (
-                ServeConfig {
-                    max_frame: 8,
-                    ..ServeConfig::default()
-                },
-                "max_frame",
-            ),
-            (
-                ServeConfig {
-                    max_frame: u32::MAX,
-                    ..ServeConfig::default()
-                },
-                "hard cap",
-            ),
-            (
-                ServeConfig {
-                    metrics_addr: Some(String::new()),
-                    ..ServeConfig::default()
-                },
-                "metrics_addr",
-            ),
-            (
-                ServeConfig {
-                    stats_interval: Some(Duration::ZERO),
-                    ..ServeConfig::default()
-                },
-                "stats_interval",
             ),
             (
                 ServeConfig {

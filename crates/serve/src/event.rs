@@ -52,7 +52,7 @@
 //! a thaw wakes it; their sequence numbers keep the client's connection
 //! from idling out meanwhile.
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, DEFAULT_MAX_FRAME};
 use crate::poll::{Epoll, Event, WakeFd};
 use crate::server::{note_sockopt, Completion, Hub, Job, LoopShared, Reply};
 use crate::wire::{self, ErrorCode, FrameAssembler, FrameEvent, Request, Response, WireError};
@@ -310,7 +310,6 @@ impl Conn {
 
 /// Everything frame processing needs, borrowed once per loop iteration.
 struct Ctx<'a> {
-    cfg: &'a ServeConfig,
     hub: &'a Hub,
     done_tx: &'a mpsc::Sender<Completion>,
     wake: &'a Arc<WakeFd>,
@@ -362,7 +361,6 @@ fn run_loop(
             break;
         }
         let ctx = Ctx {
-            cfg: &cfg,
             hub: &hub,
             done_tx: &done_tx,
             wake: &wake,
@@ -397,7 +395,7 @@ fn run_loop(
                 // Writability is served by the flush below.
                 if let Some(r) = remote.as_mut().filter(|_| ev.readable) {
                     let k = (ev.token - UPSTREAM) as usize;
-                    r.receive(k, cfg.max_frame, &mut conns, &mut rbuf, &mut touched);
+                    r.receive(k, &mut conns, &mut rbuf, &mut touched);
                 }
                 continue;
             }
@@ -562,7 +560,7 @@ fn process_frames(
     let mut frames = 0usize;
     let mut per_shard: Vec<Vec<(u64, Request)>> = Vec::new();
     per_shard.resize_with(ctx.hub.senders.len(), Vec::new);
-    while let Some(event) = conn.asm.next(ctx.cfg.max_frame) {
+    while let Some(event) = conn.asm.next(DEFAULT_MAX_FRAME) {
         frames += 1;
         match event {
             FrameEvent::Refused(e) => {
@@ -895,7 +893,6 @@ impl Remote {
     fn receive(
         &mut self,
         k: usize,
-        max_frame: u32,
         conns: &mut HashMap<u64, Conn>,
         rbuf: &mut [u8],
         touched: &mut Vec<u64>,
@@ -904,7 +901,7 @@ impl Remote {
             return;
         };
         read_socket(&mut up.conn, rbuf);
-        while let Some(event) = up.conn.asm.next(max_frame) {
+        while let Some(event) = up.conn.asm.next(DEFAULT_MAX_FRAME) {
             let (FrameEvent::Frame(body), Some((frame, sent))) = (event, up.inflight.front())
             else {
                 up.conn.dead = true;

@@ -25,11 +25,10 @@
 //!   resource use, and shutdown drains in-flight sessions;
 //!   [`ServerHandle::join`] returns the final metrics snapshot.
 //!   Each shard also owns a private, cumulative metrics registry — the
-//!   live observability plane behind the `Metrics` frame (read back as a
-//!   typed [`ntp_telemetry::Snapshot`] by [`Client::metrics`]), the
-//!   optional `--metrics-addr` scrape sidecar, the
-//!   `--stats-interval` stderr summaries and `ntp top`, whose rates are
-//!   [`rate`]s between two snapshots. Sessions can be
+//!   live observability plane behind the `Metrics` frame, the one way
+//!   to read a running server: [`Client::metrics`] reads it back as a
+//!   typed [`ntp_telemetry::Snapshot`], and `ntp top` renders it, its
+//!   rates [`rate`]s between two snapshots. Sessions can be
 //!   **warm-started** from a `.nts` predictor-state snapshot
 //!   ([`ServeConfig::warm_path`]; all-or-nothing, refusals log and fall
 //!   back to a cold start) and persisted per shard at graceful drain

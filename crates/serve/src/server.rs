@@ -25,15 +25,11 @@
 //! the shard one queue slot, not a lock. Connection-side totals
 //! (accepted/refused, `Busy` replies, protocol errors, resyncs, queue
 //! depth) live in relaxed atomics and are folded in at snapshot time.
-//! Three consumers share one collection path
-//! ([`ServerHandle::metrics_snapshot`]):
-//!
-//! * a `Metrics` wire frame, answered by the connection itself;
-//! * an optional sidecar TCP listener (`--metrics-addr`)
-//!   answering plain HTTP `GET /metrics` (flat `name value` text) and
-//!   `GET /metrics.json` — scrapable with `curl`, no binary protocol;
-//! * optional periodic `[serve] …` stderr summary lines
-//!   (`--stats-interval`).
+//! A snapshot leaves the process one way: a `Metrics` wire frame,
+//! answered by the connection itself and read with
+//! [`crate::Client::metrics`] (by `ntp top` and a router's probe).
+//! [`ServerHandle::metrics_snapshot`] collects the same snapshot
+//! in-process, and [`ServerHandle::join`] returns the final one.
 //!
 //! The metric name table and the volatility contract (which counters are
 //! deterministic for a fixed replay) are documented in OBSERVABILITY.md.
@@ -42,8 +38,9 @@
 //!
 //! * `max_conns` concurrent connections; excess connections get one
 //!   `Error(refused)` reply and are closed;
-//! * `max_frame` bytes per frame body; oversized frames are discarded
-//!   and refused with `Error(oversized)`, the connection survives;
+//! * [`DEFAULT_MAX_FRAME`](crate::config::DEFAULT_MAX_FRAME) bytes per
+//!   frame body; oversized frames are discarded and refused with
+//!   `Error(oversized)`, the connection survives;
 //! * `read_timeout` bounds how long a connection with nothing in flight
 //!   and no I/O progress can hold its slot (and therefore how long a
 //!   drain can take).
@@ -51,11 +48,11 @@
 //! # Shutdown
 //!
 //! A `Shutdown` frame (or [`ServerHandle::request_shutdown`]) flips the
-//! drain flag: the acceptor and the metrics sidecar stop taking
-//! connections, established connections keep being served until their
-//! clients close (or time out), shard queues drain to empty, and
-//! [`ServerHandle::join`] returns the final metrics [`Snapshot`] — with
-//! per-shard attribution — once every thread has exited. In-flight
+//! drain flag: the acceptor stops taking connections, established
+//! connections keep being served until their clients close (or time
+//! out), shard queues drain to empty, and [`ServerHandle::join`]
+//! returns the final metrics [`Snapshot`] — with per-shard
+//! attribution — once every thread has exited. In-flight
 //! sessions are never cut off mid-request.
 //!
 //! Serving established connections through a drain is deliberate, idle
@@ -70,12 +67,11 @@ use crate::event::{ConnRouter, Directory};
 use crate::poll::WakeFd;
 use crate::wire::{self, ErrorCode, Request, Response};
 use ntp_core::{NextTracePredictor, PredictorConfig, PredictorStats, TracePredictor};
-use ntp_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry, Snapshot, ToJson};
+use ntp_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry, Snapshot};
 use ntp_tracefile::snapshot::{
     read_snapshot_file, write_snapshot_file, SessionSnapshot, SnapshotArtifact, SNAPSHOT_EXT,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -224,11 +220,10 @@ pub(crate) struct ShardShared {
     pub busy: AtomicU64,
 }
 
-/// The drain flag plus everything needed to wake blocked acceptors.
+/// The drain flag plus the address that wakes the blocked acceptor.
 pub(crate) struct DrainSignal {
     flag: AtomicBool,
     addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
 }
 
 impl DrainSignal {
@@ -236,16 +231,13 @@ impl DrainSignal {
         self.flag.load(Ordering::SeqCst)
     }
 
-    /// Sets the drain flag and pokes the (blocking) acceptors awake with
-    /// throwaway loopback connections. Idempotent.
+    /// Sets the drain flag and pokes the (blocking) acceptor awake with
+    /// a throwaway loopback connection. Idempotent.
     pub(crate) fn trigger(&self) {
         if !self.flag.swap(true, Ordering::SeqCst) {
-            // Acceptors check the flag before serving each accepted
-            // connection, so these wake-up connections are simply dropped.
+            // The acceptor checks the flag before serving each accepted
+            // connection, so this wake-up connection is simply dropped.
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-            if let Some(m) = self.metrics_addr {
-                let _ = TcpStream::connect_timeout(&m, Duration::from_secs(1));
-            }
         }
     }
 }
@@ -399,14 +391,11 @@ fn assemble(server: MetricsRegistry, shards: Vec<ShardSnapshot>) -> Snapshot {
 /// `request_shutdown()` (or a client `Shutdown` frame) → `join()`.
 pub struct ServerHandle {
     addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
     snapshot_dir: Option<PathBuf>,
     drain: Arc<DrainSignal>,
     hub: Option<Arc<Hub>>,
     accept: Option<JoinHandle<()>>,
     event_loops: Vec<JoinHandle<()>>,
-    metrics_accept: Option<JoinHandle<()>>,
-    stats: Option<JoinHandle<()>>,
     snapshots: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<ShardSnapshot>>,
 }
@@ -434,14 +423,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The bound metrics-sidecar address, when `metrics_addr` was
-    /// configured.
-    pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
-    }
-
-    /// Collects a metrics [`Snapshot`] in-process (the same data the
-    /// `Metrics` frame and the sidecar endpoint serve).
+    /// Collects a metrics [`Snapshot`] in-process (the same data a
+    /// `Metrics` frame carries).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.hub.as_ref().expect("hub lives until join()").collect()
     }
@@ -487,16 +470,10 @@ impl ServerHandle {
         for h in self.event_loops.drain(..) {
             let _ = h.join();
         }
-        // The sidecar and stats threads also hold hub clones (and with
-        // them shard senders); they exit on the drain flag. Join them,
-        // then drop our own hub — at that point every sender is gone,
-        // the shard receivers disconnect, and the workers drain-and-exit.
-        if let Some(h) = self.metrics_accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.stats.take() {
-            let _ = h.join();
-        }
+        // The snapshot thread also holds a hub clone (and with it the
+        // shard senders); it exits on the drain flag. Join it, then drop
+        // our own hub — at that point every sender is gone, the shard
+        // receivers disconnect, and the workers drain-and-exit.
         if let Some(h) = self.snapshots.take() {
             let _ = h.join();
         }
@@ -584,14 +561,13 @@ fn load_warm_sessions(path: &Path, workers: usize) -> Result<Vec<Vec<(u64, Sessi
     Ok(per_shard)
 }
 
-/// Binds `cfg.addr` (and `cfg.metrics_addr` when set) and spawns the
-/// shard workers, the accept loop, and the optional sidecar/stats
-/// threads. With [`ServeConfig::warm_path`] set, restores the snapshot's
+/// Binds `cfg.addr` and spawns the shard workers, the event loops and
+/// the accept loop. With [`ServeConfig::warm_path`] set, restores the snapshot's
 /// sessions first (a refused snapshot is logged and the server starts
 /// cold); with [`ServeConfig::snapshot_dir`] set, each shard persists
 /// its sessions to `<dir>/shard<k>.nts` during the graceful drain.
 ///
-/// Fails (with a one-line diagnostic naming the address) when an
+/// Fails (with a one-line diagnostic naming the address) when the
 /// address cannot be bound — e.g. the port is already in use — or when
 /// the configuration is invalid. Off Linux it always fails: the event
 /// loops are built on epoll.
@@ -602,7 +578,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
 /// Serves a cluster router: the same acceptor, connection limit, event
 /// loops and drain as [`serve`], with `dir` in place of the shard
 /// workers (see [`Directory`]). Of `cfg`, only `addr`, `max_conns`,
-/// `max_frame`, `queue_depth`, `event_threads` and `read_timeout` apply.
+/// `queue_depth`, `event_threads` and `read_timeout` apply.
 /// The final snapshot [`ServerHandle::join`] returns is `dir`'s.
 pub fn serve_routed(cfg: ServeConfig, dir: Arc<dyn Directory>) -> Result<ServerHandle, String> {
     start(cfg, Some(dir))
@@ -641,27 +617,12 @@ fn start(cfg: ServeConfig, remote: Option<Arc<dyn Directory>>) -> Result<ServerH
     let addr = listener
         .local_addr()
         .map_err(|e| format!("serve: cannot resolve bound address: {e}"))?;
-    let metrics_listener = match &cfg.metrics_addr {
-        Some(maddr) => Some(
-            TcpListener::bind(maddr)
-                .map_err(|e| format!("serve: cannot bind metrics address {maddr}: {e}"))?,
-        ),
-        None => None,
-    };
-    let metrics_addr = match &metrics_listener {
-        Some(l) => Some(
-            l.local_addr()
-                .map_err(|e| format!("serve: cannot resolve bound metrics address: {e}"))?,
-        ),
-        None => None,
-    };
 
     let active_conns = Arc::new(AtomicUsize::new(0));
     let counters = Arc::new(Counters::default());
     let drain = Arc::new(DrainSignal {
         flag: AtomicBool::new(false),
         addr,
-        metrics_addr,
     });
     let shared: Arc<[ShardShared]> = (0..workers)
         .map(|_| ShardShared::default())
@@ -681,7 +642,7 @@ fn start(cfg: ServeConfig, remote: Option<Arc<dyn Directory>>) -> Result<ServerH
     let start = Instant::now();
 
     // One bounded queue per shard. Every sender clone lives inside a Hub
-    // (acceptor, event loops, sidecar, stats thread, handle);
+    // (acceptor, event loops, snapshot thread, handle);
     // when the last Hub drops, the shard receivers disconnect —
     // drain-then-exit for free.
     let mut senders = Vec::with_capacity(workers);
@@ -726,32 +687,6 @@ fn start(cfg: ServeConfig, remote: Option<Arc<dyn Directory>>) -> Result<ServerH
             .map_err(|e| format!("serve: cannot spawn acceptor: {e}"))?
     };
 
-    let metrics_accept = match metrics_listener {
-        Some(listener) => {
-            let hub = Arc::clone(&hub);
-            Some(
-                std::thread::Builder::new()
-                    .name("ntp-serve-metrics".into())
-                    .spawn(move || metrics_loop(listener, hub))
-                    .map_err(|e| format!("serve: cannot spawn metrics sidecar: {e}"))?,
-            )
-        }
-        None => None,
-    };
-
-    let stats = match cfg.stats_interval {
-        Some(interval) => {
-            let hub = Arc::clone(&hub);
-            Some(
-                std::thread::Builder::new()
-                    .name("ntp-serve-stats".into())
-                    .spawn(move || stats_loop(hub, interval))
-                    .map_err(|e| format!("serve: cannot spawn stats thread: {e}"))?,
-            )
-        }
-        None => None,
-    };
-
     // Periodic snapshots bound the failover lost-update window: a
     // router restoring this server's sessions after a hard death is at
     // most one interval stale. Needs a snapshot directory to write to.
@@ -771,14 +706,11 @@ fn start(cfg: ServeConfig, remote: Option<Arc<dyn Directory>>) -> Result<ServerH
 
     Ok(ServerHandle {
         addr,
-        metrics_addr,
         snapshot_dir: cfg.snapshot_dir.clone(),
         drain,
         hub: Some(hub),
         accept: Some(accept),
         event_loops,
-        metrics_accept,
-        stats,
         snapshots,
         shards,
     })
@@ -1305,121 +1237,8 @@ fn with_session(
 }
 
 // ---------------------------------------------------------------------------
-// Metrics sidecar and periodic stats
+// Reading snapshots
 // ---------------------------------------------------------------------------
-
-/// Serves the sidecar listener until drain: minimal HTTP/1.0, one
-/// request per connection, so `curl`/browsers/scrapers can read metrics
-/// without the binary protocol.
-fn metrics_loop(listener: TcpListener, hub: Arc<Hub>) {
-    for stream in listener.incoming() {
-        if hub.drain.is_set() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        serve_scrape(stream, &hub);
-    }
-}
-
-/// Answers one scrape: `GET /metrics` (flat text), `GET /metrics.json`
-/// (pretty JSON), 404 on other paths, 405 on other methods. Unparseable
-/// input just drops the connection.
-fn serve_scrape(mut stream: TcpStream, hub: &Hub) {
-    note_sockopt(
-        &hub.counters,
-        "set_read_timeout",
-        stream.set_read_timeout(Some(Duration::from_secs(5))),
-    );
-    note_sockopt(
-        &hub.counters,
-        "set_write_timeout",
-        stream.set_write_timeout(Some(Duration::from_secs(5))),
-    );
-    let Some(req) = read_http_request_path(&mut stream) else {
-        return;
-    };
-    let (status, content_type, body) = match req {
-        HttpHead::NotGet => (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported; try GET /metrics\n".to_string(),
-        ),
-        HttpHead::Get(path) => match path.as_str() {
-            "/metrics" | "/" => {
-                let snap = hub.collect();
-                ("200 OK", "text/plain; charset=utf-8", snap.to_text())
-            }
-            "/metrics.json" => {
-                let snap = hub.collect();
-                let mut body = snap.to_json().pretty();
-                body.push('\n');
-                ("200 OK", "application/json", body)
-            }
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "unknown path; try /metrics or /metrics.json\n".to_string(),
-            ),
-        },
-    };
-    let _ = write!(
-        stream,
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.flush();
-}
-
-/// One parsed HTTP request line from the sidecar listener.
-enum HttpHead {
-    /// A `GET` with its request path.
-    Get(String),
-    /// A well-formed request line with any other method (drawn a 405).
-    NotGet,
-}
-
-/// Reads one HTTP request head (through the blank line, capped at 8 KiB)
-/// and returns the parsed request line. `None` on malformed input.
-fn read_http_request_path(stream: &mut TcpStream) -> Option<HttpHead> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next()?.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?;
-    if method != "GET" {
-        return Some(HttpHead::NotGet);
-    }
-    Some(HttpHead::Get(path.to_string()))
-}
-
-/// Prints a `[serve] …` summary line to stderr every `interval` until
-/// drain. Polls the drain flag so it never outlives a shutdown by more
-/// than ~100ms.
-fn stats_loop(hub: Arc<Hub>, interval: Duration) {
-    let poll = interval.min(Duration::from_millis(100));
-    let mut next = Instant::now() + interval;
-    let mut prev = Snapshot::new();
-    loop {
-        std::thread::sleep(poll);
-        if hub.drain.is_set() {
-            break;
-        }
-        if Instant::now() < next {
-            continue;
-        }
-        next += interval;
-        let snap = hub.collect();
-        eprintln!("[serve] {}", summary_line(&prev, &snap));
-        prev = snap;
-    }
-}
 
 /// The per-second rate of a cumulative count between two snapshots of
 /// one process: Δcount ÷ Δ`uptime_s`, the uptime gauge read from
@@ -1465,32 +1284,6 @@ pub fn error_count(snap: &Snapshot, section: &str) -> u64 {
         .filter_map(|name| m.counter_by_name(name))
         .sum()
     })
-}
-
-/// One human-scannable line from a snapshot: uptime, lifetime totals,
-/// and the QPS since `prev`, the previous line's snapshot.
-pub(crate) fn summary_line(prev: &Snapshot, snap: &Snapshot) -> String {
-    let zero = MetricsRegistry::new();
-    let total = snap.get("total").unwrap_or(&zero);
-    let counter = |name: &str| total.counter_by_name(name).unwrap_or(0);
-    let queue: f64 = snap
-        .sections()
-        .filter(|(name, _)| name.starts_with("shard"))
-        .map(|(_, m)| m.gauge_by_name("queue.depth").unwrap_or(0.0).max(0.0))
-        .sum();
-    let server = snap.get("server").unwrap_or(&zero);
-    format!(
-        "up {}s: {} conns, {} sessions, {} frames, {} predictions, {:.1} qps, queue {}, busy {}, errors {}",
-        server.gauge_by_name("uptime_s").unwrap_or(0.0) as u64,
-        server.counter_by_name("conns.accepted").unwrap_or(0),
-        counter("sessions.opened"),
-        frame_count(snap, "total"),
-        counter("predictions"),
-        rate(prev, snap, "server", |s| frame_count(s, "total")),
-        queue as u64,
-        counter("busy.rejections"),
-        error_count(snap, "total"),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1858,33 +1651,5 @@ mod tests {
         assert_eq!(rate(&first, &second, "server", total), 50.0);
         // No uptime elapsed: 0, not NaN or infinity.
         assert_eq!(rate(&second, &polled(6.0, 1_200), "server", total), 0.0);
-    }
-
-    #[test]
-    fn summary_line_reads_totals_and_rates() {
-        let mut m = ShardMetrics::new();
-        let mut sessions = HashMap::new();
-        let t0 = Instant::now();
-        let hello = Request::Hello {
-            session: 1,
-            bits: 12,
-            depth: 3,
-        };
-        let resp = apply(0, &mut sessions, &hello);
-        m.record(&hello, &resp, t0);
-        let shared = ShardShared::default();
-        let shard = m.snapshot(0, &shared);
-        let mut server = MetricsRegistry::new();
-        let up = server.gauge("uptime_s");
-        server.set(up, 2.5);
-        let mut snap = Snapshot::new();
-        snap.push("server", server);
-        snap.push("shard0", shard.metrics.clone());
-        snap.push("total", shard.metrics);
-        let line = summary_line(&Snapshot::new(), &snap);
-        assert!(line.starts_with("up 2s:"), "{line}");
-        assert!(line.contains("1 sessions"), "{line}");
-        assert!(line.contains("1 frames"), "{line}");
-        assert!(line.contains("0.4 qps"), "{line}");
     }
 }

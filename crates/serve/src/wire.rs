@@ -42,8 +42,8 @@ pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Frames whose declared body length exceeds this are unrecoverable: the
 /// reader cannot cheaply skip the body to resync, so the connection is
-/// closed after the error reply. Configurable per-server limits
-/// (`max_frame`) must be at or below this.
+/// closed after the error reply. Every frame cap (`max_frame`) must be
+/// at or below this.
 pub const HARD_FRAME_CAP: u32 = 64 << 20;
 
 /// Smallest sensible `max_frame`: every fixed-size frame fits.
@@ -127,7 +127,8 @@ impl Request {
 pub enum ErrorCode {
     /// Frame checksum mismatch: the body arrived corrupted.
     BadFrame,
-    /// Frame body exceeded the server's `max_frame` limit.
+    /// Frame body exceeded the server's frame cap
+    /// ([`crate::config::DEFAULT_MAX_FRAME`]).
     Oversized,
     /// The body decoded to no known request, or payload values were out
     /// of range.

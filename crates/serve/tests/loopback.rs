@@ -9,8 +9,9 @@
 //! server — survive to serve the next well-formed request.
 
 use ntp_serve::{
-    config::ServeConfig, error_count, frame_count, run_open_loop, serve, wire, Client, ErrorCode,
-    OpenLoopConfig, OpenLoopReport, Request, Response, SessionSpec, FRAME_KINDS,
+    config::{ServeConfig, DEFAULT_MAX_FRAME},
+    error_count, frame_count, run_open_loop, serve, wire, Client, ErrorCode, OpenLoopConfig,
+    OpenLoopReport, Request, Response, SessionSpec, FRAME_KINDS,
 };
 use ntp_telemetry::{Snapshot, ToJson};
 use ntp_trace::{TraceId, TraceRecord};
@@ -160,7 +161,6 @@ fn hostile_frames_get_error_replies_and_the_connection_survives() {
     let handle = serve(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        max_frame: 4096, // small cap so the oversized case is cheap
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -211,9 +211,9 @@ fn hostile_frames_get_error_replies_and_the_connection_survives() {
         other => panic!("expected BadFrame error, got {other:?}"),
     }
 
-    // 4. Oversized frame: declared 1 MiB > the 4 KiB server cap. The
-    //    server discards the whole declared body to stay framed.
-    let big = vec![0u8; 1 << 20];
+    // 4. Oversized frame: one byte past the 1 MiB server cap. The server
+    //    discards the whole declared body to stay framed.
+    let big = vec![0u8; DEFAULT_MAX_FRAME as usize + 1];
     write_raw(&mut stream, &big);
     match read_reply(&mut stream) {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
@@ -522,80 +522,6 @@ fn corrupt_metrics_request_is_refused_and_the_connection_survives() {
         .shutdown_server()
         .expect("shutdown");
     handle.join();
-}
-
-/// The sidecar listener answers plain-HTTP scrapes in both formats
-/// without speaking the binary protocol.
-#[test]
-fn metrics_sidecar_serves_text_and_json_over_http() {
-    let handle = serve(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        metrics_addr: Some("127.0.0.1:0".into()),
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let maddr = handle.metrics_local_addr().expect("sidecar bound");
-
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
-    client.hello(3, 12, 3).expect("hello");
-    let rec = TraceRecord::new(TraceId::new(0x0040_0000, 0, 0), 8, 0, false, false);
-    client.update(3, &rec).expect("update");
-
-    let scrape = |path: &str| -> String {
-        let mut s = TcpStream::connect(maddr).expect("connect sidecar");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        write!(s, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
-        s.flush().unwrap();
-        let mut out = String::new();
-        use std::io::Read;
-        s.read_to_string(&mut out).expect("read response");
-        out
-    };
-
-    let text = scrape("/metrics");
-    assert!(text.starts_with("HTTP/1.0 200 OK\r\n"), "{text}");
-    assert!(text.contains("total.predictions 1\n"), "{text}");
-    assert!(text.contains("total.frames.hello 1\n"), "{text}");
-    assert!(text.contains("server.conns.accepted "), "{text}");
-
-    let http = scrape("/metrics.json");
-    assert!(http.starts_with("HTTP/1.0 200 OK\r\n"), "{http}");
-    let body = http.split("\r\n\r\n").nth(1).expect("has a body");
-    let snap: Snapshot = body.parse().expect("body decodes as a snapshot");
-    assert_eq!(counter(&snap, "total", "predictions"), 1);
-    assert_eq!(
-        counter(&snap, "shard1", "sessions.opened"),
-        1,
-        "session 3 owns shard 1"
-    );
-
-    let missing = scrape("/nope");
-    assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
-
-    // Non-GET methods draw a 405 instead of a silent close.
-    let posted = {
-        let mut s = TcpStream::connect(maddr).expect("connect sidecar");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        write!(s, "POST /metrics HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
-        s.flush().unwrap();
-        let mut out = String::new();
-        use std::io::Read;
-        s.read_to_string(&mut out).expect("read response");
-        out
-    };
-    assert!(posted.starts_with("HTTP/1.0 405"), "{posted}");
-
-    // The in-process snapshot agrees with the scraped one.
-    let snap2 = handle.metrics_snapshot();
-    assert_eq!(
-        snap2.get("total").unwrap().counter_by_name("predictions"),
-        Some(1)
-    );
-
-    client.shutdown_server().expect("shutdown");
-    let last = handle.join();
-    assert_eq!(counter(&last, "total", "sessions.opened"), 1);
 }
 
 /// The drain path carries per-shard attribution through to the final

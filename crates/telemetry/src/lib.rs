@@ -10,10 +10,9 @@
 //!   aggregates);
 //! * [`Histogram`] — pow-2 bucketed distributions (trace length,
 //!   misprediction streaks, fetch bandwidth, serving latency tails);
-//! * [`Snapshot`] — named registry sections serialized as JSON or as a
-//!   flat `name value` text exposition (the scrape endpoint's format),
-//!   and read back from JSON by [`Snapshot::from_json`], so no consumer
-//!   walks the JSON layout itself;
+//! * [`Snapshot`] — named registry sections serialized as JSON (the
+//!   serving `Metrics` reply) and read back by [`Snapshot::from_json`],
+//!   so no consumer walks the JSON layout itself;
 //! * [`PhaseTimes`] / [`ScopeTimer`] — per-phase wall-clock profiling
 //!   (simulate / trace-build / replay / train) and
 //!   [`per_second`] throughput gauges;

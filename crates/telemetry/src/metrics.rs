@@ -144,30 +144,6 @@ impl MetricsRegistry {
         Some(&self.hists[k])
     }
 
-    /// All counters in registration order.
-    pub fn counters_iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counter_names
-            .iter()
-            .zip(self.counters.iter())
-            .map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// All gauges in registration order.
-    pub fn gauges_iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauge_names
-            .iter()
-            .zip(self.gauges.iter())
-            .map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// All histograms in registration order.
-    pub fn histograms_iter(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hist_names
-            .iter()
-            .zip(self.hists.iter())
-            .map(|(n, h)| (n.as_str(), h))
-    }
-
     /// Rebuilds a registry from its [`ToJson`] form: the `counters`,
     /// `gauges` and `histograms` objects, in order. A `null` gauge (how
     /// a non-finite value renders) reads back as NaN.

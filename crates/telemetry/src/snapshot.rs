@@ -2,14 +2,9 @@
 //!
 //! [`Snapshot`] is the wire/report shape of the live observability plane:
 //! an ordered list of `(section, MetricsRegistry)` pairs — the serving
-//! layer uses one section per shard plus `server` and `total` — with two
-//! serializations off the same data:
-//!
-//! * [`ToJson`]: an object of `section → registry JSON` in insertion
-//!   order (machines, `ntp top --json`);
-//! * [`Snapshot::to_text`]: a flat `name value` exposition, one metric
-//!   per line with section-qualified names, so `curl`/`grep`/`awk` can
-//!   scrape the sidecar endpoint without a JSON parser.
+//! layer uses one section per shard plus `server` and `total` — serialized
+//! by [`ToJson`] as an object of `section → registry JSON` in insertion
+//! order (the `Metrics` reply, `ntp top --json`).
 //!
 //! [`Snapshot::from_json`] is the checked inverse of the JSON form (and
 //! [`str::parse`] its text-level shorthand), so a consumer reads a
@@ -31,7 +26,6 @@ use std::str::FromStr;
 /// shard.add(c, 41);
 /// let mut snap = Snapshot::new();
 /// snap.push("shard0", shard);
-/// assert!(snap.to_text().contains("shard0.frames.predict 41"));
 /// let text = snap.to_json().render();
 /// assert!(text.starts_with(r#"{"shard0":"#));
 /// let back: Snapshot = text.parse()?;
@@ -93,45 +87,6 @@ impl Snapshot {
             .collect::<Result<_, _>>()?;
         Ok(Snapshot { sections })
     }
-
-    /// Flat `name value` text exposition: one line per metric, names
-    /// qualified as `<section>.<metric>`. Histograms expand into
-    /// `.count/.sum/.min/.max/.mean/.p50/.p99/.p999` lines. Floats render
-    /// exactly as the JSON writer would, so the two formats never disagree
-    /// on a value.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let mut line = |name: &str, value: &str| {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(value);
-            out.push('\n');
-        };
-        for (section, m) in self.sections() {
-            for (name, v) in m.counters_iter() {
-                line(&format!("{section}.{name}"), &v.to_string());
-            }
-            for (name, v) in m.gauges_iter() {
-                line(&format!("{section}.{name}"), &Json::F64(v).render());
-            }
-            for (name, h) in m.histograms_iter() {
-                let fields: [(&str, String); 8] = [
-                    ("count", h.count().to_string()),
-                    ("sum", h.sum().to_string()),
-                    ("min", h.min().to_string()),
-                    ("max", h.max().to_string()),
-                    ("mean", Json::F64(h.mean()).render()),
-                    ("p50", h.p50().to_string()),
-                    ("p99", h.p99().to_string()),
-                    ("p999", h.p999().to_string()),
-                ];
-                for (field, value) in fields {
-                    line(&format!("{section}.{name}.{field}"), &value);
-                }
-            }
-        }
-        out
-    }
 }
 
 impl ToJson for Snapshot {
@@ -149,8 +104,8 @@ impl ToJson for Snapshot {
 impl FromStr for Snapshot {
     type Err = String;
 
-    /// Parses JSON text — a `Metrics` reply, a `/metrics.json` body —
-    /// and decodes it with [`Snapshot::from_json`].
+    /// Parses JSON text — a `Metrics` reply, an `ntp top --json`
+    /// snapshot — and decodes it with [`Snapshot::from_json`].
     fn from_str(text: &str) -> Result<Snapshot, String> {
         Snapshot::from_json(&json::parse(text).map_err(|e| e.to_string())?)
     }
@@ -160,24 +115,18 @@ impl FromStr for Snapshot {
 mod tests {
     use super::*;
 
-    fn shard(frames: u64, depth: f64, lat: &[u64]) -> MetricsRegistry {
+    fn shard(frames: u64) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         let c = m.counter("frames.predict");
         m.add(c, frames);
-        let g = m.gauge("queue.depth");
-        m.set(g, depth);
-        let h = m.histogram("latency_us");
-        for v in lat {
-            m.observe(h, *v);
-        }
         m
     }
 
     #[test]
     fn sections_serialize_in_insertion_order() {
         let mut snap = Snapshot::new();
-        snap.push("shard1", shard(2, 0.0, &[]));
-        snap.push("shard0", shard(1, 0.0, &[]));
+        snap.push("shard1", shard(2));
+        snap.push("shard0", shard(1));
         let json = snap.to_json().render();
         let s1 = json.find("shard1").unwrap();
         let s0 = json.find("shard0").unwrap();
@@ -190,22 +139,6 @@ mod tests {
             Some(1)
         );
         assert!(snap.get("shard9").is_none());
-    }
-
-    #[test]
-    fn text_exposition_is_flat_and_complete() {
-        let mut snap = Snapshot::new();
-        snap.push("shard0", shard(41, 3.0, &[10, 20, 4000]));
-        let text = snap.to_text();
-        assert!(text.contains("shard0.frames.predict 41\n"), "{text}");
-        assert!(text.contains("shard0.queue.depth 3.0\n"), "{text}");
-        assert!(text.contains("shard0.latency_us.count 3\n"), "{text}");
-        assert!(text.contains("shard0.latency_us.max 4000\n"), "{text}");
-        assert!(text.contains("shard0.latency_us.p999 "), "{text}");
-        // Every line is exactly `name value`.
-        for l in text.lines() {
-            assert_eq!(l.split(' ').count(), 2, "malformed line: {l}");
-        }
     }
 
     /// Every malformed input is an `Err` naming what is wrong, never a
@@ -238,15 +171,5 @@ mod tests {
             let err = text.parse::<Snapshot>().expect_err(&text);
             assert!(err.contains(needle), "`{text}`: `{err}` lacks `{needle}`");
         }
-    }
-
-    #[test]
-    fn json_and_text_agree_on_values() {
-        let mut snap = Snapshot::new();
-        snap.push("s", shard(7, 1.5, &[2, 2, 2]));
-        let json = snap.to_json().render();
-        assert!(json.contains(r#""frames.predict":7"#), "{json}");
-        assert!(json.contains(r#""queue.depth":1.5"#), "{json}");
-        assert!(snap.to_text().contains("s.queue.depth 1.5\n"));
     }
 }

@@ -36,6 +36,26 @@ mktmp() {
     tmp_dirs+=("$dir")
     printf -v "$1" '%s' "$dir"
 }
+# start_bg <pid-var> <addr-var> <what> <out> <err> <cmd>...: runs <cmd> in
+# the background (stdout to <out>, stderr to <err>), records its pid for
+# cleanup and in <pid-var>, and waits up to 10 s for the first loopback
+# address it prints, stored in <addr-var>; fails naming <what> if none
+# appears.
+start_bg() {
+    local pid_var="$1" addr_var="$2" what="$3" out="$4" err="$5" _pid _addr=""
+    shift 5
+    "$@" >"$out" 2>"$err" &
+    _pid=$!
+    bg_pids+=("$_pid")
+    for _ in $(seq 1 100); do
+        _addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out" 2>/dev/null | head -1 || true)"
+        [ -n "$_addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$_addr" ] || { echo "$what never printed its bound address"; exit 1; }
+    printf -v "$pid_var" '%s' "$_pid"
+    printf -v "$addr_var" '%s' "$_addr"
+}
 
 say "cargo fmt --check"
 cargo fmt --all -- --check
@@ -207,32 +227,20 @@ echo "corrupt file refused with warning; fallback output byte-identical"
 
 say "serving smoke: loopback serve + loadgen + live metrics plane"
 # SERVING.md documents the protocol and this recipe. An ephemeral-port
-# server (2 shard workers) with the metrics sidecar and periodic stderr
-# stats enabled, a fixed loadgen schedule (4 sessions over the cached
-# tiny-scale suite, 2 000 updates/s for 1 s, which sheds nothing), an
-# exact served-vs-oracle diff, a scrape whose counters must equal the
-# loadgen totals, then a graceful drain via `ntp top --shutdown`.
+# server (2 shard workers), a fixed loadgen schedule (4 sessions over
+# the cached tiny-scale suite, 2 000 updates/s for 1 s, which sheds
+# nothing), an exact served-vs-oracle diff, then a final
+# `ntp top --once --json --shutdown` snapshot whose counters must equal
+# the loadgen totals, and the graceful drain it starts.
 ntp_bin=target/release/ntp
 mktmp out_srv
 
 # Runs one serve+loadgen replay; leaves the server running, with its
-# main address in $addr, metrics address in $maddr and pid in $serve_pid.
+# address in $addr and pid in $serve_pid.
 serve_replay() {
     local tag="$1"
-    "$ntp_bin" serve --addr 127.0.0.1:0 --workers 2 \
-        --metrics-addr 127.0.0.1:0 --stats-interval 0.2 \
-        >"$out_srv/serve$tag.txt" 2>"$out_srv/serve$tag.err" &
-    serve_pid=$!
-    bg_pids+=("$serve_pid")
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_srv/serve$tag.txt" 2>/dev/null | head -1 || true)"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "ntp serve never printed its bound address"; exit 1; }
-    maddr="$(grep '\[serve\] metrics on' "$out_srv/serve$tag.txt" | grep -oE '127\.0\.0\.1:[0-9]+' || true)"
-    [ -n "$maddr" ] || { echo "ntp serve never printed its metrics address"; exit 1; }
+    start_bg serve_pid addr "ntp serve" "$out_srv/serve$tag.txt" "$out_srv/serve$tag.err" \
+        "$ntp_bin" serve --addr 127.0.0.1:0 --workers 2
     NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
         "$ntp_bin" loadgen --addr "$addr" --sessions 4 --clients 2 \
         --rate 2000 --duration 1 --zipf 1.0 --seed 0x5EED \
@@ -241,7 +249,7 @@ serve_replay() {
 }
 
 serve_replay 1
-echo "server up on $addr (metrics on $maddr)"
+echo "server up on $addr"
 jq -e '.all_match == true and .busy == 0 and .applied == .offered
        and (.sessions | length) == 4
        and ([.sessions[] | select(.matches_oracle)] | length) == 4
@@ -249,27 +257,6 @@ jq -e '.all_match == true and .busy == 0 and .applied == .offered
     "$out_srv/loadgen1.json" >/dev/null \
     || { echo "loadgen report failed validation"; cat "$out_srv/loadgen1.json"; exit 1; }
 echo "4 sessions served, nothing shed; statistics identical to the lockstep oracle"
-
-# The scraped counters must equal the loadgen oracle totals exactly: the
-# observability plane may not drop or invent a single frame.
-applied=$(jq '.applied' "$out_srv/loadgen1.json")
-curl -sf "http://$maddr/metrics" >"$out_srv/metrics.txt" \
-    || { echo "text scrape of $maddr failed"; exit 1; }
-grep -q "^total\.predictions $applied\$" "$out_srv/metrics.txt" \
-    || { echo "text exposition disagrees with loadgen ($applied applied)"; exit 1; }
-curl -sf "http://$maddr/metrics.json" >"$out_srv/metrics.json" \
-    || { echo "json scrape of $maddr failed"; exit 1; }
-jq -e --argjson a "$applied" '
-    .total.counters.predictions == $a
-    and .total.counters."frames.update" == $a
-    and .total.counters."frames.hello" == 4
-    and .total.counters."frames.stats" == 4
-    and ([.shard0, .shard1 | .counters.predictions] | add) == $a
-    and ([.shard0, .shard1 | .counters."frames.update"] | add) == $a
-    and .server.counters."protocol.errors" == 0' \
-    "$out_srv/metrics.json" >/dev/null \
-    || { echo "scraped counters disagree with the loadgen oracle totals"; exit 1; }
-echo "scraped counters equal the loadgen totals ($applied predictions and updates)"
 
 "$ntp_bin" top --addr "$addr" --once >"$out_srv/top.txt"
 grep -q '^total' "$out_srv/top.txt" \
@@ -281,13 +268,25 @@ awk '$1 == "total" && $2 ~ /^[0-9]+\.[0-9]$/ && $2 > 0 { ok = 1 } END { exit !ok
     || { echo "ntp top total row lacks a positive, finite QPS"; cat "$out_srv/top.txt"; exit 1; }
 # `ntp top --shutdown` drains the server after the final poll.
 "$ntp_bin" top --addr "$addr" --once --json --shutdown >"$out_srv/top1.json"
+# That snapshot's counters must equal the loadgen oracle totals exactly:
+# the observability plane may not drop or invent a single frame.
+applied=$(jq '.applied' "$out_srv/loadgen1.json")
+jq -e --argjson a "$applied" '
+    .total.counters.predictions == $a
+    and .total.counters."frames.update" == $a
+    and .total.counters."frames.hello" == 4
+    and .total.counters."frames.stats" == 4
+    and ([.shard0, .shard1 | .counters.predictions] | add) == $a
+    and ([.shard0, .shard1 | .counters."frames.update"] | add) == $a
+    and .server.counters."protocol.errors" == 0' \
+    "$out_srv/top1.json" >/dev/null \
+    || { echo "snapshot counters disagree with the loadgen oracle totals"; cat "$out_srv/top1.json"; exit 1; }
+echo "snapshot counters equal the loadgen totals ($applied predictions and updates)"
 wait "$serve_pid" || { echo "ntp serve exited nonzero"; exit 1; }
 grep -q 'drained: 4 sessions' "$out_srv/serve1.txt" \
     || { echo "server summary missing the 4 drained sessions"; cat "$out_srv/serve1.txt"; exit 1; }
 grep -q 'shard 1:' "$out_srv/serve1.txt" \
     || { echo "drain summary lost per-shard attribution"; cat "$out_srv/serve1.txt"; exit 1; }
-grep -q '\[serve\] up' "$out_srv/serve1.err" \
-    || { echo "missing periodic [serve] stats line on stderr"; exit 1; }
 echo "graceful shutdown drained all sessions with per-shard attribution"
 
 say "serving determinism: stripped top snapshots identical across replays"
@@ -314,17 +313,8 @@ say "overload smoke: shed load, exact oracle, clean drain"
 # excess as Busy without retries, keep the lockstep oracle exact over
 # the applied subsequence, report a sane sojourn tail, and still drain
 # gracefully afterwards.
-"$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --queue-depth 1 \
-    >"$out_srv/serve_ol.txt" 2>"$out_srv/serve_ol.err" &
-serve_pid=$!
-bg_pids+=("$serve_pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_srv/serve_ol.txt" 2>/dev/null | head -1 || true)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "ntp serve never printed its bound address"; exit 1; }
+start_bg serve_pid addr "ntp serve" "$out_srv/serve_ol.txt" "$out_srv/serve_ol.err" \
+    "$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --queue-depth 1
 NTP_SCALE=tiny NTP_TRACE_CACHE="$cache_dir" \
     "$ntp_bin" loadgen --addr "$addr" --sessions 2 --clients 2 \
     --rate 20000 --duration 1 --zipf 1.0 --seed 0x5EED \
@@ -369,18 +359,9 @@ jq -e '.session_count == 1 and .sessions[0].predictions > 0' \
 echo "offline save/verify JSON identical"
 
 mkdir "$out_snap/drain"
-"$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 \
-    --warm "$out_snap/seed.nts" --snapshot-on-drain "$out_snap/drain" \
-    >"$out_snap/serve.txt" 2>"$out_snap/serve.err" &
-serve_pid=$!
-bg_pids+=("$serve_pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_snap/serve.txt" 2>/dev/null | head -1 || true)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "warm ntp serve never printed its bound address"; exit 1; }
+start_bg serve_pid addr "warm ntp serve" "$out_snap/serve.txt" "$out_snap/serve.err" \
+    "$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 \
+    --warm "$out_snap/seed.nts" --snapshot-on-drain "$out_snap/drain"
 "$ntp_bin" top --addr "$addr" --once --shutdown >/dev/null
 wait "$serve_pid" || { echo "warm ntp serve exited nonzero"; cat "$out_snap/serve.err"; exit 1; }
 grep -q '1 warmed, 1 snapshotted' "$out_snap/serve.txt" \
@@ -398,17 +379,9 @@ if "$ntp_bin" snapshot verify "$out_snap/bad.nts" >/dev/null 2>&1; then
     echo "snapshot verify accepted a corrupted file"
     exit 1
 fi
-"$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --warm "$out_snap/bad.nts" \
-    >"$out_snap/serve_bad.txt" 2>"$out_snap/serve_bad.err" &
-serve_pid=$!
-bg_pids+=("$serve_pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_snap/serve_bad.txt" 2>/dev/null | head -1 || true)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "cold-fallback ntp serve never printed its bound address"; exit 1; }
+start_bg serve_pid addr "cold-fallback ntp serve" \
+    "$out_snap/serve_bad.txt" "$out_snap/serve_bad.err" \
+    "$ntp_bin" serve --addr 127.0.0.1:0 --workers 1 --warm "$out_snap/bad.nts"
 "$ntp_bin" top --addr "$addr" --once --shutdown >/dev/null
 wait "$serve_pid" || { echo "cold-fallback ntp serve exited nonzero"; exit 1; }
 grep -q 'warm-start refused, starting cold' "$out_snap/serve_bad.err" \
@@ -428,39 +401,17 @@ say "cluster gate: router + 2 backends, live migration + SIGTERM failover"
 mktmp out_cl
 mkdir "$out_cl/b0" "$out_cl/b1"
 
-cluster_backend() {
-    local tag="$1"
-    "$ntp_bin" serve --addr 127.0.0.1:0 --workers 2 \
-        --snapshot-on-drain "$out_cl/$tag" \
-        >"$out_cl/$tag.txt" 2>"$out_cl/$tag.err" &
-    backend_pid=$!
-    bg_pids+=("$backend_pid")
-    backend_addr=""
-    for _ in $(seq 1 100); do
-        backend_addr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_cl/$tag.txt" 2>/dev/null | head -1 || true)"
-        [ -n "$backend_addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$backend_addr" ] || { echo "backend $tag never printed its bound address"; exit 1; }
-}
+# Two backends: sets b0_pid/b0_addr and b1_pid/b1_addr.
+for tag in b0 b1; do
+    start_bg "${tag}_pid" "${tag}_addr" "backend $tag" "$out_cl/$tag.txt" "$out_cl/$tag.err" \
+        "$ntp_bin" serve --addr 127.0.0.1:0 --workers 2 --snapshot-on-drain "$out_cl/$tag"
+done
 
-cluster_backend b0; b0_pid=$backend_pid; b0_addr=$backend_addr
-cluster_backend b1; b1_pid=$backend_pid; b1_addr=$backend_addr
-
-"$ntp_bin" route --addr 127.0.0.1:0 \
+start_bg route_pid raddr "ntp route" "$out_cl/route.txt" "$out_cl/route.err" \
+    "$ntp_bin" route --addr 127.0.0.1:0 \
     --backends "$b0_addr,$b1_addr" \
     --snapshot-dirs "$out_cl/b0,$out_cl/b1" \
-    --probe-interval 0.2 --migrate 0:next:40 \
-    >"$out_cl/route.txt" 2>"$out_cl/route.err" &
-route_pid=$!
-bg_pids+=("$route_pid")
-raddr=""
-for _ in $(seq 1 100); do
-    raddr="$(grep -oE '127\.0\.0\.1:[0-9]+' "$out_cl/route.txt" 2>/dev/null | head -1 || true)"
-    [ -n "$raddr" ] && break
-    sleep 0.1
-done
-[ -n "$raddr" ] || { echo "ntp route never printed its bound address"; exit 1; }
+    --probe-interval 0.2 --migrate 0:next:40
 echo "router up on $raddr fronting $b0_addr + $b1_addr"
 
 # Zipf open-loop load through the router, in the background so a backend
